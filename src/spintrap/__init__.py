@@ -41,11 +41,10 @@ from .spincore import (
 from .trace import SignalTrace, read_trace_csv, write_trace_csv
 from .trapdyn import (
     TrapParams,
-    TrapState,
+    boxcar_charge,
     capture_rate,
     charge_signal,
     flip_fraction_from_state,
-    randomize_after_reemission,
     spin_recovery_curve,
     transient_response,
 )

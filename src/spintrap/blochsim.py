@@ -14,28 +14,37 @@ takes +z to -y, and free precession with positive detuning takes +x towards
 Noise model
 -----------
 Spectral diffusion is a Wiener frequency walk with diffusion constant
-``D = 24 / t_s**3`` (rad^2/s^3), integrated with fixed step ``dt = d/200``
-inside each free-evolution event of duration ``d``.  The accumulated phase
-variance then reproduces ``exp(-4 t^3/t_s^3)`` free-induction decay and
+``D = 24 / t_s**3`` (rad^2/s^3).  Over a free-evolution event of duration
+``T`` the walk increment and the phase it accumulates are jointly Gaussian,
+so each event takes one exact update from two standard normals ``z1, z2``
+(Gillespie, Phys. Rev. E 54, 2084 (1996))::
+
+    step   = sqrt(D T) z1
+    phase += w0 T + (T/2) step + sqrt(D T^3 / 12) z2
+    w0    += step
+
+where ``w0`` is the walk value at the start of the event.  The accumulated
+phase variance then reproduces ``exp(-4 t^3/t_s^3)`` free-induction decay and
 ``exp(-8 tau^3/t_s^3)`` Hahn-echo decay, which is exactly the cubic term of
-the echo envelope; the Monte Carlo calibration against the closed form is an
-acceptance test.  The walk persists across events within a trajectory and is
-frozen during pulses.
+the echo envelope, with no discretization error; the Monte Carlo calibration
+against the closed form is an acceptance test.  The walk persists across
+events within a trajectory and is frozen during pulses.
 
 Reproducibility
 ---------------
 All randomness comes from counter-based Philox streams keyed by
-``(rng_seed, stream)``: stream 0 draws the static detuning offsets, stream
-``1 + static_index * n_noise + noise_index`` drives that trajectory's
-frequency walk (streams are shared between hyperfine manifolds).  Trajectories
-are therefore independent of block partitioning and worker count; partial
-sums are accumulated per fixed-size block and reduced in block order.
+``(rng_seed, stream)``: stream 0 draws the static detuning offsets, and
+stream ``1 + block`` draws every noise normal of one fixed-size block of
+trajectories at once, as a ``(2 * n_free_events, n_block)`` array.  Both
+hyperfine manifolds reuse the block's draws, and so does every sweep point
+of a sequence (common random numbers).  Partial sums are accumulated per
+block and reduced in block order, so results depend only on the seed and
+the ensemble layout.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,15 +78,13 @@ __all__ = [
 
 _PHASE_ANGLES = {"+x": 0.0, "+y": 0.5 * math.pi, "-x": math.pi, "-y": 1.5 * math.pi}
 
-# Fixed block size for ensemble propagation; results are identical for any
-# worker count because blocks and their reduction order never change.
+# Fixed block size for ensemble propagation.  It fixes the RNG layout (one
+# noise stream per block) and bounds the working set, so changing it changes
+# the results.
 _BLOCK = 8192
 
-# Fixed steps per free-evolution event: dt = duration / 200.
-_NOISE_STEPS = 200
-
 _STATIC_STREAM = 0
-_TRAJECTORY_STREAM_BASE = 1
+_NOISE_STREAM_BASE = 1
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 
@@ -136,35 +143,6 @@ class EnsembleSpec:
 def _philox(seed: int, stream: int) -> np.random.Generator:
     key = np.array([seed & _SEED_MASK, stream & _SEED_MASK], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-class _StreamDrawer:
-    """Draws from per-trajectory Philox streams without re-constructing.
-
-    Re-keying one bit generator through its state dict produces streams
-    bit-identical to fresh ``Philox(key=...)`` construction (covered by a
-    regression test) while skipping the per-construction entropy syscall.
-    Not thread-safe; each worker task owns its own instance.
-    """
-
-    def __init__(self, seed: int):
-        self._seed = np.uint64(seed & _SEED_MASK)
-        self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self._gen = np.random.Generator(self._bitgen)
-        self._template = self._bitgen.state
-
-    def normals(self, stream: int, count: int) -> np.ndarray:
-        state = dict(self._template)
-        state["state"] = {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([self._seed, stream & _SEED_MASK], dtype=np.uint64),
-        }
-        state["buffer"] = np.zeros(4, dtype=np.uint64)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bitgen.state = state
-        return self._gen.standard_normal(count)
 
 
 def _rotate(mx, my, mz, ax, ay, az, angle):
@@ -338,73 +316,62 @@ def _resolve_manifold_weights(species, ensemble, labels):
     return tuple(manifold_weight(species, m_i) for m_i in labels)
 
 
-def _plan_events(timeline: Timeline, noise_on: bool):
-    """Flatten the timeline into engine steps and count noise draws."""
+def _plan_events(timeline: Timeline):
+    """Flatten the timeline into engine steps and count free events."""
     plan = []
-    total_draws = 0
+    n_free = 0
     acquire_count = 0
     for event in timeline.events:
         if isinstance(event, PulseEvent):
             plan.append(("pulse", event))
         elif isinstance(event, FreeEvolutionEvent):
-            steps = _NOISE_STEPS if noise_on else 0
-            plan.append(("free", event, steps))
-            total_draws += steps
+            plan.append(("free", event, n_free))
+            n_free += 1
         elif isinstance(event, AcquireEvent):
             plan.append(("acquire", event, acquire_count))
             acquire_count += 1
             if event.duration > 0:
-                steps = _NOISE_STEPS if noise_on else 0
-                plan.append(("free", FreeEvolutionEvent(event.start, event.duration), steps))
-                total_draws += steps
+                plan.append(("free", FreeEvolutionEvent(event.start, event.duration), n_free))
+                n_free += 1
         else:  # pragma: no cover
             raise TypeError(f"unknown event {event!r}")
-    return plan, total_draws, acquire_count
+    return plan, n_free, acquire_count
 
 
 _ACC_FIELDS = 7  # sum_x, sum_y, sum_z, sum_xx, sum_yy, sum_xy, sum_zz
 
 
-def _run_block(plan, total_draws, n_acquire, seed, lo, hi, n_noise,
-               base_det, offsets, m0, w1, relax, diffusion):
-    """Propagate trajectories [lo, hi) and return per-acquire moment sums."""
-    n = hi - lo
-    idx = np.arange(lo, hi)
-    det = base_det + offsets[idx // n_noise]
+def _run_block(plan, n_acquire, det, m0, w1, relax, draws):
+    """Propagate one block of trajectories and return per-acquire moment sums.
+
+    ``det`` holds each trajectory's static detuning; ``draws`` holds rows
+    ``2j, 2j+1`` of standard normals for free event ``j``, or is None when
+    there is no spectral diffusion.
+    """
+    n = det.size
     mx = np.zeros(n)
     my = np.zeros(n)
     mz = np.full(n, m0)
-
-    draws = None
-    if total_draws > 0:
-        drawer = _StreamDrawer(seed)
-        draws = np.empty((n, total_draws))
-        for j, traj in enumerate(idx):
-            draws[j] = drawer.normals(_TRAJECTORY_STREAM_BASE + int(traj), total_draws)
+    diffusion = relax.diffusion_constant
 
     acc = np.zeros((n_acquire, _ACC_FIELDS))
     walk = np.zeros(n)  # current frequency offset of the noise walk, rad/s
-    cursor = 0
     for step in plan:
         kind = step[0]
         if kind == "pulse":
             event = step[1]
             mx, my, mz = _pulse_arrays(mx, my, mz, w1, event.phase, event.duration, det)
         elif kind == "free":
-            event, steps = step[1], step[2]
-            phase = det * event.duration
-            if steps > 0:
-                dt = event.duration / steps
-                inc = draws[:, cursor:cursor + steps] * math.sqrt(diffusion * dt)
-                cursor += steps
-                nodes = walk[:, None] + np.cumsum(inc, axis=1)
-                # trapezoid over the walk nodes = integral of the frequency
-                # offset; the O(dt^2) bridge correction is negligible at 200
-                # steps per event
-                full = np.concatenate([walk[:, None], nodes], axis=1)
-                phase = phase + np.trapezoid(full, dx=dt, axis=1)
-                walk = nodes[:, -1].copy()
-            mx, my, mz = _free_arrays(mx, my, mz, phase, event.duration, relax, m0)
+            event, j = step[1], step[2]
+            duration = event.duration
+            phase = det * duration
+            if draws is not None:
+                # exact joint update of the walk end and its time integral
+                increment = math.sqrt(diffusion * duration) * draws[2 * j]
+                bridge = math.sqrt(diffusion * duration**3 / 12.0) * draws[2 * j + 1]
+                phase = phase + walk * duration + 0.5 * duration * increment + bridge
+                walk = walk + increment
+            mx, my, mz = _free_arrays(mx, my, mz, phase, duration, relax, m0)
         else:  # acquire
             k = step[2]
             acc[k, 0] = mx.sum()
@@ -417,14 +384,13 @@ def _run_block(plan, total_draws, n_acquire, seed, lo, hi, n_noise,
     return acc
 
 
-def _run_engine(timeline, env, species, relax, ensemble, workers=1):
+def _run_engine(timeline, env, species, relax, ensemble):
     """Shared ensemble propagation; returns per-acquire statistics.
 
     Returns (acquire_events, stats) where stats[k] holds the weighted means
     and standard errors for acquire event k.
     """
-    noise_on = relax.diffusion_constant > 0.0
-    plan, total_draws, n_acquire = _plan_events(timeline, noise_on)
+    plan, n_free, n_acquire = _plan_events(timeline)
     if n_acquire == 0:
         raise ValueError("timeline has no acquisition events")
 
@@ -435,38 +401,21 @@ def _run_engine(timeline, env, species, relax, ensemble, workers=1):
 
     labels = manifold_labels(species)
     weights = _resolve_manifold_weights(species, ensemble, labels)
+    base_dets = [line_detuning(species, env, m_i) for m_i in labels]
     n_traj = ensemble.n_trajectories
-    blocks = [(lo, min(lo + _BLOCK, n_traj)) for lo in range(0, n_traj, _BLOCK)]
 
-    tasks = []
-    for mf, (m_i, weight) in enumerate(zip(labels, weights)):
-        base_det = line_detuning(species, env, m_i)
-        for b, (lo, hi) in enumerate(blocks):
-            tasks.append((mf, b, base_det, lo, hi))
-
-    def _task(args):
-        mf, b, base_det, lo, hi = args
-        acc = _run_block(plan, total_draws, n_acquire, ensemble.rng_seed, lo, hi,
-                         ensemble.n_noise, base_det, offsets, m0, w1, relax,
-                         relax.diffusion_constant)
-        return mf, b, acc
-
-    partials = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for mf, b, acc in pool.map(_task, tasks):
-                partials[(mf, b)] = acc
-    else:
-        for args in tasks:
-            mf, b, acc = _task(args)
-            partials[(mf, b)] = acc
-
-    # Reduce in fixed (manifold, block) order so results never depend on the
-    # scheduling of the tasks above.
+    # Both manifolds share each block's draws; partial sums are added in
+    # block order.
     per_manifold = [np.zeros((n_acquire, _ACC_FIELDS)) for _ in labels]
-    for mf in range(len(labels)):
-        for b in range(len(blocks)):
-            per_manifold[mf] += partials[(mf, b)]
+    for b, lo in enumerate(range(0, n_traj, _BLOCK)):
+        hi = min(lo + _BLOCK, n_traj)
+        static = offsets[np.arange(lo, hi) // ensemble.n_noise]
+        draws = None
+        if relax.diffusion_constant > 0.0:
+            stream = _philox(ensemble.rng_seed, _NOISE_STREAM_BASE + b)
+            draws = stream.standard_normal((2 * n_free, hi - lo))
+        for mf, base_det in enumerate(base_dets):
+            per_manifold[mf] += _run_block(plan, n_acquire, base_det + static, m0, w1, relax, draws)
 
     acquire_events = [e for e in timeline.events if isinstance(e, AcquireEvent)]
     stats = []
@@ -502,8 +451,7 @@ def _channel_value(event, stat, m0, trap):
     if event.channel == "charge":
         window = event.window if event.window is not None else 6.0 / trap.emission_rate
         fraction = trapdyn.flip_fraction_from_state(mean[2], m0)
-        unit_trace = trapdyn.transient_response(1.0, trap, np.linspace(0.0, window, 2001))
-        unit_charge = trapdyn.charge_signal(unit_trace, 0.0, window)
+        unit_charge = trapdyn.boxcar_charge(1.0, trap, window)
         se = abs(unit_charge) * math.sqrt(vz) / 2.0  # charge is linear in mz
         return unit_charge * fraction, se, "C"
     raise ValueError(f"unknown channel {event.channel!r}")  # pragma: no cover
@@ -516,17 +464,16 @@ def run_timeline_by_channel(
     relax: RelaxationParams,
     ensemble: EnsembleSpec,
     trap: "trapdyn.TrapParams | None" = None,
-    workers: int = 1,
 ) -> dict[str, SignalTrace]:
     """Run one compiled timeline; one trace per acquisition channel.
 
     Each trace's x axis holds the acquire-event start times.  Deterministic
-    for a fixed ``ensemble.rng_seed`` regardless of ``workers``.
+    for a fixed ``ensemble.rng_seed``.
     """
     channels = {e.channel for e in timeline.events if isinstance(e, AcquireEvent)}
     if "charge" in channels and trap is None:
         raise ValueError("timeline acquires the charge channel but no trap parameters were given")
-    acquire_events, stats, m0 = _run_engine(timeline, env, species, relax, ensemble, workers)
+    acquire_events, stats, m0 = _run_engine(timeline, env, species, relax, ensemble)
 
     out = {}
     for channel in sorted(channels):
@@ -559,14 +506,13 @@ def run_timeline(
     relax: RelaxationParams,
     ensemble: EnsembleSpec,
     trap: "trapdyn.TrapParams | None" = None,
-    workers: int = 1,
 ) -> SignalTrace:
     """Run a single-channel timeline and return its trace.
 
     Use :func:`run_timeline_by_channel` for sequences acquiring more than one
     channel.
     """
-    traces = run_timeline_by_channel(timeline, env, species, relax, ensemble, trap, workers)
+    traces = run_timeline_by_channel(timeline, env, species, relax, ensemble, trap)
     if len(traces) != 1:
         raise ValueError(
             f"timeline acquires {len(traces)} channels {sorted(traces)}; "

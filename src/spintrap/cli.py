@@ -12,8 +12,7 @@ All commands accept ``--config <json>`` (see :mod:`spintrap.config`),
 ``--seed <int>``, and ``--out <path>``.  Exit codes: 0 success, 2 invalid
 configuration/usage, 3 sequence error, 4 data error.  Outputs are CSV traces
 (or JSON for ``fit``) stamped with the resolved config hash; identical
-configuration and seed give byte-identical data sections regardless of
-``--workers``.
+configuration and seed give byte-identical data sections.
 """
 
 from __future__ import annotations
@@ -147,20 +146,23 @@ def cmd_run(args) -> int:
     channels = sorted(set(ast.acquire_channels))
     if sweep is None:
         timeline = seqlang.compile_timeline(ast, env)
-        traces = blochsim.run_timeline_by_channel(
-            timeline, env, species, relax, ensemble, trap, workers=args.workers
-        )
+        traces = blochsim.run_timeline_by_channel(timeline, env, species, relax, ensemble, trap)
     else:
+        # a swept trace holds one value per point, so a second acquire on the
+        # same channel would have nowhere to go
+        repeated = [c for c in channels if ast.acquire_channels.count(c) > 1]
+        if repeated:
+            raise seqlang.SequenceError(
+                f"swept sequence acquires channel {', '.join(repeated)} more than once; "
+                "a sweep records one value per channel and point"
+            )
         values = seqlang.sweep_values(sweep)
         per_channel: dict[str, list[float]] = {c: [] for c in channels}
         for i, value in enumerate(values):
             timeline = seqlang.compile_timeline(ast, env, sweep_value=float(value), sweep_index=i)
-            point = blochsim.run_timeline_by_channel(
-                timeline, env, species, relax, ensemble, trap, workers=args.workers
-            )
+            point = blochsim.run_timeline_by_channel(timeline, env, species, relax, ensemble, trap)
             for channel in channels:
-                # one row per sweep point; the last acquire defines the value
-                per_channel[channel].append(point[channel].y[-1])
+                per_channel[channel].append(point[channel].y[0])
         axis_kind = _sweep_axis_kind(ast)
         traces = {
             channel: SignalTrace(
@@ -213,7 +215,10 @@ def cmd_fit(args) -> int:
             "preferred": comparison.preferred,
             "delta_criterion": comparison.delta_criterion,
         }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN or infinity has no JSON form
+        raise fitkit.DegenerateDataError("fit produced non-finite values") from None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -259,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a .seq pulse program")
     p.add_argument("seqfile")
     _add_common(p, "run.csv")
-    p.add_argument("--workers", type=int, default=1, help="parallel blocks (does not change results)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect (the engine runs in one thread)")
     p.add_argument("--n-static", type=int, help="override ensemble.n_static")
     p.add_argument("--n-noise", type=int, help="override ensemble.n_noise")
     p.add_argument("--linewidth", type=float, help="override species linewidth in Tesla")

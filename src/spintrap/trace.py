@@ -9,7 +9,9 @@ with the same configuration and seed produce byte-identical data sections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
 import numpy as np
 
 __all__ = [
@@ -135,10 +137,13 @@ def read_trace_csv(path: str, allow_mixed_hash: bool = False) -> SignalTrace:
             if len(parts) != 2:
                 raise CsvFormatError(f"expected two comma-separated values, got {line!r}", row)
             try:
-                xs.append(float(parts[0]))
-                ys.append(float(parts[1]))
+                xv, yv = float(parts[0]), float(parts[1])
             except ValueError:
                 raise CsvFormatError(f"non-numeric data {line!r}", row) from None
+            if not (math.isfinite(xv) and math.isfinite(yv)):
+                raise CsvFormatError(f"non-finite data {line!r}", row)
+            xs.append(xv)
+            ys.append(yv)
     if not saw_header:
         raise CsvFormatError("missing 'x,y' header row")
     if not xs:

@@ -16,8 +16,7 @@ fully polarized) conduction bath.  ``emission_rate`` is therefore the *net*
 release rate, which is what a fit to the current tail measures; with that
 convention the current transient and the donor spin recovery share the same
 time constant ``1/k_e``, which is the experimental signature this model is
-built to reproduce.  :func:`randomize_after_reemission` exposes the
-single-event expectation values for the microscopic bookkeeping.
+built to reproduce.
 """
 
 from __future__ import annotations
@@ -31,13 +30,12 @@ from .trace import SignalTrace
 
 __all__ = [
     "TrapParams",
-    "TrapState",
     "capture_rate",
     "transient_response",
     "trapped_fraction",
     "flip_fraction_from_state",
     "charge_signal",
-    "randomize_after_reemission",
+    "boxcar_charge",
     "spin_recovery_curve",
 ]
 
@@ -85,24 +83,6 @@ class TrapParams:
         the full spin-allowed ``k0``.
         """
         return capture_rate(-1.0, +1.0, self.capture_rate_k0)
-
-
-@dataclass(frozen=True)
-class TrapState:
-    """Donor charge/spin populations; fractions sum to one."""
-
-    frac_d0_up: float
-    frac_d0_down: float
-    frac_dminus: float
-
-    def __post_init__(self) -> None:
-        for name in ("frac_d0_up", "frac_d0_down", "frac_dminus"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        total = self.frac_d0_up + self.frac_d0_down + self.frac_dminus
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"populations must sum to 1, got {total}")
 
 
 def capture_rate(p_donor: float, p_conduction: float, k0: float) -> float:
@@ -195,17 +175,29 @@ def charge_signal(trace: SignalTrace, window_start: float, window_stop: float) -
     return float(np.trapezoid(ys, ts))
 
 
-def randomize_after_reemission(state: TrapState) -> TrapState:
-    """Expectation value of one reemission event: D- splits evenly over D0 spins.
+def boxcar_charge(flip_fraction: float, params: TrapParams, window: float) -> float:
+    """Closed-form boxcar charge ``integral_0^window dI dt`` after a flip at t=0.
 
-    Deterministic halves (no sampling); population is conserved exactly.
+    The exact integral of :func:`transient_response` over ``[0, window]``:
+    ``-coupling f k_c/(k_c - k_e) [(1 - e^{-k_e W})/k_e - (1 - e^{-k_c W})/k_c]``,
+    or ``-coupling f [1 - e^{-kW}(1 + kW)]/k`` in the confluent case
+    ``k_c = k_e``.  :func:`charge_signal` on a sampled transient is the
+    numerical reference.
     """
-    half = state.frac_dminus / 2.0
-    return TrapState(
-        frac_d0_up=state.frac_d0_up + half,
-        frac_d0_down=state.frac_d0_down + half,
-        frac_dminus=0.0,
-    )
+    if not 0.0 <= flip_fraction <= 1.0:
+        raise ValueError(f"flip_fraction must lie in [0, 1], got {flip_fraction}")
+    if not window > 0.0:
+        raise ValueError(f"window must be > 0, got {window}")
+    k_c = params.flipped_capture_rate
+    k_e = params.emission_rate
+    scale = -params.coupling_amplitude * flip_fraction
+    if math.isclose(k_c, k_e, rel_tol=1e-12):
+        x = k_c * window
+        return scale * (-math.expm1(-x) - x * math.exp(-x)) / k_c
+    # integral_0^W e^{-k t} dt for each rate
+    area_e = -math.expm1(-k_e * window) / k_e
+    area_c = -math.expm1(-k_c * window) / k_c
+    return scale * k_c / (k_c - k_e) * (area_e - area_c)
 
 
 def spin_recovery_curve(params: TrapParams, t_grid, flip_fraction: float = 1.0) -> SignalTrace:

@@ -165,6 +165,15 @@ class TestRunCommand:
             outs.append(_data_section(out))
         assert outs[0] == outs[1] == outs[2]
 
+    def test_swept_repeated_acquire_exit_3(self, tmp_path, capsys):
+        seq = tmp_path / "twice.seq"
+        seq.write_text("sweep tau 10us 20us 3\npulse pi/2 +x\ndelay tau\n"
+                       "acquire mz\ndelay 1us\nacquire mz\n")
+        out = tmp_path / "x.csv"
+        assert main(["run", str(seq), "--out", str(out)] + SMALL) == 3
+        assert "more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_changes_data(self, tmp_path):
         config = str(SEQ_DIR / "pulsed_defaults.json")
         a = tmp_path / "a.csv"
@@ -231,6 +240,20 @@ class TestFitCommand:
         bad.write_text("x,y\n1.0,2.0\noops\n")
         assert main(["fit", str(bad), "--model", "exp_decay"]) == 4
         assert "row 3" in capsys.readouterr().err
+
+    def test_non_finite_row_exit_4(self, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("x,y\n1e-5,0.5\n2e-5,nan\n3e-5,0.3\n4e-5,0.2\n5e-5,0.1\n")
+        assert main(["fit", str(bad), "--model", "exp_decay"]) == 4
+        assert "row 3" in capsys.readouterr().err
+
+    def test_non_finite_result_exit_4(self, tmp_path, capsys):
+        # finite data whose residual sum overflows to infinity
+        huge = tmp_path / "huge.csv"
+        huge.write_text("x,y\n1e-5,1e300\n2e-5,0.8e300\n3e-5,0.5e300\n"
+                        "4e-5,0.45e300\n5e-5,0.2e300\n6e-5,0.1e300\n")
+        assert main(["fit", str(huge), "--model", "exp_decay"]) == 4
+        assert "non-finite" in capsys.readouterr().err
 
     def test_mixed_hash_refused_unless_forced(self, tmp_path):
         a = self._hahn_csv(tmp_path, seed="7")

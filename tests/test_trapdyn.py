@@ -3,11 +3,10 @@ import pytest
 
 from spintrap.trapdyn import (
     TrapParams,
-    TrapState,
+    boxcar_charge,
     capture_rate,
     charge_signal,
     flip_fraction_from_state,
-    randomize_after_reemission,
     spin_recovery_curve,
     transient_response,
     trapped_fraction,
@@ -157,6 +156,25 @@ class TestChargeSignal:
             charge_signal(trace, 0.0, 2e-2)
 
 
+class TestBoxcarCharge:
+    @pytest.mark.parametrize("window", [1e-3, 10e-3])
+    @pytest.mark.parametrize(
+        "params",
+        [PRESET, TrapParams(capture_rate_k0=400.0, emission_rate=400.0)],
+        ids=["preset", "confluent_kc_equals_ke"],
+    )
+    def test_matches_trapezoid_reference(self, params, window):
+        grid = np.linspace(0.0, window, 400_001)
+        reference = charge_signal(transient_response(0.7, params, grid), 0.0, window)
+        assert boxcar_charge(0.7, params, window) == pytest.approx(reference, rel=1e-8)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            boxcar_charge(1.5, PRESET, 1e-2)
+        with pytest.raises(ValueError):
+            boxcar_charge(0.5, PRESET, 0.0)
+
+
 class TestFlipFraction:
     def test_no_pulse_no_signal(self):
         assert flip_fraction_from_state(0.968, 0.968) == 0.0
@@ -173,27 +191,6 @@ class TestFlipFraction:
     def test_validation(self):
         with pytest.raises(ValueError):
             flip_fraction_from_state(2.0, 0.0)
-
-
-class TestRandomizeAfterReemission:
-    def test_full_trap_splits_evenly(self):
-        out = randomize_after_reemission(TrapState(0.0, 0.0, 1.0))
-        assert out == TrapState(0.5, 0.5, 0.0)
-
-    def test_nothing_trapped_unchanged(self):
-        state = TrapState(0.5, 0.5, 0.0)
-        assert randomize_after_reemission(state) == state
-
-    def test_population_conserved(self):
-        out = randomize_after_reemission(TrapState(0.2, 0.3, 0.5))
-        total = out.frac_d0_up + out.frac_d0_down + out.frac_dminus
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            TrapState(0.5, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            TrapState(-0.1, 0.6, 0.5)
 
 
 class TestSpinRecovery:

@@ -18,7 +18,6 @@ from .blochsim import (
     evolve_free,
     inversion_recovery_curve,
     nutation_curve,
-    run_timeline,
     run_timeline_by_channel,
 )
 from .config import ConfigError, RunConfig, config_hash, load_config
@@ -42,7 +41,6 @@ from .trace import SignalTrace, read_trace_csv, write_trace_csv
 from .trapdyn import (
     TrapParams,
     boxcar_charge,
-    capture_rate,
     charge_signal,
     flip_fraction_from_state,
     spin_recovery_curve,

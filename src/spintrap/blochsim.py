@@ -69,7 +69,6 @@ __all__ = [
     "EnsembleSpec",
     "apply_pulse",
     "evolve_free",
-    "run_timeline",
     "run_timeline_by_channel",
     "echo_envelope_analytic",
     "nutation_curve",
@@ -117,23 +116,18 @@ class EnsembleSpec:
     """Monte Carlo ensemble layout.
 
     ``n_static`` static-detuning samples (Gaussian, sigma from the species
-    linewidth) times ``n_noise`` stochastic trajectories each.  Manifold
-    weights default to the nuclear-polarization populations of the species;
-    an explicit tuple overrides them.
+    linewidth) times ``n_noise`` stochastic trajectories each.  Each
+    hyperfine manifold is weighted by its nuclear-polarization population
+    (:func:`spincore.manifold_weight`).
     """
 
     n_static: int = 128
     n_noise: int = 32
     rng_seed: int = 20260810
-    manifold_weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n_static < 1 or self.n_noise < 1:
             raise ValueError("n_static and n_noise must be >= 1")
-        if self.manifold_weights is not None:
-            w = np.asarray(self.manifold_weights, dtype=float)
-            if np.any(w < 0) or not math.isclose(float(w.sum()), 1.0, rel_tol=0, abs_tol=1e-9):
-                raise ValueError("manifold_weights must be non-negative and sum to 1")
 
     @property
     def n_trajectories(self) -> int:
@@ -286,10 +280,9 @@ def nutation_curve(
     sigma = gyromagnetic_ratio(species.g_factor) * species.linewidth_field
     offsets = _philox(ensemble.rng_seed, _STATIC_STREAM).standard_normal(ensemble.n_static) * sigma
 
-    labels = manifold_labels(species)
-    weights = _resolve_manifold_weights(species, ensemble, labels)
     y = np.zeros_like(durations)
-    for m_i, weight in zip(labels, weights):
+    for m_i in manifold_labels(species):
+        weight = manifold_weight(species, m_i)
         det = line_detuning(species, env, m_i) + offsets
         weff2 = w1 * w1 + det * det
         frac = w1 * w1 / weff2  # depth of the generalized-Rabi dip per spin
@@ -303,17 +296,6 @@ def nutation_curve(
         units="dimensionless",
         meta={"rng_seed": ensemble.rng_seed, "n_static": ensemble.n_static},
     )
-
-
-def _resolve_manifold_weights(species, ensemble, labels):
-    if ensemble.manifold_weights is not None:
-        if len(ensemble.manifold_weights) != len(labels):
-            raise ValueError(
-                f"manifold_weights has {len(ensemble.manifold_weights)} entries; "
-                f"species {species.label!r} has {len(labels)} manifolds"
-            )
-        return tuple(float(w) for w in ensemble.manifold_weights)
-    return tuple(manifold_weight(species, m_i) for m_i in labels)
 
 
 def _plan_events(timeline: Timeline):
@@ -400,7 +382,7 @@ def _run_engine(timeline, env, species, relax, ensemble):
     offsets = _philox(ensemble.rng_seed, _STATIC_STREAM).standard_normal(ensemble.n_static) * sigma
 
     labels = manifold_labels(species)
-    weights = _resolve_manifold_weights(species, ensemble, labels)
+    weights = [manifold_weight(species, m_i) for m_i in labels]
     base_dets = [line_detuning(species, env, m_i) for m_i in labels]
     n_traj = ensemble.n_trajectories
 
@@ -497,25 +479,3 @@ def run_timeline_by_channel(
             meta["sweep_value"] = timeline.sweep_value
         out[channel] = SignalTrace(axis_kind="time", x=tuple(xs), y=tuple(ys), units=units, meta=meta)
     return out
-
-
-def run_timeline(
-    timeline: Timeline,
-    env: Environment,
-    species: SpinSpecies,
-    relax: RelaxationParams,
-    ensemble: EnsembleSpec,
-    trap: "trapdyn.TrapParams | None" = None,
-) -> SignalTrace:
-    """Run a single-channel timeline and return its trace.
-
-    Use :func:`run_timeline_by_channel` for sequences acquiring more than one
-    channel.
-    """
-    traces = run_timeline_by_channel(timeline, env, species, relax, ensemble, trap)
-    if len(traces) != 1:
-        raise ValueError(
-            f"timeline acquires {len(traces)} channels {sorted(traces)}; "
-            "use run_timeline_by_channel"
-        )
-    return next(iter(traces.values()))

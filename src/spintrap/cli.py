@@ -88,6 +88,15 @@ def _write_output(trace: SignalTrace, config: RunConfig, path: str, extra_meta=N
     print(f"wrote {path} ({len(out)} points)")
 
 
+def _time_grid(args) -> np.ndarray:
+    """``--n-points`` evenly spaced times from 0 to ``--t-max``."""
+    if not (math.isfinite(args.t_max) and args.t_max > 0):
+        raise ConfigError(f"--t-max must be finite and > 0, got {args.t_max}")
+    if args.n_points < 1:
+        raise ConfigError(f"--n-points must be >= 1, got {args.n_points}")
+    return np.linspace(0.0, args.t_max, args.n_points)
+
+
 def cmd_spectrum(args) -> int:
     config = _load_config_file(args)
     trace = spectrum.simulate_field_sweep(
@@ -98,6 +107,11 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_transient(args) -> int:
+    grid = _time_grid(args)
+    for flag, value in (("--pulse-angle-deg", args.pulse_angle_deg),
+                        ("--field-offset-tesla", args.field_offset_tesla)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     config = _load_config_file(args)
     env, species, trap = config.environment, config.species, config.trap
     if args.flip_fraction is not None:
@@ -111,7 +125,6 @@ def cmd_transient(args) -> int:
         det = gyromagnetic_ratio(species.g_factor) * args.field_offset_tesla
         final = blochsim.apply_pulse(eq, w1, "+x", duration, det)
         fraction = trapdyn.flip_fraction_from_state(final.mz, eq.mz)
-    grid = np.linspace(0.0, args.t_max, args.n_points)
     trace = trapdyn.transient_response(fraction, trap, grid)
     _write_output(trace, config, args.out, {"command": "transient", "flip_fraction": fraction})
     return EXIT_OK
@@ -158,8 +171,8 @@ def cmd_run(args) -> int:
             )
         values = seqlang.sweep_values(sweep)
         per_channel: dict[str, list[float]] = {c: [] for c in channels}
-        for i, value in enumerate(values):
-            timeline = seqlang.compile_timeline(ast, env, sweep_value=float(value), sweep_index=i)
+        for value in values:
+            timeline = seqlang.compile_timeline(ast, env, sweep_value=float(value))
             point = blochsim.run_timeline_by_channel(timeline, env, species, relax, ensemble, trap)
             for channel in channels:
                 per_channel[channel].append(point[channel].y[0])
@@ -186,8 +199,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_nutation(args) -> int:
+    durations = _time_grid(args)
     config = _load_config_file(args)
-    durations = np.linspace(0.0, args.t_max, args.n_points)
     trace = blochsim.nutation_curve(
         durations, config.environment, config.species, config.relaxation, config.ensemble
     )

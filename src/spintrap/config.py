@@ -2,10 +2,12 @@
 
 Configuration files are JSON objects whose keys carry their units
 (``t2_seconds``, ``static_field_tesla``); unknown keys are hard errors so
-typos cannot silently fall back to defaults.  Every section is optional and
-defaults to the built-in presets.  The resolved configuration (defaults
-filled in) is hashed into every output file so traces can be matched to the
-physics that produced them.
+typos cannot silently fall back to defaults.  Numbers must be finite
+(``t_s_seconds`` alone also takes the string ``"inf"``), and the ensemble
+counts, the seed and ``spectrum.n_points`` must be integers.  Every section
+is optional and defaults to the built-in presets.  The resolved
+configuration (defaults filled in) is hashed into every output file so
+traces can be matched to the physics that produced them.
 
 Example::
 
@@ -98,16 +100,13 @@ _RELAXATION_KEYS = {
 _TRAP_KEYS = {
     "capture_rate_per_second": "capture_rate_k0",
     "emission_rate_per_second": "emission_rate",
-    "conduction_polarization": "conduction_polarization",
     "baseline_current_amperes": "baseline_current",
     "coupling_amplitude_amperes": "coupling_amplitude",
-    "donor_density_per_cm3": "donor_density",
 }
 _ENSEMBLE_KEYS = {
     "n_static": "n_static",
     "n_noise": "n_noise",
     "rng_seed": "rng_seed",
-    "manifold_weights": "manifold_weights",
 }
 _SPECTRUM_KEYS = {
     "b_start_tesla": "b_start",
@@ -118,6 +117,8 @@ _SPECTRUM_KEYS = {
     "db_amplitude_ratio": "db_amplitude_ratio",
     "include_dangling_bond": "include_dangling_bond",
 }
+
+_INTEGER_KEYS = {"ensemble.n_static", "ensemble.n_noise", "ensemble.rng_seed", "spectrum.n_points"}
 
 _SECTIONS = {
     "environment": _ENVIRONMENT_KEYS,
@@ -134,8 +135,13 @@ def _section_kwargs(section: str, data: dict, keymap: dict) -> dict:
     for key, value in data.items():
         if key == "preset" and section == "species":
             continue
+        name = f"{section}.{key}"
         if key not in keymap:
-            raise ConfigError(f"unknown key {section + '.' + key!r}")
+            raise ConfigError(f"unknown key {name!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        if name in _INTEGER_KEYS and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
         kwargs[keymap[key]] = value
     return kwargs
 
@@ -145,8 +151,6 @@ def _coerce_special(section: str, kwargs: dict) -> dict:
         if kwargs["t_s"].lower() not in ("inf", "infinity"):
             raise ConfigError(f"relaxation.t_s_seconds must be a number or \"inf\", got {kwargs['t_s']!r}")
         kwargs["t_s"] = math.inf
-    if section == "ensemble" and kwargs.get("manifold_weights") is not None:
-        kwargs["manifold_weights"] = tuple(kwargs["manifold_weights"])
     return kwargs
 
 
@@ -192,7 +196,7 @@ def load_config(data: dict | None = None, seed: int | None = None) -> RunConfig:
 
     ensemble_body = dict(data.get("ensemble", {}))
     if seed is not None:
-        ensemble_body["rng_seed"] = int(seed)
+        ensemble_body["rng_seed"] = seed
         data["ensemble"] = ensemble_body
 
     return RunConfig(
@@ -212,8 +216,6 @@ def _resolved_dict(config: RunConfig) -> dict:
             value = getattr(obj, attr)
             if isinstance(value, float) and math.isinf(value):
                 value = "inf"
-            if isinstance(value, tuple):
-                value = list(value)
             out[json_key] = value
         return out
 

@@ -143,7 +143,6 @@ class Timeline:
 
     events: tuple
     total_duration: float
-    sweep_index: int | None = None
     sweep_value: float | None = None
 
 
@@ -377,7 +376,6 @@ def compile_timeline(
     ast: SequenceAst,
     env: Environment,
     sweep_value: float | None = None,
-    sweep_index: int | None = None,
 ) -> Timeline:
     """Compile an AST into an absolute-time, gap-free :class:`Timeline`.
 
@@ -418,6 +416,5 @@ def compile_timeline(
     return Timeline(
         events=tuple(events),
         total_duration=t,
-        sweep_index=sweep_index,
         sweep_value=None if sweep is None else float(sweep_value),
     )

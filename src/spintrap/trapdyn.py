@@ -2,11 +2,14 @@
 
 A conduction electron can only be captured by a donor whose spin is
 anti-parallel (the pair must form a singlet), so flipping the donor spin
-gates the photocurrent.  The minimal model matching the two observed
-timescales is a two-compartment linear system: flipped donors capture an
-electron at rate ``k_c`` (D0 -> D-), trapped electrons are reemitted at rate
-``k_e`` (D- -> D0), and each trapped electron reduces the current by the
-coupling amplitude.
+gates the photocurrent.  A flipped donor is anti-aligned with the polarized
+conduction electrons, so its Pauli factor is 1 and it captures at the full
+spin-allowed rate ``k0``; aligned donors are blocked and never enter the
+model.  The minimal model matching the two observed timescales is a
+two-compartment linear system: flipped donors capture an electron at rate
+``k_c = k0`` (D0 -> D-), trapped electrons are reemitted at rate ``k_e``
+(D- -> D0), and each trapped electron reduces the current by the coupling
+amplitude.
 
 Reemission randomizes the donor spin between the two anticorrelated pair
 states.  In the operating regime ``k_c >> k_e`` the anti-parallel branch of
@@ -30,7 +33,6 @@ from .trace import SignalTrace
 
 __all__ = [
     "TrapParams",
-    "capture_rate",
     "transient_response",
     "trapped_fraction",
     "flip_fraction_from_state",
@@ -48,24 +50,17 @@ class TrapParams:
     ~100 us, reemission in 2.5 ms, 60 nA baseline photocurrent, and a
     coupling amplitude normalized so a fully flipped donor ensemble dips the
     current by 1% of baseline at the transient extremum (a plotting default,
-    the measured quantity is relative).  ``conduction_polarization`` and
-    ``donor_density`` are carried for rate computations and metadata.
+    the measured quantity is relative).
     """
 
     capture_rate_k0: float = 1.0e4  # 1/s, spin-allowed capture rate
     emission_rate: float = 400.0  # 1/s, net release rate (2.5 ms)
-    conduction_polarization: float = -0.968
     baseline_current: float = 60e-9  # A
     coupling_amplitude: float | None = None  # A per unit trapped fraction
-    donor_density: float = 1e15  # cm^-3, metadata only
 
     def __post_init__(self) -> None:
         if self.capture_rate_k0 <= 0 or self.emission_rate <= 0:
             raise ValueError("capture and emission rates must be > 0")
-        if not -1.0 <= self.conduction_polarization <= 1.0:
-            raise ValueError(
-                f"conduction_polarization must lie in [-1, 1], got {self.conduction_polarization}"
-            )
         if self.baseline_current <= 0:
             raise ValueError(f"baseline_current must be > 0, got {self.baseline_current}")
         if self.coupling_amplitude is None:
@@ -82,19 +77,7 @@ class TrapParams:
         majority conduction spins, so the Pauli factor is 1 and the rate is
         the full spin-allowed ``k0``.
         """
-        return capture_rate(-1.0, +1.0, self.capture_rate_k0)
-
-
-def capture_rate(p_donor: float, p_conduction: float, k0: float) -> float:
-    """Pauli-weighted capture rate ``k0 (1 - p_donor p_conduction)/2``.
-
-    The factor is the anti-parallel (singlet-forming) pair fraction: 0 for
-    co-aligned fully polarized spins, ``k0`` for fully anti-aligned ones.
-    """
-    for name, p in (("p_donor", p_donor), ("p_conduction", p_conduction)):
-        if not -1.0 <= p <= 1.0:
-            raise ValueError(f"{name} must lie in [-1, 1], got {p}")
-    return k0 * (1.0 - p_donor * p_conduction) / 2.0
+        return self.capture_rate_k0
 
 
 def _peak_trapped_fraction(k_c: float, k_e: float) -> float:

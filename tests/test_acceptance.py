@@ -19,7 +19,7 @@ from spintrap.blochsim import (
     apply_pulse,
     echo_envelope_analytic,
     inversion_recovery_curve,
-    run_timeline,
+    run_timeline_by_channel,
 )
 from spintrap.cli import main
 from spintrap.fitkit import compare_models, fit
@@ -152,7 +152,7 @@ def test_criterion_05_echo_noise_calibration():
     ensemble = EnsembleSpec(n_static=1, n_noise=100000, rng_seed=20260810)
     lines = []
     for tau in (40e-6, 80e-6, 120e-6):
-        trace = run_timeline(_hahn_timeline(tau, env), env, species, relax, ensemble)
+        trace = run_timeline_by_channel(_hahn_timeline(tau, env), env, species, relax, ensemble)["echo"]
         m0 = trace.meta["equilibrium_mz"]
         amp = trace.y[0] / m0
         se = trace.meta["y_stderr"][0] / m0
@@ -174,7 +174,7 @@ def test_criterion_06_closed_loop_fit():
     taus = np.linspace(10e-6, 250e-6, 25)
     amps = []
     for tau in taus:
-        trace = run_timeline(_hahn_timeline(float(tau), env), env, species, relax, ensemble)
+        trace = run_timeline_by_channel(_hahn_timeline(float(tau), env), env, species, relax, ensemble)["echo"]
         amps.append(trace.y[0] / trace.meta["equilibrium_mz"])
     sim_trace = SignalTrace("tau", tuple(taus), tuple(amps))
     res = fit("echo_cubic", sim_trace)

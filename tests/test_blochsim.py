@@ -13,7 +13,7 @@ from spintrap.blochsim import (
     evolve_free,
     inversion_recovery_curve,
     nutation_curve,
-    run_timeline,
+    run_timeline_by_channel,
 )
 from spintrap.seqlang import compile_timeline, parse
 from spintrap.spincore import Environment, SpinSpecies, resonance_field
@@ -221,7 +221,7 @@ class TestRunTimeline:
             species = SpinSpecies("w", 1.9985, 0.0, 0.0, width)
             env = _resonant_env(species, rabi_frequency=5e8)  # near-ideal pulses
             tl = _hahn_timeline(tau, env)
-            tr = run_timeline(tl, env, species, RELAX_NONOISE, EnsembleSpec(2000, 1, 11))
+            tr = run_timeline_by_channel(tl, env, species, RELAX_NONOISE, EnsembleSpec(2000, 1, 11))["echo"]
             amp = tr.y[0] / tr.meta["equilibrium_mz"]
             assert amp == pytest.approx(math.exp(-2 * tau / RELAX.t2), rel=2e-3)
 
@@ -230,7 +230,7 @@ class TestRunTimeline:
         env = _resonant_env(species)
         tau = 80e-6
         tl = _hahn_timeline(tau, env)
-        tr = run_timeline(tl, env, species, RELAX, EnsembleSpec(1, 20000, 7))
+        tr = run_timeline_by_channel(tl, env, species, RELAX, EnsembleSpec(1, 20000, 7))["echo"]
         m0 = tr.meta["equilibrium_mz"]
         amp = tr.y[0] / m0
         se = tr.meta["y_stderr"][0] / m0
@@ -243,9 +243,9 @@ class TestRunTimeline:
         # 2000 trajectories fit one block; 12 000 span two, so the fixed
         # block-order reduction is exercised
         for ens in (EnsembleSpec(50, 40, 123), EnsembleSpec(3, 4000, 123)):
-            a = run_timeline(tl, env, species, RELAX, ens)
-            b = run_timeline(tl, env, species, RELAX, ens)
-            c = run_timeline(tl, env, species, RELAX, ens)
+            a = run_timeline_by_channel(tl, env, species, RELAX, ens)["echo"]
+            b = run_timeline_by_channel(tl, env, species, RELAX, ens)["echo"]
+            c = run_timeline_by_channel(tl, env, species, RELAX, ens)["echo"]
             assert a.y == b.y == c.y
 
     def test_charge_channel_needs_trap_params(self):
@@ -253,13 +253,13 @@ class TestRunTimeline:
         env = _resonant_env(species)
         tl = compile_timeline(parse("pulse pi +x\nacquire charge window=10ms"), env)
         with pytest.raises(ValueError, match="trap"):
-            run_timeline(tl, env, species, RELAX, EnsembleSpec(2, 1, 1))
+            run_timeline_by_channel(tl, env, species, RELAX, EnsembleSpec(2, 1, 1))
 
     def test_mz_channel_after_pi_pulse(self):
         species = _narrow_species()
         env = _resonant_env(species)
         tl = compile_timeline(parse("pulse pi +x\nacquire mz"), env)
-        tr = run_timeline(tl, env, species, RELAX_NONOISE, EnsembleSpec(4, 1, 1))
+        tr = run_timeline_by_channel(tl, env, species, RELAX_NONOISE, EnsembleSpec(4, 1, 1))["mz"]
         assert tr.y[0] == pytest.approx(-tr.meta["equilibrium_mz"], abs=1e-9)
 
 
@@ -274,7 +274,7 @@ class TestNoiseCalibration:
         for t in (60e-6, 100e-6):
             src = f"pulse pi/2 +x\ndelay {t!r}s\nacquire echo\n"
             tl = compile_timeline(parse(src), env)
-            tr = run_timeline(tl, env, species, relax, EnsembleSpec(1, 20000, 21))
+            tr = run_timeline_by_channel(tl, env, species, relax, EnsembleSpec(1, 20000, 21))["echo"]
             m0 = tr.meta["equilibrium_mz"]
             amp = tr.y[0] / m0
             se = tr.meta["y_stderr"][0] / m0
@@ -287,7 +287,7 @@ class TestNoiseCalibration:
         relax = RelaxationParams(t1=1e3, t2=1e3, t_s=200e-6)
         tau = 100e-6
         tl = _hahn_timeline(tau, env)
-        tr = run_timeline(tl, env, species, relax, EnsembleSpec(1, 20000, 22))
+        tr = run_timeline_by_channel(tl, env, species, relax, EnsembleSpec(1, 20000, 22))["echo"]
         m0 = tr.meta["equilibrium_mz"]
         amp = tr.y[0] / m0
         se = tr.meta["y_stderr"][0] / m0
@@ -314,7 +314,7 @@ class TestNoiseCalibrationAcrossSeeds:
             expected = math.exp(-8 * tau**3 / relax.t_s**3)
         z = []
         for seed in range(first_seed, first_seed + 200):
-            tr = run_timeline(tl, env, species, relax, EnsembleSpec(1, 4000, seed))
+            tr = run_timeline_by_channel(tl, env, species, relax, EnsembleSpec(1, 4000, seed))["echo"]
             m0 = tr.meta["equilibrium_mz"]
             z.append((tr.y[0] / m0 - expected) / (tr.meta["y_stderr"][0] / m0))
         assert abs(np.mean(z)) <= 0.25
@@ -336,5 +336,3 @@ class TestRelaxationParamsValidation:
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):
             EnsembleSpec(n_static=0)
-        with pytest.raises(ValueError):
-            EnsembleSpec(manifold_weights=(0.6, 0.6))

@@ -47,15 +47,67 @@ class TestSpectrumCommand:
         assert "b_start" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, {"spectrum": {"b_strat_tesla": 8.5}})
-        rc = main(["spectrum", "--out", str(tmp_path / "x.csv"), "--config", cfg])
-        assert rc == 2
-        assert "b_strat_tesla" in capsys.readouterr().err
+        # a typo, and keys that were removed because no output read them
+        for section, key, value in (
+            ("spectrum", "b_strat_tesla", 8.5),
+            ("trap", "conduction_polarization", -0.968),
+            ("trap", "donor_density_per_cm3", 1e15),
+            ("ensemble", "manifold_weights", [0.5, 0.5]),
+        ):
+            cfg = _write_config(tmp_path, {section: {key: value}})
+            rc = main(["spectrum", "--out", str(tmp_path / "x.csv"), "--config", cfg])
+            assert rc == 2
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_embeds_config_hash(self, tmp_path):
         out = tmp_path / "spec.csv"
         main(["spectrum", "--out", str(out)])
         assert "config_hash" in read_trace_csv(str(out)).meta
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("nutation", "ensemble", "n_static", 2.5),
+        ("nutation", "ensemble", "n_noise", True),
+        ("nutation", "ensemble", "rng_seed", 1.5),
+        ("spectrum", "spectrum", "n_points", 2.5),
+    ])
+    def test_non_integer_count_exit_2(self, tmp_path, capsys, command, section, key, value):
+        cfg = _write_config(tmp_path, {section: {key: value}})
+        out = tmp_path / "x.csv"
+        assert main([command, "--out", str(out), "--config", cfg]) == 2
+        assert "integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, flags", [
+        ("nutation", {"environment": {"rabi_frequency_hz": float("nan")}}, []),
+        ("transient", {"trap": {"capture_rate_per_second": float("inf")}}, []),
+        ("spectrum", {}, ["--b-start", "nan"]),
+        ("spectrum", {}, ["--b-stop", "inf"]),
+    ], ids=["json-nan", "json-infinity", "b-start-nan", "b-stop-inf"])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, command, config, flags):
+        # json.dumps writes NaN/Infinity, which json.load reads back
+        cfg = _write_config(tmp_path, config)
+        out = tmp_path / "x.csv"
+        assert main([command, "--out", str(out), "--config", cfg] + flags) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("transient", ["--t-max", "-1"]),
+        ("transient", ["--t-max", "inf"]),
+        ("transient", ["--n-points", "0"]),
+        ("transient", ["--pulse-angle-deg", "nan"]),
+        ("transient", ["--field-offset-tesla", "inf"]),
+        ("nutation", ["--t-max", "-1"]),
+        ("nutation", ["--n-points", "0"]),
+    ], ids=lambda v: v if isinstance(v, str) else "=".join(v))
+    def test_bad_grid_or_pulse_argument_exit_2(self, tmp_path, capsys, command, flags):
+        out = tmp_path / "x.csv"
+        assert main([command, "--out", str(out)] + flags) == 2
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTransientCommand:

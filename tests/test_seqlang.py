@@ -214,8 +214,8 @@ class TestCompile:
         ast = parse(
             "sweep tau 5us 50us 4\npulse pi/2 +x\ndelay tau\npulse pi +x\ndelay tau\nacquire echo"
         )
-        for i, value in enumerate(sweep_values(ast.sweep)):
-            tl = compile_timeline(ast, Environment(), sweep_value=float(value), sweep_index=i)
+        for value in sweep_values(ast.sweep):
+            tl = compile_timeline(ast, Environment(), sweep_value=float(value))
             t = 0.0
             for event in tl.events:
                 assert event.start == t  # exact: starts are cumulative sums

@@ -4,7 +4,6 @@ import pytest
 from spintrap.trapdyn import (
     TrapParams,
     boxcar_charge,
-    capture_rate,
     charge_signal,
     flip_fraction_from_state,
     spin_recovery_curve,
@@ -36,30 +35,6 @@ def rate_equation_oracle(flip_fraction, k_c, k_e, t_end, n_steps):
         ts.append((i + 1) * dt)
         ms.append(m)
     return np.array(ts), np.array(ms)
-
-
-class TestCaptureRate:
-    def test_full_blockade(self):
-        assert capture_rate(+1.0, +1.0, 1e4) == 0.0
-
-    def test_fully_anti_aligned(self):
-        assert capture_rate(-1.0, +1.0, 1e4) == 1e4
-
-    def test_unpolarized_donor(self):
-        assert capture_rate(0.0, +1.0, 1e4) == 5e3
-        assert capture_rate(0.0, -0.3, 1e4) == 5e3
-
-    def test_symmetric_and_bounded(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            a, b = rng.uniform(-1, 1, size=2)
-            r = capture_rate(a, b, 1e4)
-            assert r == capture_rate(b, a, 1e4)
-            assert 0.0 <= r <= 1e4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            capture_rate(1.5, 0.0, 1e4)
 
 
 class TestTransientResponse:
@@ -239,7 +214,5 @@ class TestTrapParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrapParams(capture_rate_k0=-1.0)
-        with pytest.raises(ValueError):
-            TrapParams(conduction_polarization=-2.0)
         with pytest.raises(ValueError):
             TrapParams(coupling_amplitude=0.0)

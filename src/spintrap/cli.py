@@ -43,10 +43,12 @@ def _load_config_file(args) -> RunConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {json.dumps(data)[:40]}")
     _apply_overrides(args, data)
     return load_config(data, seed=getattr(args, "seed", None))
 
@@ -149,8 +151,8 @@ def cmd_run(args) -> int:
     try:
         with open(args.seqfile, "r", encoding="utf-8") as fh:
             source = fh.read()
-    except FileNotFoundError:
-        raise seqlang.SequenceError(f"sequence file not found: {args.seqfile}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise seqlang.SequenceError(f"cannot read sequence file {args.seqfile}: {exc}")
     ast = seqlang.parse(source)
     env, species, relax = config.environment, config.species, config.relaxation
     ensemble, trap = config.ensemble, config.trap
@@ -210,7 +212,12 @@ def cmd_nutation(args) -> int:
 
 def cmd_fit(args) -> int:
     trace = read_trace_csv(args.csvfile, allow_mixed_hash=args.force)
-    result = fitkit.fit(args.model, trace)
+    comparison = None
+    if args.compare_with:
+        comparison = fitkit.compare_models(trace, args.model, args.compare_with)
+        result = comparison.fit_a
+    else:
+        result = fitkit.fit(args.model, trace)
     report = {
         "model_id": result.model_id,
         "params": result.params,
@@ -221,17 +228,13 @@ def cmd_fit(args) -> int:
         "config_hash": trace.meta.get("config_hash"),
         "tool_version": __version__,
     }
-    if args.compare_with:
-        comparison = fitkit.compare_models(trace, args.model, args.compare_with)
+    if comparison is not None:
         report["comparison"] = {
             "models": [args.model, args.compare_with],
             "preferred": comparison.preferred,
             "delta_criterion": comparison.delta_criterion,
         }
-    try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:  # NaN or infinity has no JSON form
-        raise fitkit.DegenerateDataError("fit produced non-finite values") from None
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -313,7 +316,8 @@ def main(argv=None) -> int:
     except seqlang.SequenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEQUENCE
-    except (CsvFormatError, MixedConfigHashError, fitkit.DegenerateDataError, FileNotFoundError) as exc:
+    except (CsvFormatError, MixedConfigHashError, fitkit.DegenerateDataError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -47,8 +47,7 @@ class SpectrumConfig:
     n_points: int = 2001
     lineshape: str = "gaussian"
     phosphorus_amplitude: float = 6.0e-10  # A; 1% of the 60 nA baseline
-    db_amplitude_ratio: float = 0.05  # "barely visible" background line
-    include_dangling_bond: bool = True
+    db_amplitude_ratio: float = 0.05  # "barely visible" background line; 0 drops it
 
     def __post_init__(self) -> None:
         self.sweep_spec()  # bounds/lineshape validation happens at load time
@@ -70,10 +69,10 @@ class RunConfig:
 
     def species_amplitudes(self) -> list[tuple[SpinSpecies, float]]:
         """Line list for the field sweep: the main species plus the db line."""
-        out = [(self.species, self.spectrum.phosphorus_amplitude)]
-        if self.spectrum.include_dangling_bond:
-            out.append((DANGLING_BOND, self.spectrum.phosphorus_amplitude * self.spectrum.db_amplitude_ratio))
-        return out
+        return [
+            (self.species, self.spectrum.phosphorus_amplitude),
+            (DANGLING_BOND, self.spectrum.phosphorus_amplitude * self.spectrum.db_amplitude_ratio),
+        ]
 
 
 _DEFAULT_RELAXATION = dict(t1=2.5e-3, t2=160e-6, t_s=200e-6)
@@ -86,7 +85,6 @@ _ENVIRONMENT_KEYS = {
     "rabi_frequency_hz": "rabi_frequency",
 }
 _SPECIES_KEYS = {
-    "label": "label",
     "g_factor": "g_factor",
     "hyperfine_splitting_tesla": "hyperfine_splitting_field",
     "nuclear_polarization": "nuclear_polarization",
@@ -115,7 +113,6 @@ _SPECTRUM_KEYS = {
     "lineshape": "lineshape",
     "phosphorus_amplitude_amperes": "phosphorus_amplitude",
     "db_amplitude_ratio": "db_amplitude_ratio",
-    "include_dangling_bond": "include_dangling_bond",
 }
 
 _INTEGER_KEYS = {"ensemble.n_static", "ensemble.n_noise", "ensemble.rng_seed", "spectrum.n_points"}

@@ -18,7 +18,10 @@ whose time-constant guesses are decade-spaced across the x range; time
 constants and rates are parameterized in log space so positivity needs no
 constraints.  Data are normalized to unit peak internally, which makes the
 fit exactly scale-equivariant.  1-sigma uncertainties come from the
-finite-difference curvature of the residual sum of squares at the optimum.
+Gauss-Newton covariance ``(rss / dof) * pinv(J^T J)``, the one
+``scipy.optimize.curve_fit`` reports, with ``J`` the central-difference
+Jacobian of the residuals at the optimum.  Every trace the models cannot
+fit raises :class:`DegenerateDataError`.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ __all__ = [
 
 
 class DegenerateDataError(ValueError):
-    """The trace cannot constrain the model (e.g. constant y)."""
+    """The trace cannot be fitted: too few points, constant y, a non-finite
+    result, or (in :func:`compare_models`) a fit that did not converge."""
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,8 @@ class FitResult:
 class ModelComparison:
     preferred: str
     delta_criterion: float  # criterion(model_a) - criterion(model_b)
-    criterion_a: float
-    criterion_b: float
+    fit_a: FitResult
+    fit_b: FitResult
 
 
 @dataclass(frozen=True)
@@ -195,84 +199,47 @@ def _get_model(model_id: str) -> _ModelDef:
     return _MODELS[model_id]
 
 
-def _minimize_single(objective, x0, history_out=None):
-    if history_out is not None:
-        history_out.append(objective(x0))
-
-        def callback(xk):
-            history_out.append(objective(xk))
-    else:
-        callback = None
-    res = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        callback=callback,
-        options=dict(xatol=1e-11, fatol=1e-15, maxiter=6000, maxfev=8000),
+def _residual_jacobian(residuals: Callable, theta: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of the residual vector, one column per parameter."""
+    h = 1e-6 * (1.0 + np.abs(theta))
+    return np.column_stack(
+        [(residuals(theta + step) - residuals(theta - step)) / (2.0 * hi)
+         for step, hi in zip(np.diag(h), h)]
     )
-    return res
 
 
-def _hessian(objective, x0):
-    n = len(x0)
-    h = 1e-4 * (1.0 + np.abs(x0))
-    hess = np.zeros((n, n))
-    f0 = objective(x0)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        for j in range(i, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            if i == j:
-                val = (objective(x0 + ei) - 2.0 * f0 + objective(x0 - ei)) / h[i] ** 2
-            else:
-                val = (
-                    objective(x0 + ei + ej)
-                    - objective(x0 + ei - ej)
-                    - objective(x0 - ei + ej)
-                    + objective(x0 - ei - ej)
-                ) / (4.0 * h[i] * h[j])
-            hess[i, j] = hess[j, i] = val
-    return hess
-
-
-def fit(
-    model_id: str,
-    trace: SignalTrace,
-    initial_guess: dict | None = None,
-    history_out: list | None = None,
-) -> FitResult:
+def fit(model_id: str, trace: SignalTrace, initial_guess: dict | None = None) -> FitResult:
     """Least-squares fit of one model to a trace.
 
     With ``initial_guess`` (a dict of physical parameter values keyed like
     the result params) the fit runs from that single start instead of the
-    eight default multi-starts.  ``history_out``, if given, collects the rss
-    after every accepted simplex iteration of the winning start.
+    eight default multi-starts.
 
     Raises
     ------
     DegenerateDataError
-        For constant-y data.
+        When the trace cannot be fitted: too few points, constant y, or a
+        non-finite rss, parameter or uncertainty.
     ValueError
-        For too few points or a non-increasing x axis.
+        For an unknown model.
     """
     model = _get_model(model_id)
     x = trace.x_array()
     y = trace.y_array()
     n = len(x)
     if n < 2 + model.n_params:
-        raise ValueError(f"model {model_id!r} needs >= {2 + model.n_params} points, got {n}")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("x must be strictly increasing")
+        raise DegenerateDataError(f"model {model_id!r} needs >= {2 + model.n_params} points, got {n}")
     if np.ptp(y) == 0.0:
         raise DegenerateDataError("constant y data cannot constrain a decay model")
 
     scale = float(np.max(np.abs(y)))
     y_norm = y / scale
 
+    def residuals(theta):
+        return model.predict(x, _to_physical(model, theta)) - y_norm
+
     def objective(theta):
-        resid = model.predict(x, _to_physical(model, theta)) - y_norm
+        resid = residuals(theta)
         return float(resid @ resid)
 
     if initial_guess is not None:
@@ -286,17 +253,9 @@ def fit(
     else:
         starts = model.starts(x, y_norm)
 
-    best = None
-    best_history: list = []
-    for x0 in starts:
-        hist: list = [] if history_out is not None else None
-        res = _minimize_single(objective, x0, hist)
-        if best is None or res.fun < best.fun:
-            best = res
-            if hist is not None:
-                best_history = hist
-    if history_out is not None:
-        history_out.extend(best_history)
+    options = dict(xatol=1e-11, fatol=1e-15, maxiter=6000, maxfev=8000)
+    runs = [minimize(objective, x0, method="Nelder-Mead", options=options) for x0 in starts]
+    best = min(runs, key=lambda res: res.fun)  # ties keep the earliest start
 
     theta = best.x
     physical = _to_physical(model, theta)
@@ -304,16 +263,13 @@ def fit(
         physical = model.normalize(physical)
         theta = _to_internal(model, physical)
 
+    # Gauss-Newton covariance in the internal parameters, as curve_fit reports it
     rss_norm = float(best.fun)
-    dof = n - model.n_params
-    sigmas_internal = np.full(model.n_params, np.inf)
-    if dof > 0:
-        try:
-            hess = _hessian(objective, theta)
-            cov = 2.0 * (rss_norm / dof) * np.linalg.pinv(hess)
-            sigmas_internal = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
-        except np.linalg.LinAlgError:
-            pass
+    jac = _residual_jacobian(residuals, theta)
+    if not np.all(np.isfinite(jac)):  # pinv would turn an infinite column into sigma 0
+        raise DegenerateDataError(f"fit of {model_id!r} has a non-finite Jacobian at the optimum")
+    cov = rss_norm / (n - model.n_params) * np.linalg.pinv(jac.T @ jac)
+    sigmas_internal = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
 
     params = {}
     uncertainties = {}
@@ -324,11 +280,14 @@ def fit(
         else:
             params[name] = value
             uncertainties[name] = abs(value) * sig  # delta method from log space
+    rss = rss_norm * scale * scale
+    if not np.all(np.isfinite([rss, *params.values(), *uncertainties.values()])):
+        raise DegenerateDataError(f"fit of {model_id!r} produced non-finite values")
     return FitResult(
         model_id=model_id,
         params=params,
         param_uncertainties=uncertainties,
-        rss=rss_norm * scale * scale,
+        rss=rss,
         n_points=n,
         converged=bool(best.success),
     )
@@ -344,20 +303,19 @@ def compare_models(trace: SignalTrace, model_a: str, model_b: str) -> ModelCompa
     """Fit both models and prefer the lower small-sample information criterion.
 
     ``delta_criterion`` is ``criterion(model_a) - criterion(model_b)``; ties
-    prefer ``model_a``.  Raises if either fit fails to converge.
+    prefer ``model_a``.  Raises :class:`DegenerateDataError` if either fit
+    fails to converge.
     """
     fit_a = fit(model_a, trace)
     fit_b = fit(model_b, trace)
     for f in (fit_a, fit_b):
         if not f.converged:
-            raise RuntimeError(f"fit of {f.model_id!r} did not converge; cannot compare")
+            raise DegenerateDataError(f"fit of {f.model_id!r} did not converge; cannot compare")
     n = len(trace)
-    crit_a = _aicc(n, _get_model(model_a).n_params, fit_a.rss)
-    crit_b = _aicc(n, _get_model(model_b).n_params, fit_b.rss)
-    preferred = model_a if crit_a <= crit_b else model_b
+    delta = _aicc(n, len(fit_a.params), fit_a.rss) - _aicc(n, len(fit_b.params), fit_b.rss)
     return ModelComparison(
-        preferred=preferred,
-        delta_criterion=crit_a - crit_b,
-        criterion_a=crit_a,
-        criterion_b=crit_b,
+        preferred=model_a if delta <= 0 else model_b,
+        delta_criterion=delta,
+        fit_a=fit_a,
+        fit_b=fit_b,
     )

@@ -349,11 +349,20 @@ def unparse(ast: SequenceAst) -> str:
 
 
 def sweep_values(decl: SweepDecl) -> np.ndarray:
-    """The arithmetic grid of sweep values (endpoints exact)."""
+    """The arithmetic grid of sweep values (endpoints exact).
+
+    A sweep of more than one step must run upwards (``start < stop``): the
+    values become the strictly increasing x axis of the output trace.
+    """
     if decl.steps < 1:
         raise SequenceError(f"sweep must have at least one step, got {decl.steps}")
     if decl.steps == 1:
         return np.asarray([decl.start])
+    if decl.start >= decl.stop:
+        raise SequenceError(
+            f"sweep {decl.name!r} of {decl.steps} steps must have start < stop, "
+            f"got {_format_time(decl.start)} to {_format_time(decl.stop)}"
+        )
     return np.linspace(decl.start, decl.stop, decl.steps)
 
 
@@ -382,7 +391,9 @@ def compile_timeline(
     ``sweep_value`` must be given exactly when the AST declares a sweep.
     Pulse durations left as "auto" resolve to ``angle / (2 pi f_rabi)``; a
     pulse's effective rotation angle is always ``2 pi f_rabi * duration``.
-    Acquisition occupies its window (zero duration when no window is given).
+    Acquisition occupies its window (zero duration when no window is given),
+    and one channel cannot be acquired twice at the same instant: its samples
+    form a trace over strictly increasing times.
     """
     sweep = ast.sweep
     if sweep is not None and sweep_value is None:
@@ -410,6 +421,9 @@ def compile_timeline(
             events.append(FreeEvolutionEvent(start=t, duration=duration))
             t += duration
         elif isinstance(stmt, AcquireStmt):
+            if any(isinstance(e, AcquireEvent) and e.channel == stmt.channel and e.start == t
+                   for e in events):
+                raise SequenceError(f"channel {stmt.channel!r} is acquired twice at t = {t!r} s")
             duration = stmt.window if stmt.window is not None else 0.0
             events.append(AcquireEvent(start=t, duration=duration, channel=stmt.channel, window=stmt.window))
             t += duration

@@ -66,7 +66,8 @@ class SpinSpecies:
     Parameters
     ----------
     label : str
-        Human-readable name, carried into output metadata.
+        Human-readable name, used in error messages.  It comes from the
+        preset and is not a configuration key.
     g_factor : float
         Electron g-factor, > 0.
     hyperfine_splitting_field : float

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spintrap import fitkit
 from spintrap.cli import main
 from spintrap.spectrum import find_peaks
 from spintrap.trace import read_trace_csv
@@ -22,6 +23,13 @@ def _write_config(tmp_path, data):
     p = tmp_path / "config.json"
     p.write_text(json.dumps(data))
     return str(p)
+
+
+def _single_error_line(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return captured
 
 
 class TestSpectrumCommand:
@@ -108,6 +116,51 @@ class TestInputValidation:
         assert main([command, "--out", str(out)] + flags) == 2
         assert flags[0] in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("content, flags", [
+        (b"[1]", []),
+        (b'"abc"', []),
+        (b"5", []),
+        (b"[1]", ["--b-start", "8.5"]),
+        (b"null", []),
+        (b"\xff{}", []),
+        (None, []),
+    ], ids=["array", "string", "number", "array-with-flag", "null", "undecodable", "directory"])
+    def test_unusable_config_file_exit_2(self, tmp_path, capsys, content, flags):
+        cfg = tmp_path / "config.json"
+        if content is None:
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(content)
+        out = tmp_path / "x.csv"
+        assert main(["spectrum", "--out", str(out), "--config", str(cfg)] + flags) == 2
+        _single_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        ("run {dir} --out {out}", 3),
+        ("run {undecodable} --out {out}", 3),
+        ("fit {dir} --model exp_decay", 4),
+        ("fit {undecodable} --model exp_decay", 4),
+        ("fit {csv} --model exp_decay --out {dir}", 4),
+    ], ids=["run-directory", "run-undecodable", "fit-directory", "fit-undecodable",
+            "fit-out-directory"])
+    def test_unreadable_file_exit_3_or_4(self, tmp_path, capsys, argv, code):
+        paths = {
+            "dir": tmp_path / "dir",
+            "undecodable": tmp_path / "undecodable",
+            "csv": tmp_path / "ok.csv",
+            "out": tmp_path / "x.csv",
+        }
+        paths["dir"].mkdir()
+        paths["undecodable"].write_bytes(b"\xffx,y\npulse pi +x\nacquire mz\n")
+        paths["csv"].write_text("x,y\n1e-5,1.0\n2e-5,0.8\n3e-5,0.6\n4e-5,0.5\n5e-5,0.4\n")
+        assert main([arg.format(**paths) for arg in argv.split()]) == code
+        assert _single_error_line(capsys).out == ""
+        assert not paths["out"].exists()
+        assert not any(paths["dir"].iterdir())
 
 
 class TestTransientCommand:
@@ -226,6 +279,19 @@ class TestRunCommand:
         assert "more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", [
+        "sweep tau 250us 10us 25\npulse pi/2 +x\ndelay tau\npulse pi +x\ndelay tau\nacquire echo\n",
+        "sweep tau 10us 10us 3\npulse pi/2 +x\ndelay tau\nacquire echo\n",
+        "pulse pi +x\nacquire mz\nacquire mz\n",
+    ], ids=["descending-sweep", "zero-span-sweep", "same-instant-acquire"])
+    def test_sequence_without_increasing_axis_exit_3(self, tmp_path, capsys, source):
+        seq = tmp_path / "bad.seq"
+        seq.write_text(source)
+        out = tmp_path / "x.csv"
+        assert main(["run", str(seq), "--out", str(out)] + SMALL) == 3
+        _single_error_line(capsys)
+        assert not out.exists()
+
     def test_seed_changes_data(self, tmp_path):
         config = str(SEQ_DIR / "pulsed_defaults.json")
         a = tmp_path / "a.csv"
@@ -306,6 +372,34 @@ class TestFitCommand:
                         "4e-5,0.45e300\n5e-5,0.2e300\n6e-5,0.1e300\n")
         assert main(["fit", str(huge), "--model", "exp_decay"]) == 4
         assert "non-finite" in capsys.readouterr().err
+
+    def test_too_few_points_exit_4(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("x,y\n1e-5,1.0\n2e-5,0.5\n3e-5,0.2\n")
+        assert main(["fit", str(short), "--model", "echo_cubic"]) == 4
+        assert _single_error_line(capsys).out == ""
+
+    def test_unusable_comparison_exit_4(self, tmp_path, capsys):
+        wild = tmp_path / "wild.csv"
+        wild.write_text("x,y\n1,1\n2,0.5\n3,0.2\n4,0.1\n5,1e300\n6,-1e300\n")
+        assert main(["fit", str(wild), "--model", "trap_biexp", "--compare-with", "exp_decay"]) == 4
+        assert _single_error_line(capsys).out == ""
+
+    def test_compare_fits_each_model_once(self, tmp_path, monkeypatch):
+        csv = tmp_path / "decay.csv"
+        rows = "".join(f"{t},{np.exp(-2 * t / 1e-4)}\n" for t in np.linspace(1e-5, 2.5e-4, 25))
+        csv.write_text("x,y\n" + rows)
+        calls = []
+        minimize = fitkit.minimize
+
+        def counting_minimize(*args, **kwargs):
+            calls.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(fitkit, "minimize", counting_minimize)
+        assert main(["fit", str(csv), "--model", "echo_cubic", "--compare-with", "exp_decay",
+                     "--out", str(tmp_path / "fit.json")]) == 0
+        assert len(calls) == 16  # eight starts per model, each model fitted once
 
     def test_mixed_hash_refused_unless_forced(self, tmp_path):
         a = self._hahn_csv(tmp_path, seed="7")

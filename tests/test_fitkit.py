@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from spintrap import fitkit
 from spintrap.fitkit import (
     DegenerateDataError,
     compare_models,
@@ -96,6 +98,22 @@ class TestCompareModels:
         assert cmp.delta_criterion == 0.0
         assert cmp.preferred == "exp_decay"
 
+    def test_reports_both_fits(self):
+        trace = _echo_cubic_trace(noise=0.01, seed=3)
+        cmp = compare_models(trace, "echo_cubic", "exp_decay")
+        assert cmp.fit_a == fit("echo_cubic", trace)
+        assert cmp.fit_b == fit("exp_decay", trace)
+
+    def test_non_converged_fit_refused(self, monkeypatch):
+        def never_converges(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            res.success = False
+            return res
+
+        monkeypatch.setattr(fitkit, "minimize", never_converges)
+        with pytest.raises(DegenerateDataError, match="did not converge"):
+            compare_models(_echo_cubic_trace(noise=0.01, seed=3), "echo_cubic", "exp_decay")
+
 
 class TestFitMechanics:
     def test_scale_equivariance(self):
@@ -106,12 +124,10 @@ class TestFitMechanics:
         assert res2.params["amplitude"] == pytest.approx(137.0 * res1.params["amplitude"], rel=1e-6)
         assert res2.params["t2_seconds"] == pytest.approx(res1.params["t2_seconds"], rel=1e-6)
         assert res2.params["t_s_seconds"] == pytest.approx(res1.params["t_s_seconds"], rel=1e-6)
-
-    def test_monotone_rss_history(self):
-        history: list = []
-        fit("echo_cubic", _echo_cubic_trace(noise=0.01, seed=11), history_out=history)
-        assert len(history) > 2
-        assert all(b <= a + 1e-30 for a, b in zip(history, history[1:]))
+        sig1, sig2 = res1.param_uncertainties, res2.param_uncertainties
+        assert sig2["amplitude"] == pytest.approx(137.0 * sig1["amplitude"], rel=1e-6)
+        assert sig2["t2_seconds"] == pytest.approx(sig1["t2_seconds"], rel=1e-6)
+        assert sig2["t_s_seconds"] == pytest.approx(sig1["t_s_seconds"], rel=1e-6)
 
     def test_initial_guess_single_start(self):
         trace = _echo_cubic_trace()
@@ -157,7 +173,7 @@ class TestFitMechanics:
             fit("exp_decay", _trace(x, np.ones_like(x)))
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateDataError):
             fit("echo_cubic", _trace([1e-6, 2e-6, 3e-6], [1.0, 0.5, 0.2]))
 
     def test_unknown_model(self):

@@ -217,11 +217,15 @@ def cmd_fit(args) -> int:
         comparison = fitkit.compare_models(trace, args.model, args.compare_with)
         result = comparison.fit_a
     else:
-        result = fitkit.fit(args.model, trace)
+        result = fitkit.fit(args.model, trace).require_constrained()
     report = {
         "model_id": result.model_id,
         "params": result.params,
-        "param_uncertainties": result.param_uncertainties,
+        # null: a parameter the data do not constrain (reported only with --compare-with)
+        "param_uncertainties": {
+            name: sigma if math.isfinite(sigma) else None
+            for name, sigma in result.param_uncertainties.items()
+        },
         "rss": result.rss,
         "n_points": result.n_points,
         "converged": result.converged,

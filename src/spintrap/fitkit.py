@@ -16,12 +16,22 @@ Four decay models cover the toolkit's observables:
 Fitting is derivative-free Nelder-Mead with eight deterministic multi-starts
 whose time-constant guesses are decade-spaced across the x range; time
 constants and rates are parameterized in log space so positivity needs no
-constraints.  Data are normalized to unit peak internally, which makes the
-fit exactly scale-equivariant.  1-sigma uncertainties come from the
-Gauss-Newton covariance ``(rss / dof) * pinv(J^T J)``, the one
-``scipy.optimize.curve_fit`` reports, with ``J`` the central-difference
-Jacobian of the residuals at the optimum.  Every trace the models cannot
-fit raises :class:`DegenerateDataError`.
+constraints.  A simplex vertex where the model overflows or is undefined
+scores ``inf`` and is rejected.  Data are normalized to unit peak
+internally, which makes the fit exactly scale-equivariant.  1-sigma
+uncertainties come from the Gauss-Newton covariance
+``(rss / dof) * pinv(J^T J)``, the one ``scipy.optimize.curve_fit``
+reports, with ``J`` the central-difference Jacobian of the residuals at the
+optimum.  ``pinv`` gives a direction the data do not constrain (a singular
+value of ``J`` at most ``_RANK_RTOL`` times the largest) sigma 0; its
+dominant parameter gets sigma ``inf`` instead, and
+:meth:`FitResult.require_constrained` refuses such a fit.  Every other
+trace the models cannot fit raises :class:`DegenerateDataError` in
+:func:`fit`.
+
+The optimizer is ``scipy.optimize.minimize``, imported on the first call of
+the module-level :func:`minimize`: the import takes about 0.6 s, and only
+``fit`` pays it, not every command that imports this module.
 """
 
 from __future__ import annotations
@@ -31,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .trace import SignalTrace
 
@@ -48,17 +57,38 @@ __all__ = [
 
 class DegenerateDataError(ValueError):
     """The trace cannot be fitted: too few points, constant y, a non-finite
-    result, or (in :func:`compare_models`) a fit that did not converge."""
+    result, a parameter the data do not constrain, or (in
+    :func:`compare_models`) a fit that did not converge."""
+
+
+# J is a central difference with step ~1e-6, so its columns carry relative
+# errors of ~1e-10; a singular value below 1e-8 of the largest is noise.
+_RANK_RTOL = 1e-8
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 @dataclass(frozen=True)
 class FitResult:
     model_id: str
     params: dict
-    param_uncertainties: dict
+    param_uncertainties: dict  # inf for a parameter the data do not constrain
     rss: float
     n_points: int
     converged: bool
+
+    def require_constrained(self) -> FitResult:
+        """This fit, or :class:`DegenerateDataError` naming a parameter the
+        data do not constrain."""
+        for name, sigma in self.param_uncertainties.items():
+            if sigma == math.inf:
+                raise DegenerateDataError(f"the data do not constrain {name} of model {self.model_id!r}")
+        return self
 
 
 @dataclass(frozen=True)
@@ -108,7 +138,8 @@ def _inversion_starts(x, y):
 
 def _echo_cubic_predict(x, p):
     a, t2, t_s = p
-    return a * np.exp(-2.0 * x / t2 - 8.0 * x**3 / t_s**3)
+    # float64, not a Python float, so a huge t_s overflows to inf instead of raising
+    return a * np.exp(-2.0 * x / t2 - 8.0 * x**3 / np.float64(t_s) ** 3)
 
 
 def _echo_cubic_starts(x, y):
@@ -168,10 +199,18 @@ _MODELS: dict[str, _ModelDef] = {
 MODEL_IDS = tuple(_MODELS)
 
 
+def _exp(v: float) -> float:
+    # nan where exp leaves the positive finite floats: the model is undefined
+    # there, so the objective rejects the simplex vertex
+    try:
+        value = math.exp(v)
+    except OverflowError:
+        return math.nan
+    return value if 0.0 < value < math.inf else math.nan
+
+
 def _to_physical(model: _ModelDef, internal: np.ndarray) -> tuple:
-    return tuple(
-        math.exp(v) if kind == "log" else v for v, kind in zip(internal, model.param_kinds)
-    )
+    return tuple(_exp(v) if kind == "log" else v for v, kind in zip(internal, model.param_kinds))
 
 
 def _to_internal(model: _ModelDef, physical: Sequence[float]) -> np.ndarray:
@@ -208,18 +247,23 @@ def _residual_jacobian(residuals: Callable, theta: np.ndarray) -> np.ndarray:
     )
 
 
+# Start guesses, simplex vertices, Jacobian steps and the rescaled results may
+# overflow; the objective scores such a vertex inf and every result is checked.
+@np.errstate(all="ignore")
 def fit(model_id: str, trace: SignalTrace, initial_guess: dict | None = None) -> FitResult:
     """Least-squares fit of one model to a trace.
 
     With ``initial_guess`` (a dict of physical parameter values keyed like
     the result params) the fit runs from that single start instead of the
-    eight default multi-starts.
+    eight default multi-starts.  A parameter the data do not constrain gets
+    uncertainty ``inf``; :meth:`FitResult.require_constrained` refuses it.
 
     Raises
     ------
     DegenerateDataError
-        When the trace cannot be fitted: too few points, constant y, or a
-        non-finite rss, parameter or uncertainty.
+        When the trace cannot be fitted: too few points, constant y, a
+        largest x not well above 0, or a non-finite rss, parameter or
+        uncertainty.
     ValueError
         For an unknown model.
     """
@@ -231,6 +275,8 @@ def fit(model_id: str, trace: SignalTrace, initial_guess: dict | None = None) ->
         raise DegenerateDataError(f"model {model_id!r} needs >= {2 + model.n_params} points, got {n}")
     if np.ptp(y) == 0.0:
         raise DegenerateDataError("constant y data cannot constrain a decay model")
+    if not x[-1] * 1e-3 > 0.0:  # the start guesses reach three decades below the largest x
+        raise DegenerateDataError(f"x must reach well above 0 to guess decay times, got max x {x[-1]:g}")
 
     scale = float(np.max(np.abs(y)))
     y_norm = y / scale
@@ -240,7 +286,8 @@ def fit(model_id: str, trace: SignalTrace, initial_guess: dict | None = None) ->
 
     def objective(theta):
         resid = residuals(theta)
-        return float(resid @ resid)
+        rss = float(resid @ resid)
+        return rss if math.isfinite(rss) else math.inf
 
     if initial_guess is not None:
         physical = [initial_guess[name] for name in model.param_names]
@@ -283,6 +330,9 @@ def fit(model_id: str, trace: SignalTrace, initial_guess: dict | None = None) ->
     rss = rss_norm * scale * scale
     if not np.all(np.isfinite([rss, *params.values(), *uncertainties.values()])):
         raise DegenerateDataError(f"fit of {model_id!r} produced non-finite values")
+    _, singular, vt = np.linalg.svd(jac, full_matrices=False)
+    for direction in vt[singular <= _RANK_RTOL * singular[0]]:
+        uncertainties[model.param_names[int(np.argmax(np.abs(direction)))]] = math.inf
     return FitResult(
         model_id=model_id,
         params=params,
@@ -303,8 +353,10 @@ def compare_models(trace: SignalTrace, model_a: str, model_b: str) -> ModelCompa
     """Fit both models and prefer the lower small-sample information criterion.
 
     ``delta_criterion`` is ``criterion(model_a) - criterion(model_b)``; ties
-    prefer ``model_a``.  Raises :class:`DegenerateDataError` if either fit
-    fails to converge.
+    prefer ``model_a``.  A fit may leave a parameter unconstrained
+    (uncertainty ``inf``): an extra parameter the data do not need is what
+    the comparison is there to find.  Raises :class:`DegenerateDataError` if
+    either fit fails to converge.
     """
     fit_a = fit(model_a, trace)
     fit_b = fit(model_b, trace)

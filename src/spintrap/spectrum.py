@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks as _scipy_find_peaks
 
 from .spincore import Environment, SpinSpecies, manifold_labels, manifold_weight, resonance_field
 from .trace import SignalTrace
@@ -87,13 +86,15 @@ def find_peaks(trace: SignalTrace, min_prominence: float = 0.02) -> list[tuple[f
     features are ignored.  Returns ``(field, depth)`` pairs with positive
     depth ``|dI|``.
     """
+    from scipy.signal import find_peaks as scipy_find_peaks  # ~1 s import; only this call needs it
+
     if not 0.0 <= min_prominence <= 1.0:
         raise ValueError(f"min_prominence must lie in [0, 1], got {min_prominence}")
     y = -trace.y_array()
     span = float(np.max(y) - np.min(y))
     if span == 0.0:
         return []
-    idx, _ = _scipy_find_peaks(y, prominence=min_prominence * span)
+    idx, _ = scipy_find_peaks(y, prominence=min_prominence * span)
     fields = trace.x_array()[idx]
     depths = y[idx]
     order = np.argsort(fields)

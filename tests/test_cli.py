@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hs
 
 from spintrap import fitkit
 from spintrap.cli import main
@@ -401,6 +406,35 @@ class TestFitCommand:
                      "--out", str(tmp_path / "fit.json")]) == 0
         assert len(calls) == 16  # eight starts per model, each model fitted once
 
+    def test_overflowing_simplex_vertex_exit_0_or_4(self, tmp_path, capsys):
+        csv = tmp_path / "z.csv"
+        csv.write_text("x,y\n0,1\n1e-5,0.5\n2e-5,0.3\n3e-5,0.2\n4e-5,0.1\n")
+        rc = main(["fit", str(csv), "--model", "echo_cubic"])
+        assert rc in (0, 4)
+        if rc == 4:
+            assert _single_error_line(capsys).out == ""
+
+    def test_unconstrained_parameter_exit_4(self, tmp_path, capsys):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("x,y\n1e-5,1\n2e-5,1\n3e-5,1\n4e-5,1\n5e-5,1\n6e-5,0.999999\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(flat), "--model", "echo_cubic", "--out", str(out)]) == 4
+        assert "t2_seconds" in _single_error_line(capsys).err
+        assert not out.exists()
+
+    def test_comparison_reports_unconstrained_sigma_as_null(self, tmp_path):
+        csv = tmp_path / "decay.csv"
+        x = np.linspace(10e-6, 250e-6, 25)
+        y = np.exp(-2 * x / 100e-6) + 0.01 * np.random.default_rng(4).standard_normal(len(x))
+        csv.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in zip(x, y)))
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(csv), "--model", "echo_cubic", "--compare-with", "exp_decay",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["param_uncertainties"]["t_s_seconds"] is None
+        assert report["param_uncertainties"]["t2_seconds"] > 0
+        assert report["comparison"]["preferred"] == "exp_decay"
+
     def test_mixed_hash_refused_unless_forced(self, tmp_path):
         a = self._hahn_csv(tmp_path, seed="7")
         b = tmp_path / "b.csv"
@@ -419,3 +453,62 @@ class TestFitCommand:
         merged.write_text(a.read_text() + "\n".join(shifted) + "\n")
         assert main(["fit", str(merged), "--model", "exp_decay"]) == 4
         assert main(["fit", str(merged), "--model", "exp_decay", "--force"]) == 0
+
+
+# y from 1e-300 to 1e300 in size, either sign, and zero
+_Y = hs.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@hs.composite
+def _trace_rows(draw):
+    x = sorted(draw(hs.lists(hs.floats(min_value=-1.0, max_value=1e3), min_size=3, max_size=12,
+                             unique=True)))
+    return [(a, draw(_Y)) for a in x]
+
+
+@pytest.mark.parametrize("model", fitkit.MODEL_IDS)
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_trace_rows(), compare_with=hs.sampled_from((None,) + fitkit.MODEL_IDS))
+def test_fit_exit_code_contract(tmp_path, capsys, model, rows, compare_with):
+    """Any finite x,y trace ends in a report (0) or a one-line refusal (4)."""
+    csv = tmp_path / "fuzz.csv"
+    csv.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows))
+    argv = ["fit", str(csv), "--model", model, "--out", str(tmp_path / "fit.json")]
+    if compare_with:
+        argv += ["--compare-with", compare_with]
+    rc = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc in (0, 4)
+    assert len(err) == (rc == 4) and all(line.startswith("error: ") for line in err), err
+
+
+def test_commands_that_do_not_fit_import_no_scipy(tmp_path):
+    """scipy.signal and scipy.optimize stay off the start-up path of the CLI."""
+    seq = SEQ_DIR / "nutation.seq"
+    config = SEQ_DIR / "pulsed_defaults.json"
+    calls = [
+        ["spectrum", "--n-points", "201", "--out", "spectrum.csv"],
+        ["transient", "--n-points", "101", "--out", "transient.csv"],
+        ["nutation", "--n-points", "11", "--out", "nutation.csv"],
+        ["run", str(seq), "--config", str(config), *SMALL, "--out", "nutation_seq.csv"],
+    ]
+    fit = ["fit", "transient.csv", "--model", "trap_biexp", "--out", "fit.json"]
+    script = f"""
+import sys
+from spintrap.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+for argv in {calls!r}:
+    assert main(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+assert main({fit!r}) == 0
+assert "scipy.optimize" in sys.modules
+assert not [m for m in scipy_modules() if m.split(".")[:2] == ["scipy", "signal"]], scipy_modules()
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -179,3 +179,33 @@ class TestFitMechanics:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             fit("stretched_exp", _echo_cubic_trace())
+
+
+class TestUnconstrainedParameters:
+    # y flat to 1e-6 over the span: the echo decay time runs off to ~1e12 s
+    FLAT = _trace(np.linspace(1e-5, 6e-5, 6), [1, 1, 1, 1, 1, 0.999999])
+
+    def test_infinite_sigma_refused_by_name(self):
+        res = fit("echo_cubic", self.FLAT)
+        assert res.param_uncertainties["t2_seconds"] == np.inf
+        assert np.isfinite(res.param_uncertainties["amplitude"])
+        with pytest.raises(DegenerateDataError, match="t2_seconds"):
+            res.require_constrained()
+
+    def test_constrained_fit_passes(self):
+        res = fit("echo_cubic", _echo_cubic_trace(noise=0.01, seed=3))
+        assert res.require_constrained() is res
+
+    def test_compare_keeps_it_with_infinite_sigma(self):
+        x = TAU_GRID
+        y = np.exp(-2 * x / 100e-6) + 0.01 * np.random.default_rng(4).standard_normal(len(x))
+        cmp = compare_models(_trace(x, y), "echo_cubic", "exp_decay")
+        assert cmp.fit_a.param_uncertainties["t_s_seconds"] == np.inf
+        assert np.isfinite(cmp.fit_a.param_uncertainties["t2_seconds"])
+        assert np.isfinite(cmp.fit_a.params["t_s_seconds"])
+        assert cmp.preferred == "exp_decay"
+
+    def test_overflowing_vertex_rejected(self):
+        # a simplex vertex reaches a huge log t_s, where t_s**3 overflows
+        trace = _trace([0, 1e-5, 2e-5, 3e-5, 4e-5], [1, 0.5, 0.3, 0.2, 0.1])
+        assert fit("echo_cubic", trace).param_uncertainties["t_s_seconds"] == np.inf

@@ -350,7 +350,7 @@ def _run_block(plan, n_acquire, det, m0, w1, relax, draws):
             if draws is not None:
                 # exact joint update of the walk end and its time integral
                 increment = math.sqrt(diffusion * duration) * draws[2 * j]
-                bridge = math.sqrt(diffusion * duration**3 / 12.0) * draws[2 * j + 1]
+                bridge = math.sqrt(diffusion * np.float64(duration) ** 3 / 12.0) * draws[2 * j + 1]
                 phase = phase + walk * duration + 0.5 * duration * increment + bridge
                 walk = walk + increment
             mx, my, mz = _free_arrays(mx, my, mz, phase, duration, relax, m0)

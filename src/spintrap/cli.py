@@ -29,12 +29,21 @@ import numpy as np
 from . import __version__, blochsim, fitkit, seqlang, spectrum, trapdyn
 from .config import ConfigError, RunConfig, config_hash, load_config
 from .spincore import equilibrium_state, gyromagnetic_ratio
-from .trace import CsvFormatError, MixedConfigHashError, SignalTrace, read_trace_csv, write_trace_csv
+from .trace import (CsvFormatError, MixedConfigHashError, SignalTrace, read_trace_csv,
+                    require_finite, write_trace_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SEQUENCE = 3
 EXIT_DATA = 4
+
+# Largest `run`: sweep points times trajectories per point, with each point
+# counted as at least MIN_POINT_WORK trajectories (compiling and starting a
+# point costs about as much as propagating 500-1000 of them).  1e8 is one to
+# three minutes of engine time on one core; anything larger exits 3 before
+# the sweep grid or any ensemble is allocated.
+MAX_SWEEP_WORK = 10**8
+MIN_POINT_WORK = 1024
 
 
 def _load_config_file(args) -> RunConfig:
@@ -158,6 +167,13 @@ def cmd_run(args) -> int:
     ensemble, trap = config.ensemble, config.trap
 
     sweep = ast.sweep
+    n_points = sweep.steps if sweep is not None else 1
+    work = n_points * max(ensemble.n_trajectories, MIN_POINT_WORK)
+    if work > MAX_SWEEP_WORK:
+        raise seqlang.SequenceError(
+            f"{n_points} points x {ensemble.n_trajectories} trajectories exceeds the work "
+            f"limit: points x max(trajectories, {MIN_POINT_WORK}) must be <= {MAX_SWEEP_WORK:.0e}"
+        )
     channels = sorted(set(ast.acquire_channels))
     if sweep is None:
         timeline = seqlang.compile_timeline(ast, env)
@@ -190,6 +206,8 @@ def cmd_run(args) -> int:
             for channel in channels
         }
 
+    for trace in traces.values():  # refuse before any channel's file is written
+        require_finite(trace)
     for channel, trace in traces.items():
         path = args.out
         if len(traces) > 1:
@@ -313,7 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite result is refused where it would be written, so numpy's
+        # overflow and invalid-value warnings would only add stray stderr lines
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

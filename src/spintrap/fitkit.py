@@ -13,32 +13,37 @@ Four decay models cover the toolkit's observables:
 ``trap_biexp``
     ``-a * (exp(-k_e t) - exp(-k_c t))`` with ``k_c >= k_e`` normalized.
 
-Fitting is derivative-free Nelder-Mead with eight deterministic multi-starts
-whose time-constant guesses are decade-spaced across the x range; time
-constants and rates are parameterized in log space so positivity needs no
-constraints.  A simplex vertex where the model overflows or is undefined
+Every model is ``a * g(x; q)``: linear in its amplitude ``a`` and nonlinear
+in one or two time constants or rates ``q``.  Fitting is separable least
+squares by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10,
+413 (1973)): for a given ``q`` the best amplitude is ``(g . y) / (g . g)``
+in closed form, so Levenberg-Marquardt only searches ``log q``, with the
+analytic Jacobian of the projected residual.  It runs from eight
+deterministic starts whose time-constant guesses are decade-spaced across
+the x range and keeps the lowest rss; a start stops when the residual is
+orthogonal to the Jacobian to ``_GTOL`` or its step falls below ``_XTOL``
+in ``log q``.  Log space keeps time constants and rates positive without
+constraints.  A trial point where the model overflows or is undefined
 scores ``inf`` and is rejected.  Data are normalized to unit peak
-internally, which makes the fit exactly scale-equivariant.  1-sigma
-uncertainties come from the Gauss-Newton covariance
-``(rss / dof) * pinv(J^T J)``, the one ``scipy.optimize.curve_fit``
-reports, with ``J`` the central-difference Jacobian of the residuals at the
+internally, which makes the fit exactly scale-equivariant.  The solver is
+numpy alone; nothing here imports scipy.
+
+1-sigma uncertainties come from the Gauss-Newton covariance
+``(rss / dof) * pinv(J^T J)``, the one ``scipy.optimize.curve_fit`` reports,
+with ``J`` the analytic Jacobian of the model in ``(a, log q)`` at the
 optimum.  ``pinv`` gives a direction the data do not constrain (a singular
 value of ``J`` at most ``_RANK_RTOL`` times the largest) sigma 0; its
 dominant parameter gets sigma ``inf`` instead, and
 :meth:`FitResult.require_constrained` refuses such a fit.  Every other
 trace the models cannot fit raises :class:`DegenerateDataError` in
 :func:`fit`.
-
-The optimizer is ``scipy.optimize.minimize``, imported on the first call of
-the module-level :func:`minimize`: the import takes about 0.6 s, and only
-``fit`` pays it, not every command that imports this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -61,16 +66,16 @@ class DegenerateDataError(ValueError):
     :func:`compare_models`) a fit that did not converge."""
 
 
-# J is a central difference with step ~1e-6, so its columns carry relative
-# errors of ~1e-10; a singular value below 1e-8 of the largest is noise.
+# J is analytic, so it carries only rounding error, but the covariance inverts
+# J^T J, whose condition number is J's squared: a singular value of J below
+# ~sqrt(eps) = 1.5e-8 of the largest is lost to rounding in J^T J.
 _RANK_RTOL = 1e-8
-
-
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **kwargs)
+# Levenberg-Marquardt stops when every Jacobian column is orthogonal to the
+# residual to _GTOL (cosine), or when a step in log q is below _XTOL relative;
+# a start that reaches neither within _MAX_ITER iterations has not converged.
+_GTOL = 1e-10
+_XTOL = 1e-10
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -101,10 +106,9 @@ class ModelComparison:
 
 @dataclass(frozen=True)
 class _ModelDef:
-    param_names: tuple[str, ...]
-    param_kinds: tuple[str, ...]  # "scale" (linear, tracks y units) or "log"
-    predict: Callable
-    starts: Callable  # (x, y_norm) -> list of internal start vectors
+    param_names: tuple[str, ...]  # the amplitude a, then the nonlinear q
+    shape: Callable  # (x, q) -> (g, dg): model a * g, dg[:, j] = d g / d log q_j
+    start: Callable  # decade-spaced time guess t -> start values of q
     normalize: Callable | None = None  # canonicalize physical params after fit
 
     @property
@@ -117,48 +121,34 @@ def _decade_guesses(x: np.ndarray) -> np.ndarray:
     return x[-1] * 10.0 ** np.arange(-3.0, 1.0, 0.5)
 
 
-def _exp_decay_predict(x, p):
-    a, t = p
-    return a * np.exp(-2.0 * x / t)
+def _exp_decay_shape(x, q):
+    (t,) = q
+    g = np.exp(-2.0 * x / t)
+    return g, (g * (2.0 * x / t))[:, None]
 
 
-def _exp_decay_starts(x, y):
-    return [np.array([y[0] if y[0] != 0 else 1.0, math.log(t)]) for t in _decade_guesses(x)]
+def _inversion_shape(x, q):
+    (t1,) = q
+    e = np.exp(-x / t1)
+    return 1.0 - 2.0 * e, (-2.0 * e * (x / t1))[:, None]
 
 
-def _inversion_predict(x, p):
-    m_eq, t1 = p
-    return m_eq * (1.0 - 2.0 * np.exp(-x / t1))
-
-
-def _inversion_starts(x, y):
-    m0 = y[-1] if y[-1] != 0 else 1.0
-    return [np.array([m0, math.log(t)]) for t in _decade_guesses(x)]
-
-
-def _echo_cubic_predict(x, p):
-    a, t2, t_s = p
+def _echo_cubic_shape(x, q):
+    t2, t_s = q
     # float64, not a Python float, so a huge t_s overflows to inf instead of raising
-    return a * np.exp(-2.0 * x / t2 - 8.0 * x**3 / np.float64(t_s) ** 3)
+    cubic = 8.0 * x**3 / np.float64(t_s) ** 3
+    g = np.exp(-2.0 * x / t2 - cubic)
+    return g, np.column_stack((g * (2.0 * x / t2), g * (3.0 * cubic)))
 
 
-def _echo_cubic_starts(x, y):
-    a0 = y[0] if y[0] != 0 else 1.0
-    return [np.array([a0, math.log(t), math.log(2.0 * t)]) for t in _decade_guesses(x)]
-
-
-def _trap_biexp_predict(x, p):
-    a, k_e, k_c = p
+def _trap_biexp_shape(x, q):
+    k_e, k_c = q
+    e_c = np.exp(-k_c * x)
     if math.isclose(k_e, k_c, rel_tol=1e-12):
-        return -a * k_c * x * np.exp(-k_c * x)
-    return -a * (np.exp(-k_e * x) - np.exp(-k_c * x))
-
-
-def _trap_biexp_starts(x, y):
-    a0 = float(np.max(np.abs(y)))
-    if a0 == 0:
-        a0 = 1.0
-    return [np.array([a0, math.log(1.0 / t), math.log(20.0 / t)]) for t in _decade_guesses(x)]
+        g = -k_c * x * e_c
+        return g, np.column_stack((np.zeros_like(x), g * (1.0 - k_c * x)))
+    e_e = np.exp(-k_e * x)
+    return -(e_e - e_c), np.column_stack((k_e * x * e_e, -k_c * x * e_c))
 
 
 def _trap_biexp_normalize(p):
@@ -171,27 +161,23 @@ def _trap_biexp_normalize(p):
 _MODELS: dict[str, _ModelDef] = {
     "exp_decay": _ModelDef(
         param_names=("amplitude", "t2_seconds"),
-        param_kinds=("scale", "log"),
-        predict=_exp_decay_predict,
-        starts=_exp_decay_starts,
+        shape=_exp_decay_shape,
+        start=lambda t: (t,),
     ),
     "inversion_recovery": _ModelDef(
         param_names=("equilibrium_mz", "t1_seconds"),
-        param_kinds=("scale", "log"),
-        predict=_inversion_predict,
-        starts=_inversion_starts,
+        shape=_inversion_shape,
+        start=lambda t: (t,),
     ),
     "echo_cubic": _ModelDef(
         param_names=("amplitude", "t2_seconds", "t_s_seconds"),
-        param_kinds=("scale", "log", "log"),
-        predict=_echo_cubic_predict,
-        starts=_echo_cubic_starts,
+        shape=_echo_cubic_shape,
+        start=lambda t: (t, 2.0 * t),
     ),
     "trap_biexp": _ModelDef(
         param_names=("amplitude", "emission_rate_per_second", "capture_rate_per_second"),
-        param_kinds=("scale", "log", "log"),
-        predict=_trap_biexp_predict,
-        starts=_trap_biexp_starts,
+        shape=_trap_biexp_shape,
+        start=lambda t: (1.0 / t, 20.0 / t),
         normalize=_trap_biexp_normalize,
     ),
 }
@@ -201,7 +187,7 @@ MODEL_IDS = tuple(_MODELS)
 
 def _exp(v: float) -> float:
     # nan where exp leaves the positive finite floats: the model is undefined
-    # there, so the objective rejects the simplex vertex
+    # there, so the solver rejects the trial point
     try:
         value = math.exp(v)
     except OverflowError:
@@ -209,27 +195,17 @@ def _exp(v: float) -> float:
     return value if 0.0 < value < math.inf else math.nan
 
 
-def _to_physical(model: _ModelDef, internal: np.ndarray) -> tuple:
-    return tuple(_exp(v) if kind == "log" else v for v, kind in zip(internal, model.param_kinds))
-
-
-def _to_internal(model: _ModelDef, physical: Sequence[float]) -> np.ndarray:
-    out = []
-    for v, kind in zip(physical, model.param_kinds):
-        if kind == "log":
-            if v <= 0:
-                raise ValueError(f"log-space parameter must be > 0, got {v}")
-            out.append(math.log(v))
-        else:
-            out.append(float(v))
-    return np.asarray(out)
+def _log(name: str, v: float) -> float:
+    if not v > 0:
+        raise ValueError(f"{name} must be > 0, got {v}")
+    return math.log(v)
 
 
 def model_predict(model_id: str, x, params: dict) -> np.ndarray:
     """Evaluate a model curve from a fitted (or constructed) parameter dict."""
     model = _get_model(model_id)
-    p = tuple(params[name] for name in model.param_names)
-    return model.predict(np.asarray(x, dtype=float), p)
+    a, *q = (params[name] for name in model.param_names)
+    return a * model.shape(np.asarray(x, dtype=float), tuple(q))[0]
 
 
 def _get_model(model_id: str) -> _ModelDef:
@@ -238,25 +214,68 @@ def _get_model(model_id: str) -> _ModelDef:
     return _MODELS[model_id]
 
 
-def _residual_jacobian(residuals: Callable, theta: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of the residual vector, one column per parameter."""
-    h = 1e-6 * (1.0 + np.abs(theta))
-    return np.column_stack(
-        [(residuals(theta + step) - residuals(theta - step)) / (2.0 * hi)
-         for step, hi in zip(np.diag(h), h)]
-    )
+def _projection(model: _ModelDef, x: np.ndarray, y: np.ndarray, theta: np.ndarray):
+    """Variable projection at ``q = exp(theta)``: ``(rss, a, r, J)`` with the
+    closed-form amplitude ``a``, residual ``r = y - a g`` and the
+    Golub-Pereyra Jacobian ``J = dr / dtheta``; None where any is not finite."""
+    g, dg = model.shape(x, tuple(_exp(v) for v in theta))
+    gg = g @ g
+    a = (g @ y) / gg
+    r = y - a * g
+    rss = float(r @ r)
+    jac = -(a * (dg - np.outer(g, (g @ dg) / gg)) + np.outer(g, (r @ dg) / gg))
+    if not (math.isfinite(rss) and np.all(np.isfinite(jac))):
+        return None
+    return rss, a, r, jac
 
 
-# Start guesses, simplex vertices, Jacobian steps and the rescaled results may
-# overflow; the objective scores such a vertex inf and every result is checked.
+def _levenberg_marquardt(project: Callable, theta: np.ndarray):
+    """Minimize the projected rss from one start; ``(theta, state, converged)``
+    with ``state`` the :func:`_projection` tuple at ``theta`` (None when the
+    start itself is undefined)."""
+    state = project(theta)
+    if state is None:
+        return theta, None, False
+    damping = 1e-3
+    scale = np.zeros(len(theta))
+    for _ in range(_MAX_ITER):
+        rss, _, r, jac = state
+        grad = jac.T @ r
+        jtj = jac.T @ jac
+        diag = np.diag(jtj)
+        if np.all(np.abs(grad) <= _GTOL * np.sqrt(diag * rss)):
+            return theta, state, True
+        # Marquardt's scaling by the largest squared column norm seen so far
+        # (More 1978), so a parameter whose column fades (a time constant
+        # running off to infinity) stays damped instead of taking huge steps
+        scale = np.maximum(scale, diag)
+        try:
+            step = np.linalg.solve(jtj + damping * np.diag(scale), -grad)
+        except np.linalg.LinAlgError:  # J^T J underflowed to 0: the model is flat here
+            return theta, state, False
+        trial = project(theta + step)
+        if trial is not None and trial[0] < rss:
+            theta, state = theta + step, trial
+            damping /= 10.0
+        else:
+            damping *= 10.0
+        if np.linalg.norm(step) <= _XTOL * (_XTOL + np.linalg.norm(theta)):
+            return theta, state, True
+    return theta, state, False
+
+
+# Start guesses, trial points and the rescaled results may overflow; the
+# projection rejects a non-finite trial point and every result is checked.
 @np.errstate(all="ignore")
 def fit(model_id: str, trace: SignalTrace, initial_guess: dict | None = None) -> FitResult:
     """Least-squares fit of one model to a trace.
 
     With ``initial_guess`` (a dict of physical parameter values keyed like
     the result params) the fit runs from that single start instead of the
-    eight default multi-starts.  A parameter the data do not constrain gets
-    uncertainty ``inf``; :meth:`FitResult.require_constrained` refuses it.
+    eight default multi-starts; its amplitude is not needed, since the
+    amplitude is solved in closed form.  A parameter the data do not
+    constrain gets uncertainty ``inf``; :meth:`FitResult.require_constrained`
+    refuses it.
 
     Raises
     ------
@@ -265,7 +284,8 @@ def fit(model_id: str, trace: SignalTrace, initial_guess: dict | None = None) ->
         largest x not well above 0, or a non-finite rss, parameter or
         uncertainty.
     ValueError
-        For an unknown model.
+        For an unknown model, or an ``initial_guess`` time constant or rate
+        that is not positive.
     """
     model = _get_model(model_id)
     x = trace.x_array()
@@ -280,53 +300,38 @@ def fit(model_id: str, trace: SignalTrace, initial_guess: dict | None = None) ->
 
     scale = float(np.max(np.abs(y)))
     y_norm = y / scale
-
-    def residuals(theta):
-        return model.predict(x, _to_physical(model, theta)) - y_norm
-
-    def objective(theta):
-        resid = residuals(theta)
-        rss = float(resid @ resid)
-        return rss if math.isfinite(rss) else math.inf
-
     if initial_guess is not None:
-        physical = [initial_guess[name] for name in model.param_names]
-        # scale-kind entries live in y units; normalize to match y_norm
-        physical = [
-            v / scale if kind == "scale" else v
-            for v, kind in zip(physical, model.param_kinds)
-        ]
-        starts = [_to_internal(model, physical)]
+        starts = [np.array([_log(name, initial_guess[name]) for name in model.param_names[1:]])]
     else:
-        starts = model.starts(x, y_norm)
+        starts = [np.log(model.start(t)) for t in _decade_guesses(x)]
 
-    options = dict(xatol=1e-11, fatol=1e-15, maxiter=6000, maxfev=8000)
-    runs = [minimize(objective, x0, method="Nelder-Mead", options=options) for x0 in starts]
-    best = min(runs, key=lambda res: res.fun)  # ties keep the earliest start
+    def project(theta):
+        return _projection(model, x, y_norm, theta)
 
-    theta = best.x
-    physical = _to_physical(model, theta)
+    runs = [_levenberg_marquardt(project, theta) for theta in starts]
+    runs = [run for run in runs if run[1] is not None]
+    if not runs:
+        raise DegenerateDataError(f"model {model_id!r} is not finite at any start")
+    theta, (rss_norm, a, _, _), converged = min(runs, key=lambda run: run[1][0])  # ties keep the earliest
+
+    physical = (a, *(_exp(v) for v in theta))
     if model.normalize is not None:
         physical = model.normalize(physical)
-        theta = _to_internal(model, physical)
+    a, *q = physical
 
-    # Gauss-Newton covariance in the internal parameters, as curve_fit reports it
-    rss_norm = float(best.fun)
-    jac = _residual_jacobian(residuals, theta)
+    # Gauss-Newton covariance in (a, log q), as curve_fit reports it
+    g, dg = model.shape(x, tuple(q))
+    jac = np.column_stack((g, a * dg))
     if not np.all(np.isfinite(jac)):  # pinv would turn an infinite column into sigma 0
         raise DegenerateDataError(f"fit of {model_id!r} has a non-finite Jacobian at the optimum")
     cov = rss_norm / (n - model.n_params) * np.linalg.pinv(jac.T @ jac)
-    sigmas_internal = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
+    sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
 
-    params = {}
-    uncertainties = {}
-    for name, kind, value, sig in zip(model.param_names, model.param_kinds, physical, sigmas_internal):
-        if kind == "scale":
-            params[name] = value * scale
-            uncertainties[name] = sig * scale
-        else:
-            params[name] = value
-            uncertainties[name] = abs(value) * sig  # delta method from log space
+    params = {model.param_names[0]: a * scale}
+    uncertainties = {model.param_names[0]: sigmas[0] * scale}
+    for name, value, sig in zip(model.param_names[1:], q, sigmas[1:]):
+        params[name] = value
+        uncertainties[name] = abs(value) * sig  # delta method from log space
     rss = rss_norm * scale * scale
     if not np.all(np.isfinite([rss, *params.values(), *uncertainties.values()])):
         raise DegenerateDataError(f"fit of {model_id!r} produced non-finite values")
@@ -339,24 +344,27 @@ def fit(model_id: str, trace: SignalTrace, initial_guess: dict | None = None) ->
         param_uncertainties=uncertainties,
         rss=rss,
         n_points=n,
-        converged=bool(best.success),
+        converged=converged,
     )
 
 
-def _aicc(n: int, k: int, rss: float) -> float:
-    # small-sample information criterion; rss floored to keep it finite
-    rss = max(rss, n * 1e-280)
-    return n * math.log(rss / n) + 2.0 * k * n / (n - k - 1)
+def _aicc(n: int, k: int, rss_unit: float) -> float:
+    # small-sample information criterion of the rss in units of the peak |y|,
+    # floored at the data's rounding: a residual below eps of the peak is
+    # not resolved, so two fits that both reach it tie on rss
+    rss_unit = max(rss_unit, n * np.finfo(float).eps ** 2)
+    return n * math.log(rss_unit / n) + 2.0 * k * n / (n - k - 1)
 
 
 def compare_models(trace: SignalTrace, model_a: str, model_b: str) -> ModelComparison:
     """Fit both models and prefer the lower small-sample information criterion.
 
     ``delta_criterion`` is ``criterion(model_a) - criterion(model_b)``; ties
-    prefer ``model_a``.  A fit may leave a parameter unconstrained
-    (uncertainty ``inf``): an extra parameter the data do not need is what
-    the comparison is there to find.  Raises :class:`DegenerateDataError` if
-    either fit fails to converge.
+    prefer ``model_a``.  Residuals below the rounding of the data count as
+    zero, so on noiseless data the model with fewer parameters wins.  A fit
+    may leave a parameter unconstrained (uncertainty ``inf``): an extra
+    parameter the data do not need is what the comparison is there to find.
+    Raises :class:`DegenerateDataError` if either fit fails to converge.
     """
     fit_a = fit(model_a, trace)
     fit_b = fit(model_b, trace)
@@ -364,7 +372,9 @@ def compare_models(trace: SignalTrace, model_a: str, model_b: str) -> ModelCompa
         if not f.converged:
             raise DegenerateDataError(f"fit of {f.model_id!r} did not converge; cannot compare")
     n = len(trace)
-    delta = _aicc(n, len(fit_a.params), fit_a.rss) - _aicc(n, len(fit_b.params), fit_b.rss)
+    scale = float(np.max(np.abs(trace.y_array())))
+    delta = (_aicc(n, len(fit_a.params), fit_a.rss / scale / scale)
+             - _aicc(n, len(fit_b.params), fit_b.rss / scale / scale))
     return ModelComparison(
         preferred=model_a if delta <= 0 else model_b,
         delta_criterion=delta,

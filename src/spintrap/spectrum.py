@@ -79,23 +79,43 @@ def simulate_field_sweep(
     )
 
 
+def _local_maxima(y: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of ``y``: runs of equal values with a lower
+    neighbour on both sides, at the run's middle sample (the left one of two).
+    A run that touches either end of the array is not a maximum."""
+    run_starts = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    run_ends = np.append(run_starts[1:], len(y)) - 1
+    level = y[run_starts]
+    inner = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    return (run_starts[inner] + run_ends[inner]) // 2
+
+
+def _prominence(y: np.ndarray, peak: int) -> float:
+    """Height of ``y[peak]`` above the higher of its two bases: the lowest
+    points between it and the nearest strictly higher sample on each side
+    (or the array end)."""
+    higher = np.flatnonzero(y > y[peak])
+    left = higher[higher < peak]
+    right = higher[higher > peak]
+    left_base = y[(left[-1] + 1 if left.size else 0):peak + 1].min()
+    right_base = y[peak:(right[0] if right.size else len(y))].min()
+    return float(y[peak] - max(left_base, right_base))
+
+
 def find_peaks(trace: SignalTrace, min_prominence: float = 0.02) -> list[tuple[float, float]]:
     """Locate resonance dips: local minima of dI(B), sorted by field.
 
     ``min_prominence`` is a fraction of the deepest excursion; shallower
     features are ignored.  Returns ``(field, depth)`` pairs with positive
-    depth ``|dI|``.
+    depth ``|dI|``.  The dips and their prominences follow the definitions
+    of ``scipy.signal.find_peaks`` (a flat dip counts once, at its middle).
     """
-    from scipy.signal import find_peaks as scipy_find_peaks  # ~1 s import; only this call needs it
-
     if not 0.0 <= min_prominence <= 1.0:
         raise ValueError(f"min_prominence must lie in [0, 1], got {min_prominence}")
     y = -trace.y_array()
     span = float(np.max(y) - np.min(y))
     if span == 0.0:
         return []
-    idx, _ = scipy_find_peaks(y, prominence=min_prominence * span)
-    fields = trace.x_array()[idx]
-    depths = y[idx]
-    order = np.argsort(fields)
-    return [(float(fields[i]), float(depths[i])) for i in order]
+    fields = trace.x_array()
+    return [(float(fields[i]), float(y[i])) for i in _local_maxima(y)
+            if _prominence(y, i) >= min_prominence * span]

@@ -19,6 +19,7 @@ __all__ = [
     "SignalTrace",
     "CsvFormatError",
     "MixedConfigHashError",
+    "require_finite",
     "write_trace_csv",
     "read_trace_csv",
 ]
@@ -81,12 +82,25 @@ def _format_value(v: float) -> str:
     return f"{v:.17g}"
 
 
+def require_finite(trace: SignalTrace) -> None:
+    """Raise :class:`CsvFormatError` naming the first data row whose x or y
+    is not finite."""
+    finite = np.isfinite(trace.x_array()) & np.isfinite(trace.y_array())
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise CsvFormatError(f"refusing to write non-finite data row {i + 1}: "
+                             f"x={trace.x[i]!r}, y={trace.y[i]!r}")
+
+
 def write_trace_csv(trace: SignalTrace, path: str) -> None:
     """Write a trace in the canonical CSV layout.
 
     Metadata keys are emitted sorted so the data section is deterministic;
-    the volatile timestamp is confined to the single ``created=`` line.
+    the volatile timestamp is confined to the single ``created=`` line.  A
+    trace with a non-finite x or y raises :class:`CsvFormatError` and no file
+    is written, as :func:`read_trace_csv` refuses one on input.
     """
+    require_finite(trace)
     lines = []
     meta = dict(trace.meta)
     created = meta.pop("created", None)

@@ -11,9 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-# find_peaks imports scipy.signal on its first call; criterion 01 times the
-# synthesis and the peak search, not that one-off import
-import scipy.signal  # noqa: F401
 
 from spintrap.blochsim import (
     BlochState,

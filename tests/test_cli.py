@@ -297,6 +297,49 @@ class TestRunCommand:
         _single_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, flags", [
+        ("pulse 1e400deg +x\nacquire echo\n", []),
+        (None, ["--rabi-frequency", "1e-300"]),  # the shipped hahn_echo.seq
+        ("pulse pi/2 +x\ndelay 1e300s\npulse pi +x\ndelay 1us\nacquire echo\n", []),
+        ("pulse pi +x\nacquire charge window=1e300s\nacquire echo\n", []),
+    ], ids=["infinite-angle", "vanishing-drive", "huge-delay", "huge-window-then-echo"])
+    def test_non_finite_output_exit_4(self, tmp_path, capsys, source, flags):
+        seq = SEQ_DIR / "hahn_echo.seq"
+        if source is not None:
+            seq = tmp_path / "extreme.seq"
+            seq.write_text(source)
+        rc = main(["run", str(seq), "--config", str(SEQ_DIR / "pulsed_defaults.json"),
+                   "--out", str(tmp_path / "x.csv")] + SMALL + flags)
+        assert rc == 4
+        assert "non-finite" in _single_error_line(capsys).err
+        assert not list(tmp_path.glob("x*.csv"))  # no channel's file written
+
+    def test_window_beyond_transient_is_whole_charge(self, tmp_path, capsys):
+        # a 1e300 s boxcar holds the whole transient, as a 1 s one already does
+        charges = []
+        for window in ("1s", "1e300s"):
+            seq = tmp_path / "window.seq"
+            seq.write_text(f"pulse pi +x\nacquire charge window={window}\n")
+            out = tmp_path / f"{window}.csv"
+            assert main(["run", str(seq), "--config", str(SEQ_DIR / "pulsed_defaults.json"),
+                         "--out", str(out)] + SMALL) == 0
+            charges.append(read_trace_csv(str(out)).y)
+        assert charges[0] == charges[1] and np.isfinite(charges[0][0])
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("sweep, flags", [
+        ("sweep t 1ns 2ns 100000000", []),
+        ("sweep t 1ns 2ns 100000", ["--n-static", "1", "--n-noise", "1"]),
+    ], ids=["many-points", "many-cheap-points"])
+    def test_sweep_work_bound_exit_3(self, tmp_path, capsys, sweep, flags):
+        # refused before the sweep grid or any ensemble is allocated
+        seq = tmp_path / "long.seq"
+        seq.write_text(f"{sweep}\npulse pi +x\ndelay t\nacquire mz\n")
+        out = tmp_path / "x.csv"
+        assert main(["run", str(seq), "--out", str(out)] + flags) == 3
+        assert "work limit" in _single_error_line(capsys).err
+        assert not out.exists()
+
     def test_seed_changes_data(self, tmp_path):
         config = str(SEQ_DIR / "pulsed_defaults.json")
         a = tmp_path / "a.csv"
@@ -390,21 +433,36 @@ class TestFitCommand:
         assert main(["fit", str(wild), "--model", "trap_biexp", "--compare-with", "exp_decay"]) == 4
         assert _single_error_line(capsys).out == ""
 
-    def test_compare_fits_each_model_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _noiseless_decay_csv(tmp_path):
         csv = tmp_path / "decay.csv"
         rows = "".join(f"{t},{np.exp(-2 * t / 1e-4)}\n" for t in np.linspace(1e-5, 2.5e-4, 25))
         csv.write_text("x,y\n" + rows)
+        return csv
+
+    def test_compare_fits_each_model_once(self, tmp_path, monkeypatch):
+        csv = self._noiseless_decay_csv(tmp_path)
         calls = []
-        minimize = fitkit.minimize
+        fit = fitkit.fit
 
-        def counting_minimize(*args, **kwargs):
-            calls.append(1)
-            return minimize(*args, **kwargs)
+        def counting_fit(*args, **kwargs):
+            calls.append(args[0])
+            return fit(*args, **kwargs)
 
-        monkeypatch.setattr(fitkit, "minimize", counting_minimize)
+        monkeypatch.setattr(fitkit, "fit", counting_fit)
         assert main(["fit", str(csv), "--model", "echo_cubic", "--compare-with", "exp_decay",
                      "--out", str(tmp_path / "fit.json")]) == 0
-        assert len(calls) == 16  # eight starts per model, each model fitted once
+        assert calls == ["echo_cubic", "exp_decay"]
+
+    def test_noiseless_exponential_prefers_exp_decay(self, tmp_path):
+        # both fits reach the rounding floor of the data; the simpler model wins
+        csv = self._noiseless_decay_csv(tmp_path)
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(csv), "--model", "echo_cubic", "--compare-with", "exp_decay",
+                     "--out", str(out)]) == 0
+        comparison = json.loads(out.read_text())["comparison"]
+        assert comparison["preferred"] == "exp_decay"
+        assert comparison["delta_criterion"] > 0
 
     def test_overflowing_simplex_vertex_exit_0_or_4(self, tmp_path, capsys):
         csv = tmp_path / "z.csv"
@@ -482,8 +540,8 @@ def test_fit_exit_code_contract(tmp_path, capsys, model, rows, compare_with):
     assert len(err) == (rc == 4) and all(line.startswith("error: ") for line in err), err
 
 
-def test_commands_that_do_not_fit_import_no_scipy(tmp_path):
-    """scipy.signal and scipy.optimize stay off the start-up path of the CLI."""
+def test_commands_import_no_scipy(tmp_path):
+    """No command, fit included, loads any scipy module."""
     seq = SEQ_DIR / "nutation.seq"
     config = SEQ_DIR / "pulsed_defaults.json"
     calls = [
@@ -491,21 +549,18 @@ def test_commands_that_do_not_fit_import_no_scipy(tmp_path):
         ["transient", "--n-points", "101", "--out", "transient.csv"],
         ["nutation", "--n-points", "11", "--out", "nutation.csv"],
         ["run", str(seq), "--config", str(config), *SMALL, "--out", "nutation_seq.csv"],
+        ["fit", "transient.csv", "--model", "trap_biexp", "--out", "fit.json"],
+        ["fit", "transient.csv", "--model", "trap_biexp", "--compare-with", "exp_decay",
+         "--out", "compare.json"],
     ]
-    fit = ["fit", "transient.csv", "--model", "trap_biexp", "--out", "fit.json"]
     script = f"""
 import sys
 from spintrap.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
 for argv in {calls!r}:
     assert main(argv) == 0, argv
-    assert not scipy_modules(), (argv, scipy_modules())
-assert main({fit!r}) == 0
-assert "scipy.optimize" in sys.modules
-assert not [m for m in scipy_modules() if m.split(".")[:2] == ["scipy", "signal"]], scipy_modules()
+    scipy_modules = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not scipy_modules, (argv, scipy_modules)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize
-
 from spintrap import fitkit
 from spintrap.fitkit import (
     DegenerateDataError,
@@ -105,14 +103,51 @@ class TestCompareModels:
         assert cmp.fit_b == fit("exp_decay", trace)
 
     def test_non_converged_fit_refused(self, monkeypatch):
-        def never_converges(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            res.success = False
-            return res
-
-        monkeypatch.setattr(fitkit, "minimize", never_converges)
+        # one Levenberg-Marquardt iteration reaches neither stopping criterion
+        monkeypatch.setattr(fitkit, "_MAX_ITER", 1)
+        assert not fit("echo_cubic", _echo_cubic_trace(noise=0.01, seed=3)).converged
         with pytest.raises(DegenerateDataError, match="did not converge"):
             compare_models(_echo_cubic_trace(noise=0.01, seed=3), "echo_cubic", "exp_decay")
+
+
+def _noisy(x, clean, seed):
+    # 1% of the peak |y| of Gaussian noise
+    return clean + 0.01 * np.max(np.abs(clean)) * np.random.default_rng(seed).standard_normal(len(x))
+
+
+_IR_GRID = np.linspace(1e-4, 12e-3, 25)
+_TRAP_GRID = np.linspace(1e-5, 15e-3, 40)
+# Each model on a fixed noisy trace, with the optimum the earlier Nelder-Mead
+# multistart fitter (xatol 1e-11 in log space) found there.
+REFERENCE_OPTIMA = {
+    "exp_decay": (
+        _trace(TAU_GRID, _noisy(TAU_GRID, 0.8 * np.exp(-2 * TAU_GRID / 120e-6), 21)),
+        {"amplitude": 0.8023605719728542, "t2_seconds": 0.00011984232136529921},
+    ),
+    "inversion_recovery": (
+        _trace(_IR_GRID, _noisy(_IR_GRID, 0.95 * (1 - 2 * np.exp(-_IR_GRID / 2.5e-3)), 22)),
+        {"equilibrium_mz": 0.9516611735673144, "t1_seconds": 0.0025012504353090206},
+    ),
+    "echo_cubic": (
+        _trace(TAU_GRID, _noisy(TAU_GRID, np.exp(-2 * TAU_GRID / 160e-6 - 8 * TAU_GRID**3 / 200e-6**3), 23)),
+        {"amplitude": 1.0149566878451044, "t2_seconds": 0.00014979835344614795,
+         "t_s_seconds": 0.00020830438512737886},
+    ),
+    "trap_biexp": (
+        _trace(_TRAP_GRID, _noisy(_TRAP_GRID, -0.6e-9 * (np.exp(-400 * _TRAP_GRID) - np.exp(-1e4 * _TRAP_GRID)), 24),
+               axis="time"),
+        {"amplitude": 6.066394490979521e-10, "emission_rate_per_second": 402.9070910922695,
+         "capture_rate_per_second": 8804.832125908653},
+    ),
+}
+
+
+@pytest.mark.parametrize("model_id", sorted(REFERENCE_OPTIMA))
+def test_matches_reference_optimum(model_id):
+    trace, expected = REFERENCE_OPTIMA[model_id]
+    res = fit(model_id, trace)
+    assert res.converged
+    assert res.params == pytest.approx(expected, rel=1e-6)
 
 
 class TestFitMechanics:
@@ -206,6 +241,6 @@ class TestUnconstrainedParameters:
         assert cmp.preferred == "exp_decay"
 
     def test_overflowing_vertex_rejected(self):
-        # a simplex vertex reaches a huge log t_s, where t_s**3 overflows
+        # trial points whose t_s overflows are rejected; t_s runs off unconstrained
         trace = _trace([0, 1e-5, 2e-5, 3e-5, 4e-5], [1, 0.5, 0.3, 0.2, 0.1])
         assert fit("echo_cubic", trace).param_uncertainties["t_s_seconds"] == np.inf

@@ -100,6 +100,40 @@ class TestFindPeaks:
             find_peaks(trace, -0.1)
 
 
+class TestFindPeaksAgainstScipy:
+    """The numpy peak search picks the same dips as ``scipy.signal.find_peaks``."""
+
+    @staticmethod
+    def _random_spectrum(rng, variant):
+        species = [
+            (SpinSpecies("p", 1.9985, rng.uniform(0.0, 8e-3), rng.uniform(-1, 1),
+                         10 ** rng.uniform(-5, -3)), rng.uniform(0.1, 1.0)),
+            (SpinSpecies("db", rng.uniform(1.996, 2.002), 0.0, 0.0, 10 ** rng.uniform(-4.5, -3)),
+             rng.uniform(0.0, 0.3)),
+        ]
+        sweep = SweepSpec(8.560, 8.600, int(rng.integers(3, 2001)), str(rng.choice(["gaussian", "lorentzian"])))
+        y = simulate_field_sweep(species, ENV, sweep).y_array()
+        if variant == "noisy":
+            y = y + rng.uniform(0.0, 0.05) * rng.standard_normal(len(y))
+        elif variant == "plateaus":  # runs of equal values, flat dips included
+            y = np.round(y * rng.uniform(3, 30)) / 10
+        return SignalTrace("field", sweep.field_axis(), y)
+
+    @pytest.mark.parametrize("variant", ["clean", "noisy", "plateaus"])
+    def test_same_dips_as_scipy(self, variant):
+        signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng(["clean", "noisy", "plateaus"].index(variant))
+        for _ in range(40):
+            trace = self._random_spectrum(rng, variant)
+            prominence = rng.choice([0.0, 0.02, 0.1, 0.5])
+            y = -trace.y_array()
+            span = y.max() - y.min()
+            expected = signal.find_peaks(y, prominence=prominence * span)[0] if span > 0 else []
+            found = find_peaks(trace, prominence)
+            assert [f for f, _ in found] == [trace.x[i] for i in expected]
+            assert [d for _, d in found] == [y[i] for i in expected]
+
+
 class TestSweepSpec:
     def test_rejects_reversed_bounds(self):
         with pytest.raises(ValueError):

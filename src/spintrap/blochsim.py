@@ -35,11 +35,13 @@ Reproducibility
 All randomness comes from counter-based Philox streams keyed by
 ``(rng_seed, stream)``: stream 0 draws the static detuning offsets, and
 stream ``1 + block`` draws every noise normal of one fixed-size block of
-trajectories at once, as a ``(2 * n_free_events, n_block)`` array.  Both
-hyperfine manifolds reuse the block's draws, and so does every sweep point
-of a sequence (common random numbers).  Partial sums are accumulated per
-block and reduced in block order, so results depend only on the seed and
-the ensemble layout.
+trajectories at once, as a ``(2 * n_free, n_block)`` array.  The engine
+walks the compiled timeline's events in order; the ``j``-th free evolution
+(a delay, or the window of an acquire, which records its moments first)
+takes rows ``2j, 2j+1``.  Both hyperfine manifolds reuse the block's draws,
+and so does every sweep point of a sequence (common random numbers).
+Partial sums are accumulated per block and reduced in block order, so
+results depend only on the seed and the ensemble layout.
 """
 
 from __future__ import annotations
@@ -258,6 +260,16 @@ def inversion_recovery_curve(tau_grid, t1: float, m_eq: float) -> SignalTrace:
     return SignalTrace(axis_kind="tau", x=tuple(tau), y=tuple(y), units="dimensionless")
 
 
+def _ensemble_setup(env: Environment, species: SpinSpecies, ensemble: EnsembleSpec):
+    """``(m0, w1, offsets)``: equilibrium mz, on-resonance drive rate, and the
+    ``n_static`` static detuning offsets drawn from stream 0."""
+    m0 = thermal_polarization(species.g_factor, env.static_field_b0, env.temperature)
+    w1 = 2.0 * math.pi * env.rabi_frequency
+    sigma = gyromagnetic_ratio(species.g_factor) * species.linewidth_field
+    offsets = _philox(ensemble.rng_seed, _STATIC_STREAM).standard_normal(ensemble.n_static) * sigma
+    return m0, w1, offsets
+
+
 def nutation_curve(
     pulse_durations,
     env: Environment,
@@ -275,10 +287,7 @@ def nutation_curve(
     durations = np.asarray(pulse_durations, dtype=float)
     if np.any(durations < 0):
         raise ValueError("pulse durations must be >= 0")
-    m0 = thermal_polarization(species.g_factor, env.static_field_b0, env.temperature)
-    w1 = 2.0 * math.pi * env.rabi_frequency
-    sigma = gyromagnetic_ratio(species.g_factor) * species.linewidth_field
-    offsets = _philox(ensemble.rng_seed, _STATIC_STREAM).standard_normal(ensemble.n_static) * sigma
+    m0, w1, offsets = _ensemble_setup(env, species, ensemble)
 
     y = np.zeros_like(durations)
     for m_i in manifold_labels(species):
@@ -298,37 +307,21 @@ def nutation_curve(
     )
 
 
-def _plan_events(timeline: Timeline):
-    """Flatten the timeline into engine steps and count free events."""
-    plan = []
-    n_free = 0
-    acquire_count = 0
-    for event in timeline.events:
-        if isinstance(event, PulseEvent):
-            plan.append(("pulse", event))
-        elif isinstance(event, FreeEvolutionEvent):
-            plan.append(("free", event, n_free))
-            n_free += 1
-        elif isinstance(event, AcquireEvent):
-            plan.append(("acquire", event, acquire_count))
-            acquire_count += 1
-            if event.duration > 0:
-                plan.append(("free", FreeEvolutionEvent(event.start, event.duration), n_free))
-                n_free += 1
-        else:  # pragma: no cover
-            raise TypeError(f"unknown event {event!r}")
-    return plan, n_free, acquire_count
-
-
 _ACC_FIELDS = 7  # sum_x, sum_y, sum_z, sum_xx, sum_yy, sum_xy, sum_zz
 
 
-def _run_block(plan, n_acquire, det, m0, w1, relax, draws):
+def _evolves_freely(event) -> bool:
+    """A delay, or an acquire with a window, is free evolution over its span."""
+    return isinstance(event, FreeEvolutionEvent) or (isinstance(event, AcquireEvent) and event.duration > 0)
+
+
+def _run_block(events, n_acquire, det, m0, w1, relax, draws):
     """Propagate one block of trajectories and return per-acquire moment sums.
 
     ``det`` holds each trajectory's static detuning; ``draws`` holds rows
-    ``2j, 2j+1`` of standard normals for free event ``j``, or is None when
-    there is no spectral diffusion.
+    ``2j, 2j+1`` of standard normals for the ``j``-th free evolution, or is
+    None when there is no spectral diffusion.  An acquire records its moments
+    and then evolves freely over its window.
     """
     n = det.size
     mx = np.zeros(n)
@@ -338,49 +331,43 @@ def _run_block(plan, n_acquire, det, m0, w1, relax, draws):
 
     acc = np.zeros((n_acquire, _ACC_FIELDS))
     walk = np.zeros(n)  # current frequency offset of the noise walk, rad/s
-    for step in plan:
-        kind = step[0]
-        if kind == "pulse":
-            event = step[1]
+    j = k = 0  # next free evolution, next acquire
+    for event in events:
+        if isinstance(event, PulseEvent):
             mx, my, mz = _pulse_arrays(mx, my, mz, w1, event.phase, event.duration, det)
-        elif kind == "free":
-            event, j = step[1], step[2]
-            duration = event.duration
-            phase = det * duration
-            if draws is not None:
-                # exact joint update of the walk end and its time integral
-                increment = math.sqrt(diffusion * duration) * draws[2 * j]
-                bridge = math.sqrt(diffusion * np.float64(duration) ** 3 / 12.0) * draws[2 * j + 1]
-                phase = phase + walk * duration + 0.5 * duration * increment + bridge
-                walk = walk + increment
-            mx, my, mz = _free_arrays(mx, my, mz, phase, duration, relax, m0)
-        else:  # acquire
-            k = step[2]
-            acc[k, 0] = mx.sum()
-            acc[k, 1] = my.sum()
-            acc[k, 2] = mz.sum()
-            acc[k, 3] = (mx * mx).sum()
-            acc[k, 4] = (my * my).sum()
-            acc[k, 5] = (mx * my).sum()
-            acc[k, 6] = (mz * mz).sum()
+            continue
+        if isinstance(event, AcquireEvent):
+            acc[k] = (mx.sum(), my.sum(), mz.sum(),
+                      (mx * mx).sum(), (my * my).sum(), (mx * my).sum(), (mz * mz).sum())
+            k += 1
+        if not _evolves_freely(event):
+            continue
+        duration = event.duration
+        phase = det * duration
+        if draws is not None:
+            # exact joint update of the walk end and its time integral
+            increment = math.sqrt(diffusion * duration) * draws[2 * j]
+            bridge = math.sqrt(diffusion * np.float64(duration) ** 3 / 12.0) * draws[2 * j + 1]
+            phase = phase + walk * duration + 0.5 * duration * increment + bridge
+            walk = walk + increment
+        j += 1
+        mx, my, mz = _free_arrays(mx, my, mz, phase, duration, relax, m0)
     return acc
 
 
 def _run_engine(timeline, env, species, relax, ensemble):
     """Shared ensemble propagation; returns per-acquire statistics.
 
-    Returns (acquire_events, stats) where stats[k] holds the weighted means
-    and standard errors for acquire event k.
+    Returns (acquire_events, stats, m0) where stats[k] holds the weighted
+    means and variances of the mean for acquire event k.
     """
-    plan, n_free, n_acquire = _plan_events(timeline)
-    if n_acquire == 0:
+    acquire_events = [e for e in timeline.events if isinstance(e, AcquireEvent)]
+    if not acquire_events:
         raise ValueError("timeline has no acquisition events")
+    n_acquire = len(acquire_events)
+    n_free = sum(map(_evolves_freely, timeline.events))
 
-    m0 = thermal_polarization(species.g_factor, env.static_field_b0, env.temperature)
-    w1 = 2.0 * math.pi * env.rabi_frequency
-    sigma = gyromagnetic_ratio(species.g_factor) * species.linewidth_field
-    offsets = _philox(ensemble.rng_seed, _STATIC_STREAM).standard_normal(ensemble.n_static) * sigma
-
+    m0, w1, offsets = _ensemble_setup(env, species, ensemble)
     labels = manifold_labels(species)
     weights = [manifold_weight(species, m_i) for m_i in labels]
     base_dets = [line_detuning(species, env, m_i) for m_i in labels]
@@ -397,9 +384,9 @@ def _run_engine(timeline, env, species, relax, ensemble):
             stream = _philox(ensemble.rng_seed, _NOISE_STREAM_BASE + b)
             draws = stream.standard_normal((2 * n_free, hi - lo))
         for mf, base_det in enumerate(base_dets):
-            per_manifold[mf] += _run_block(plan, n_acquire, base_det + static, m0, w1, relax, draws)
+            per_manifold[mf] += _run_block(timeline.events, n_acquire, base_det + static, m0, w1,
+                                           relax, draws)
 
-    acquire_events = [e for e in timeline.events if isinstance(e, AcquireEvent)]
     stats = []
     for k in range(n_acquire):
         mean = np.zeros(3)
@@ -475,7 +462,5 @@ def run_timeline_by_channel(
             "equilibrium_mz": m0,
             "y_stderr": tuple(ses),
         }
-        if timeline.sweep_value is not None:
-            meta["sweep_value"] = timeline.sweep_value
         out[channel] = SignalTrace(axis_kind="time", x=tuple(xs), y=tuple(ys), units=units, meta=meta)
     return out

@@ -45,6 +45,13 @@ EXIT_DATA = 4
 MAX_SWEEP_WORK = 10**8
 MIN_POINT_WORK = 1024
 
+# Longest grid of `spectrum`, `transient` and `nutation`, and largest
+# `nutation` ensemble; `nutation` also keeps points x n_static within
+# MAX_SWEEP_WORK.  At the bound a command peaks near 64 MB (the trace's
+# Python floats and CSV lines, not its arrays) and `nutation` runs about
+# 12 s.  Larger requests exit 2 before anything is allocated.
+MAX_POINTS = 10**5
+
 
 def _load_config_file(args) -> RunConfig:
     data = {}
@@ -103,13 +110,15 @@ def _time_grid(args) -> np.ndarray:
     """``--n-points`` evenly spaced times from 0 to ``--t-max``."""
     if not (math.isfinite(args.t_max) and args.t_max > 0):
         raise ConfigError(f"--t-max must be finite and > 0, got {args.t_max}")
-    if args.n_points < 1:
-        raise ConfigError(f"--n-points must be >= 1, got {args.n_points}")
+    if not 1 <= args.n_points <= MAX_POINTS:
+        raise ConfigError(f"--n-points must lie in [1, {MAX_POINTS}], got {args.n_points}")
     return np.linspace(0.0, args.t_max, args.n_points)
 
 
 def cmd_spectrum(args) -> int:
     config = _load_config_file(args)
+    if config.spectrum.n_points > MAX_POINTS:
+        raise ConfigError(f"spectrum.n_points must be <= {MAX_POINTS}, got {config.spectrum.n_points}")
     trace = spectrum.simulate_field_sweep(
         config.species_amplitudes(), config.environment, config.spectrum.sweep_spec()
     )
@@ -151,10 +160,6 @@ def _sweep_axis_kind(ast: seqlang.SequenceAst) -> str:
     return "pulse_duration"
 
 
-def _channel_units(channel: str) -> str:
-    return "C" if channel == "charge" else "dimensionless"
-
-
 def cmd_run(args) -> int:
     config = _load_config_file(args)
     try:
@@ -174,37 +179,37 @@ def cmd_run(args) -> int:
             f"{n_points} points x {ensemble.n_trajectories} trajectories exceeds the work "
             f"limit: points x max(trajectories, {MIN_POINT_WORK}) must be <= {MAX_SWEEP_WORK:.0e}"
         )
-    channels = sorted(set(ast.acquire_channels))
-    if sweep is None:
-        timeline = seqlang.compile_timeline(ast, env)
-        traces = blochsim.run_timeline_by_channel(timeline, env, species, relax, ensemble, trap)
-    else:
+    points = [None]  # an unswept program is the single point None
+    sweep_meta = {}
+    if sweep is not None:
         # a swept trace holds one value per point, so a second acquire on the
         # same channel would have nowhere to go
-        repeated = [c for c in channels if ast.acquire_channels.count(c) > 1]
+        repeated = sorted({c for c in ast.acquire_channels if ast.acquire_channels.count(c) > 1})
         if repeated:
             raise seqlang.SequenceError(
                 f"swept sequence acquires channel {', '.join(repeated)} more than once; "
                 "a sweep records one value per channel and point"
             )
-        values = seqlang.sweep_values(sweep)
-        per_channel: dict[str, list[float]] = {c: [] for c in channels}
-        for value in values:
-            timeline = seqlang.compile_timeline(ast, env, sweep_value=float(value))
-            point = blochsim.run_timeline_by_channel(timeline, env, species, relax, ensemble, trap)
-            for channel in channels:
-                per_channel[channel].append(point[channel].y[0])
-        axis_kind = _sweep_axis_kind(ast)
-        traces = {
-            channel: SignalTrace(
-                axis_kind=axis_kind,
-                x=tuple(float(v) for v in values),
-                y=tuple(per_channel[channel]),
-                units=_channel_units(channel),
-                meta={"sweep_variable": sweep.name},
-            )
-            for channel in channels
-        }
+        points = [float(v) for v in seqlang.sweep_values(sweep)]
+        sweep_meta = {"sweep_variable": sweep.name}
+
+    runs: dict[str, list[SignalTrace]] = {}  # per channel, the engine's trace at each point
+    for value in points:
+        timeline = seqlang.compile_timeline(ast, env, sweep_value=value)
+        point = blochsim.run_timeline_by_channel(timeline, env, species, relax, ensemble, trap)
+        for channel, trace in point.items():
+            runs.setdefault(channel, []).append(trace)
+    traces = {
+        channel: SignalTrace(
+            axis_kind=_sweep_axis_kind(ast),
+            x=parts[0].x if sweep is None else points,  # acquire times, or the sweep values
+            y=tuple(y for part in parts for y in part.y),
+            units=parts[0].units,
+            meta={**parts[0].meta, **sweep_meta,
+                  "y_stderr": tuple(se for part in parts for se in part.meta["y_stderr"])},
+        )
+        for channel, parts in runs.items()
+    }
 
     for trace in traces.values():  # refuse before any channel's file is written
         require_finite(trace)
@@ -221,6 +226,10 @@ def cmd_run(args) -> int:
 def cmd_nutation(args) -> int:
     durations = _time_grid(args)
     config = _load_config_file(args)
+    n_static = config.ensemble.n_static
+    if n_static > MAX_POINTS or len(durations) * n_static > MAX_SWEEP_WORK:
+        raise ConfigError(f"nutation of {len(durations)} points x {n_static} static offsets: n_static "
+                          f"must be <= {MAX_POINTS} and points x n_static <= {MAX_SWEEP_WORK:.0e}")
     trace = blochsim.nutation_curve(
         durations, config.environment, config.species, config.relaxation, config.ensemble
     )

@@ -195,12 +195,6 @@ def _exp(v: float) -> float:
     return value if 0.0 < value < math.inf else math.nan
 
 
-def _log(name: str, v: float) -> float:
-    if not v > 0:
-        raise ValueError(f"{name} must be > 0, got {v}")
-    return math.log(v)
-
-
 def model_predict(model_id: str, x, params: dict) -> np.ndarray:
     """Evaluate a model curve from a fitted (or constructed) parameter dict."""
     model = _get_model(model_id)
@@ -267,15 +261,10 @@ def _levenberg_marquardt(project: Callable, theta: np.ndarray):
 # Start guesses, trial points and the rescaled results may overflow; the
 # projection rejects a non-finite trial point and every result is checked.
 @np.errstate(all="ignore")
-def fit(model_id: str, trace: SignalTrace, initial_guess: dict | None = None) -> FitResult:
-    """Least-squares fit of one model to a trace.
-
-    With ``initial_guess`` (a dict of physical parameter values keyed like
-    the result params) the fit runs from that single start instead of the
-    eight default multi-starts; its amplitude is not needed, since the
-    amplitude is solved in closed form.  A parameter the data do not
-    constrain gets uncertainty ``inf``; :meth:`FitResult.require_constrained`
-    refuses it.
+def fit(model_id: str, trace: SignalTrace) -> FitResult:
+    """Least-squares fit of one model to a trace, from eight decade-spaced
+    starts.  A parameter the data do not constrain gets uncertainty ``inf``;
+    :meth:`FitResult.require_constrained` refuses it.
 
     Raises
     ------
@@ -284,8 +273,7 @@ def fit(model_id: str, trace: SignalTrace, initial_guess: dict | None = None) ->
         largest x not well above 0, or a non-finite rss, parameter or
         uncertainty.
     ValueError
-        For an unknown model, or an ``initial_guess`` time constant or rate
-        that is not positive.
+        For an unknown model.
     """
     model = _get_model(model_id)
     x = trace.x_array()
@@ -300,10 +288,7 @@ def fit(model_id: str, trace: SignalTrace, initial_guess: dict | None = None) ->
 
     scale = float(np.max(np.abs(y)))
     y_norm = y / scale
-    if initial_guess is not None:
-        starts = [np.array([_log(name, initial_guess[name]) for name in model.param_names[1:]])]
-    else:
-        starts = [np.log(model.start(t)) for t in _decade_guesses(x)]
+    starts = [np.log(model.start(t)) for t in _decade_guesses(x)]
 
     def project(theta):
         return _projection(model, x, y_norm, theta)

@@ -56,6 +56,10 @@ _TIME_UNITS = (("ns", 1e-9), ("us", 1e-6), ("ms", 1e-3), ("s", 1.0))
 _TIME_UNITS_PRINT = tuple(reversed(_TIME_UNITS))
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+# ASCII digits only (str.isdigit also passes "²", which int() rejects), and
+# few enough that int() is cheap; any real sweep is far below the bound.
+_MAX_SWEEP_STEPS = 10**9 - 1
+_STEPS_RE = re.compile(r"0*[1-9][0-9]{0,8}")
 
 
 class SequenceError(ValueError):
@@ -143,7 +147,6 @@ class Timeline:
 
     events: tuple
     total_duration: float
-    sweep_value: float | None = None
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
@@ -248,8 +251,10 @@ def _parse_sweep(tokens, lineno) -> SweepDecl:
     start = _parse_time(tokens[2][0], lineno, tokens[2][1], "sweep start")
     stop = _parse_time(tokens[3][0], lineno, tokens[3][1], "sweep stop")
     steps_tok, steps_col = tokens[4]
-    if not steps_tok.isdigit() or int(steps_tok) < 1:
-        raise SequenceError(f"sweep steps must be a positive integer, got {steps_tok!r}", lineno, steps_col)
+    if not _STEPS_RE.fullmatch(steps_tok):
+        shown = steps_tok if len(steps_tok) <= 20 else steps_tok[:20] + "..."
+        raise SequenceError(f"sweep steps must be a whole number from 1 to {_MAX_SWEEP_STEPS}, "
+                            f"got {shown!r}", lineno, steps_col)
     return SweepDecl(name=name, start=start, stop=stop, steps=int(steps_tok))
 
 
@@ -427,8 +432,4 @@ def compile_timeline(
             duration = stmt.window if stmt.window is not None else 0.0
             events.append(AcquireEvent(start=t, duration=duration, channel=stmt.channel, window=stmt.window))
             t += duration
-    return Timeline(
-        events=tuple(events),
-        total_duration=t,
-        sweep_value=None if sweep is None else float(sweep_value),
-    )
+    return Timeline(events=tuple(events), total_duration=t)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
-from spintrap import fitkit
+from spintrap import cli, fitkit
 from spintrap.cli import main
 from spintrap.spectrum import find_peaks
 from spintrap.trace import read_trace_csv
@@ -115,11 +115,27 @@ class TestInputValidation:
         ("transient", ["--field-offset-tesla", "inf"]),
         ("nutation", ["--t-max", "-1"]),
         ("nutation", ["--n-points", "0"]),
+        ("transient", ["--n-points", str(10**20)]),
+        ("nutation", ["--n-points", str(10**20)]),
     ], ids=lambda v: v if isinstance(v, str) else "=".join(v))
     def test_bad_grid_or_pulse_argument_exit_2(self, tmp_path, capsys, command, flags):
         out = tmp_path / "x.csv"
         assert main([command, "--out", str(out)] + flags) == 2
         assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, flags", [
+        ("spectrum", {}, ["--n-points", str(10**20)]),
+        ("spectrum", {"spectrum": {"n_points": 10**20}}, []),
+        ("nutation", {"ensemble": {"n_static": 10**20}}, []),
+        ("nutation", {"ensemble": {"n_static": 10**5}}, ["--n-points", "1001"]),
+    ], ids=["spectrum-flag", "spectrum-config", "nutation-ensemble", "nutation-work"])
+    def test_size_bound_exit_2(self, tmp_path, capsys, command, config, flags):
+        # refused before the grid or any ensemble is allocated
+        out = tmp_path / "x.csv"
+        assert main([command, "--out", str(out), "--config", _write_config(tmp_path, config)]
+                    + flags) == 2
+        assert str(cli.MAX_POINTS) in _single_error_line(capsys).err
         assert not out.exists()
 
 
@@ -223,10 +239,14 @@ class TestRunCommand:
 
     def test_parse_error_exit_3_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.seq"
-        bad.write_text("pulse pi/2 +x\ndelay -5us\nacquire echo\n")
-        rc = main(["run", str(bad), "--out", str(tmp_path / "x.csv")])
-        assert rc == 3
-        assert "line 2" in capsys.readouterr().err
+        out = tmp_path / "x.csv"
+        for line in ("delay -5us",
+                     "sweep t 1ns 2ns \u00b2",  # isdigit() passes a superscript two, int() does not
+                     "sweep t 1ns 2ns " + "9" * 5000):  # beyond int()'s 4300-digit limit
+            bad.write_text(f"pulse pi/2 +x\n{line}\nacquire echo\n", encoding="utf-8")
+            assert main(["run", str(bad), "--out", str(out)]) == 3
+            assert "line 2" in _single_error_line(capsys).err
+            assert not out.exists()
 
     def test_missing_seqfile_exit_3(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.seq"), "--out", str(tmp_path / "x.csv")]) == 3
@@ -339,6 +359,30 @@ class TestRunCommand:
         assert main(["run", str(seq), "--out", str(out)] + flags) == 3
         assert "work limit" in _single_error_line(capsys).err
         assert not out.exists()
+
+    def test_swept_and_unswept_files_carry_ensemble(self, tmp_path, monkeypatch):
+        written = {}
+        write_output = cli._write_output
+
+        def record(trace, config, path, extra_meta=None):
+            written[path] = trace
+            write_output(trace, config, path, extra_meta)
+
+        monkeypatch.setattr(cli, "_write_output", record)
+        once = tmp_path / "once.seq"
+        once.write_text("pulse pi/2 +x\ndelay 40us\npulse pi +x\ndelay 40us\nacquire echo\n")
+        for seq, swept in ((SEQ_DIR / "hahn_echo.seq", True), (once, False)):
+            out = str(tmp_path / f"swept_{swept}.csv")
+            assert main(["run", str(seq), "--config", str(SEQ_DIR / "pulsed_defaults.json"),
+                         "--out", out] + SMALL) == 0
+            meta = read_trace_csv(out).meta
+            assert (meta["n_static"], meta["n_noise"]) == ("16", "4")
+            assert float(meta["equilibrium_mz"]) == pytest.approx(0.968, abs=1e-3)
+            assert ("sweep_variable" in meta) == swept
+            assert "sweep_value" not in meta
+            # the engine's standard errors reach the written trace, one per point
+            stderr = written[out].meta["y_stderr"]
+            assert len(stderr) == (25 if swept else 1) and all(se > 0 for se in stderr)
 
     def test_seed_changes_data(self, tmp_path):
         config = str(SEQ_DIR / "pulsed_defaults.json")

@@ -164,15 +164,6 @@ class TestFitMechanics:
         assert sig2["t2_seconds"] == pytest.approx(sig1["t2_seconds"], rel=1e-6)
         assert sig2["t_s_seconds"] == pytest.approx(sig1["t_s_seconds"], rel=1e-6)
 
-    def test_initial_guess_single_start(self):
-        trace = _echo_cubic_trace()
-        res = fit(
-            "echo_cubic",
-            trace,
-            initial_guess={"amplitude": 0.9, "t2_seconds": 1e-4, "t_s_seconds": 3e-4},
-        )
-        assert res.params["t2_seconds"] == pytest.approx(160e-6, rel=1e-3)
-
     def test_rss_nonnegative_and_reported(self):
         res = fit("exp_decay", _echo_cubic_trace(noise=0.02, seed=13))
         assert res.rss >= 0
@@ -192,11 +183,10 @@ class TestFitMechanics:
         # 1-sigma on T2 covers the truth in >= 60% of 200 seeded repetitions
         x = TAU_GRID
         clean = np.exp(-2 * x / 160e-6 - 8 * x**3 / (200e-6) ** 3)
-        guess = {"amplitude": 1.0, "t2_seconds": 1.5e-4, "t_s_seconds": 2.2e-4}
         hits = 0
         for seed in range(200):
             y = clean + 0.01 * np.random.default_rng(seed).standard_normal(len(x))
-            res = fit("echo_cubic", _trace(x, y), initial_guess=guess)
+            res = fit("echo_cubic", _trace(x, y))
             t2, sig = res.params["t2_seconds"], res.param_uncertainties["t2_seconds"]
             if abs(t2 - 160e-6) <= sig:
                 hits += 1

@@ -30,12 +30,21 @@ def test_golden_transient(tmp_path):
     _compare(SEQ_DIR / "golden_transient.csv", out)
 
 
-def test_golden_hahn_echo(tmp_path):
-    out = tmp_path / "hahn.csv"
+def _compare_run(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
     rc = main([
-        "run", str(SEQ_DIR / "hahn_echo.seq"),
+        "run", str(SEQ_DIR / f"{name}.seq"),
         "--config", str(SEQ_DIR / "pulsed_defaults.json"),
         "--out", str(out), "--seed", "31415", "--n-static", "16", "--n-noise", "4",
     ])
     assert rc == 0
-    _compare(SEQ_DIR / "golden_hahn_echo.csv", out)
+    _compare(SEQ_DIR / f"golden_{name}.csv", out)
+
+
+def test_golden_hahn_echo(tmp_path):
+    _compare_run(tmp_path, "hahn_echo")
+
+
+def test_golden_three_pulse_ed_echo(tmp_path):
+    # the charge channel: the echo converted through the trap model
+    _compare_run(tmp_path, "three_pulse_ed_echo")

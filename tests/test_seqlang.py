@@ -250,6 +250,9 @@ class TestBadInputCorpus:
         "pulse pi +x dur=0ns\nacquire mz",
         "acquire mz window=oops",
         "pulse pi +x extra stuff here\nacquire mz",
+        "sweep tau 1us 2us \u00b2\nacquire mz",  # isdigit() passes it, int() does not
+        pytest.param("sweep tau 1us 2us " + "9" * 5000 + "\nacquire mz",  # past int()'s digit limit
+                     id="sweep tau 1us 2us <5000 nines>"),
     ]
 
     @pytest.mark.parametrize("source", BAD_SOURCES)

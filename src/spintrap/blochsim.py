@@ -42,10 +42,23 @@ takes rows ``2j, 2j+1``.  Both hyperfine manifolds reuse the block's draws,
 and so does every sweep point of a sequence (common random numbers).
 Partial sums are accumulated per block and reduced in block order, so
 results depend only on the seed and the ensemble layout.
+
+Sweeps
+------
+:func:`run_sweep_by_channel` runs all points of a sweep in one pass.  Each
+block draws its static offsets (continuing one stream-0 generator) and its
+noise once for every point.  The leading events equal in every point's
+timeline are propagated once per block and manifold; each point then runs
+its own remaining events from a copy of that state.  A block stops at each
+point's last acquire, since nothing reads the state after it, so the
+window of a final acquire is never evolved and its draw rows are not
+drawn.  None of this moves a draw: the RNG layout above is unchanged and a
+swept point gives the same numbers as the same timeline run alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,6 +84,7 @@ __all__ = [
     "EnsembleSpec",
     "apply_pulse",
     "evolve_free",
+    "run_sweep_by_channel",
     "run_timeline_by_channel",
     "echo_envelope_analytic",
     "nutation_curve",
@@ -83,6 +97,12 @@ _PHASE_ANGLES = {"+x": 0.0, "+y": 0.5 * math.pi, "-x": math.pi, "-y": 1.5 * math
 # noise stream per block) and bounds the working set, so changing it changes
 # the results.
 _BLOCK = 8192
+
+# Timelines go through the engine this many at a time.  A sweep of up to
+# this many points (every shipped one) draws its offsets and noise once; a
+# longer one, which the CLI work bound allows only with small ensembles,
+# draws them once per chunk and never holds more compiled timelines.
+_SWEEP_CHUNK = 4096
 
 _STATIC_STREAM = 0
 _NOISE_STREAM_BASE = 1
@@ -260,14 +280,19 @@ def inversion_recovery_curve(tau_grid, t1: float, m_eq: float) -> SignalTrace:
     return SignalTrace(axis_kind="tau", x=tuple(tau), y=tuple(y), units="dimensionless")
 
 
-def _ensemble_setup(env: Environment, species: SpinSpecies, ensemble: EnsembleSpec):
-    """``(m0, w1, offsets)``: equilibrium mz, on-resonance drive rate, and the
-    ``n_static`` static detuning offsets drawn from stream 0."""
+def _ensemble_setup(env: Environment, species: SpinSpecies):
+    """``(m0, w1, sigma)``: equilibrium mz, on-resonance drive rate, and the
+    standard deviation of the static detuning offsets (drawn from stream 0)."""
     m0 = thermal_polarization(species.g_factor, env.static_field_b0, env.temperature)
     w1 = 2.0 * math.pi * env.rabi_frequency
     sigma = gyromagnetic_ratio(species.g_factor) * species.linewidth_field
-    offsets = _philox(ensemble.rng_seed, _STATIC_STREAM).standard_normal(ensemble.n_static) * sigma
-    return m0, w1, offsets
+    return m0, w1, sigma
+
+
+# Elements of one (durations x offsets) chunk of `nutation_curve`: large
+# enough that the per-chunk numpy calls cost nothing, small enough that the
+# chunk's temporaries stay well under a megabyte each.
+_NUTATION_CHUNK = 2**16
 
 
 def nutation_curve(
@@ -287,17 +312,21 @@ def nutation_curve(
     durations = np.asarray(pulse_durations, dtype=float)
     if np.any(durations < 0):
         raise ValueError("pulse durations must be >= 0")
-    m0, w1, offsets = _ensemble_setup(env, species, ensemble)
+    m0, w1, sigma = _ensemble_setup(env, species)
+    offsets = _philox(ensemble.rng_seed, _STATIC_STREAM).standard_normal(ensemble.n_static) * sigma
 
+    rows = max(1, _NUTATION_CHUNK // ensemble.n_static)  # durations per chunk
     y = np.zeros_like(durations)
     for m_i in manifold_labels(species):
         weight = manifold_weight(species, m_i)
         det = line_detuning(species, env, m_i) + offsets
         weff2 = w1 * w1 + det * det
+        weff = np.sqrt(weff2)
         frac = w1 * w1 / weff2  # depth of the generalized-Rabi dip per spin
-        for k, tp in enumerate(durations):
-            mz = m0 * (1.0 - 2.0 * frac * np.sin(np.sqrt(weff2) * tp / 2.0) ** 2)
-            y[k] += weight * float(np.mean(mz))
+        for lo in range(0, durations.size, rows):
+            tp = durations[lo:lo + rows, None]
+            mz = m0 * (1.0 - 2.0 * frac * np.sin(weff * tp / 2.0) ** 2)
+            y[lo:lo + rows] += weight * mz.mean(axis=1)
     return SignalTrace(
         axis_kind="pulse_duration",
         x=tuple(durations),
@@ -315,30 +344,31 @@ def _evolves_freely(event) -> bool:
     return isinstance(event, FreeEvolutionEvent) or (isinstance(event, AcquireEvent) and event.duration > 0)
 
 
-def _run_block(events, n_acquire, det, m0, w1, relax, draws):
-    """Propagate one block of trajectories and return per-acquire moment sums.
+def _moments(mx, my, mz):
+    """The ``_ACC_FIELDS`` moment sums an acquire records."""
+    return (mx.sum(), my.sum(), mz.sum(),
+            (mx * mx).sum(), (my * my).sum(), (mx * my).sum(), (mz * mz).sum())
 
-    ``det`` holds each trajectory's static detuning; ``draws`` holds rows
-    ``2j, 2j+1`` of standard normals for the ``j``-th free evolution, or is
-    None when there is no spectral diffusion.  An acquire records its moments
-    and then evolves freely over its window.
+
+def _walk(events, state, det, m0, w1, relax, draws):
+    """Propagate ``state = (mx, my, mz, walk, acc, j, k)`` through ``events``.
+
+    ``walk`` is each trajectory's current noise-walk frequency offset (rad/s),
+    ``j`` the next free evolution and ``k`` the next acquire, whose moment
+    sums go to ``acc[k]`` (written in place; no other array is).  ``det``
+    holds each trajectory's static detuning; ``draws`` holds rows ``2j,
+    2j+1`` of standard normals for the ``j``-th free evolution, or is None
+    when there is no spectral diffusion.  An acquire records its moments and
+    then evolves freely over its window.
     """
-    n = det.size
-    mx = np.zeros(n)
-    my = np.zeros(n)
-    mz = np.full(n, m0)
+    mx, my, mz, walk, acc, j, k = state
     diffusion = relax.diffusion_constant
-
-    acc = np.zeros((n_acquire, _ACC_FIELDS))
-    walk = np.zeros(n)  # current frequency offset of the noise walk, rad/s
-    j = k = 0  # next free evolution, next acquire
     for event in events:
         if isinstance(event, PulseEvent):
             mx, my, mz = _pulse_arrays(mx, my, mz, w1, event.phase, event.duration, det)
             continue
         if isinstance(event, AcquireEvent):
-            acc[k] = (mx.sum(), my.sum(), mz.sum(),
-                      (mx * mx).sum(), (my * my).sum(), (mx * my).sum(), (mz * mz).sum())
+            acc[k] = _moments(mx, my, mz)
             k += 1
         if not _evolves_freely(event):
             continue
@@ -352,61 +382,103 @@ def _run_block(events, n_acquire, det, m0, w1, relax, draws):
             walk = walk + increment
         j += 1
         mx, my, mz = _free_arrays(mx, my, mz, phase, duration, relax, m0)
-    return acc
+    return mx, my, mz, walk, acc, j, k
 
 
-def _run_engine(timeline, env, species, relax, ensemble):
-    """Shared ensemble propagation; returns per-acquire statistics.
+def _block_offsets(ensemble: EnsembleSpec, sigma: float):
+    """Each block's static detuning offsets, one per trajectory, in block order.
 
-    Returns (acquire_events, stats, m0) where stats[k] holds the weighted
-    means and variances of the mean for acquire event k.
+    Trajectory ``t`` has static sample ``t // n_noise``.  Each block draws
+    only the samples it needs, continuing one stream-0 generator, so the
+    offsets equal one draw of all ``n_static`` (Philox normals do not depend
+    on how the draw is split) while memory stays bounded by the block.  A
+    block that starts inside a sample's run of ``n_noise`` trajectories
+    carries that sample's offset over.
     """
-    acquire_events = [e for e in timeline.events if isinstance(e, AcquireEvent)]
-    if not acquire_events:
-        raise ValueError("timeline has no acquisition events")
-    n_acquire = len(acquire_events)
-    n_free = sum(map(_evolves_freely, timeline.events))
+    stream = _philox(ensemble.rng_seed, _STATIC_STREAM)
+    carry, n_drawn = np.empty(0), 0
+    n_traj, n_noise = ensemble.n_trajectories, ensemble.n_noise
+    for lo in range(0, n_traj, _BLOCK):
+        hi = min(lo + _BLOCK, n_traj)
+        first, last = lo // n_noise, (hi - 1) // n_noise
+        fresh = stream.standard_normal(last + 1 - n_drawn) * sigma
+        offsets = np.concatenate((carry[:n_drawn - first], fresh))
+        carry, n_drawn = offsets[-1:], last + 1
+        yield offsets[np.arange(lo, hi) // n_noise - first]
 
-    m0, w1, offsets = _ensemble_setup(env, species, ensemble)
+
+def _shared_prefix(sequences, limit: int) -> int:
+    """Length of the longest run of leading items equal in every sequence, at most ``limit``."""
+    n = 0
+    for column in zip(*sequences):
+        if n == limit or any(item != column[0] for item in column[1:]):
+            break
+        n += 1
+    return n
+
+
+def _run_engine(timelines, env, species, relax, ensemble):
+    """Shared ensemble propagation of every timeline of a sweep.
+
+    Returns ``(m0, stats)``.  ``stats[i, k]`` holds the weighted means
+    ``(x, y, z)`` and the variances of the mean ``(var_x, var_y, cov_xy,
+    var_z)`` at acquire event ``k`` of timeline ``i``; rows past a timeline's
+    own acquires stay zero.
+    """
+    acquire_at = [[i for i, e in enumerate(t.events) if isinstance(e, AcquireEvent)] for t in timelines]
+    if not all(acquire_at):
+        raise ValueError("timeline has no acquisition events")
+    # Nothing after a timeline's last acquire is read, so each one stops
+    # there; the leading events equal in every timeline are propagated once
+    # per block and manifold, and each timeline continues from that state.
+    ends = [at[-1] for at in acquire_at]
+    n_shared = _shared_prefix([t.events for t in timelines], min(ends))
+    shared = timelines[0].events[:n_shared]
+    n_free = max(sum(map(_evolves_freely, t.events[:end])) for t, end in zip(timelines, ends))
+    n_acquire = max(map(len, acquire_at))
+
+    m0, w1, sigma = _ensemble_setup(env, species)
     labels = manifold_labels(species)
     weights = [manifold_weight(species, m_i) for m_i in labels]
     base_dets = [line_detuning(species, env, m_i) for m_i in labels]
     n_traj = ensemble.n_trajectories
 
-    # Both manifolds share each block's draws; partial sums are added in
-    # block order.
-    per_manifold = [np.zeros((n_acquire, _ACC_FIELDS)) for _ in labels]
-    for b, lo in enumerate(range(0, n_traj, _BLOCK)):
-        hi = min(lo + _BLOCK, n_traj)
-        static = offsets[np.arange(lo, hi) // ensemble.n_noise]
+    # Both manifolds and every timeline share each block's draws; partial
+    # sums are added in block order.
+    sums = np.zeros((len(labels), len(timelines), n_acquire, _ACC_FIELDS))
+    for b, static in enumerate(_block_offsets(ensemble, sigma)):
         draws = None
         if relax.diffusion_constant > 0.0:
             stream = _philox(ensemble.rng_seed, _NOISE_STREAM_BASE + b)
-            draws = stream.standard_normal((2 * n_free, hi - lo))
+            draws = stream.standard_normal((2 * n_free, static.size))
+        n = static.size
         for mf, base_det in enumerate(base_dets):
-            per_manifold[mf] += _run_block(timeline.events, n_acquire, base_det + static, m0, w1,
-                                           relax, draws)
+            det = base_det + static
+            start = (np.zeros(n), np.zeros(n), np.full(n, m0), np.zeros(n),
+                     np.zeros((n_acquire, _ACC_FIELDS)), 0, 0)
+            mx, my, mz, walk, acc, j, k = _walk(shared, start, det, m0, w1, relax, draws)
+            for i, (timeline, end) in enumerate(zip(timelines, ends)):
+                px, py, pz, _, point_acc, _, k_last = _walk(
+                    timeline.events[n_shared:end], (mx, my, mz, walk, acc.copy(), j, k),
+                    det, m0, w1, relax, draws)
+                point_acc[k_last] = _moments(px, py, pz)  # the last acquire
+                sums[mf, i] += point_acc
 
-    stats = []
-    for k in range(n_acquire):
-        mean = np.zeros(3)
-        var = np.zeros(4)  # var_x, var_y, cov_xy, var_z, weighted by w^2/n
-        for weight, acc in zip(weights, per_manifold):
-            mx, my, mzv = acc[k, 0] / n_traj, acc[k, 1] / n_traj, acc[k, 2] / n_traj
-            mean += weight * np.array([mx, my, mzv])
-            vx = max(acc[k, 3] / n_traj - mx * mx, 0.0)
-            vy = max(acc[k, 4] / n_traj - my * my, 0.0)
-            cxy = acc[k, 5] / n_traj - mx * my
-            vz = max(acc[k, 6] / n_traj - mzv * mzv, 0.0)
-            var += weight * weight / n_traj * np.array([vx, vy, cxy, vz])
-        stats.append({"mean": mean, "var": var})
-    return acquire_events, stats, m0
+    stats = np.zeros((len(timelines), n_acquire, _ACC_FIELDS))
+    for weight, acc in zip(weights, sums):
+        mean = acc[..., :3] / n_traj
+        mx, my, mz = np.moveaxis(mean, -1, 0)
+        stats[..., :3] += weight * mean
+        var = acc[..., 3:] / n_traj - np.stack((mx * mx, my * my, mx * my, mz * mz), axis=-1)
+        var[..., [0, 1, 3]] = np.maximum(var[..., [0, 1, 3]], 0.0)  # a covariance may be negative
+        stats[..., 3:] += weight * weight / n_traj * var
+    return m0, stats
 
 
 def _channel_value(event, stat, m0, trap):
-    """(value, stderr, units) of one acquire event."""
-    mean = stat["mean"]
-    vx, vy, cxy, vz = stat["var"]
+    """(value, stderr, units) of one acquire event from its row of engine stats."""
+    mean = stat[:3]
+    vx, vy, cxy, vz = stat[3:]
     if event.channel == "mz":
         return mean[2], math.sqrt(vz), "dimensionless"
     if event.channel == "echo":
@@ -426,6 +498,57 @@ def _channel_value(event, stat, m0, trap):
     raise ValueError(f"unknown channel {event.channel!r}")  # pragma: no cover
 
 
+def run_sweep_by_channel(
+    timelines,
+    env: Environment,
+    species: SpinSpecies,
+    relax: RelaxationParams,
+    ensemble: EnsembleSpec,
+    trap: "trapdyn.TrapParams | None" = None,
+) -> list[dict[str, SignalTrace]]:
+    """Run the compiled timelines of a sweep; per timeline, one trace per channel.
+
+    Every timeline sees the same static offsets and noise draws (common
+    random numbers), so the result for each equals its own
+    :func:`run_timeline_by_channel`.  Each trace's x axis holds the
+    acquire-event start times.  Deterministic for a fixed
+    ``ensemble.rng_seed``.  ``timelines`` may be any iterable; it is read in
+    chunks of ``_SWEEP_CHUNK``, so a generator keeps a long sweep from
+    holding all of its compiled timelines at once.
+    """
+    out = []
+    timelines = iter(timelines)
+    while chunk := list(itertools.islice(timelines, _SWEEP_CHUNK)):
+        if trap is None and any(isinstance(e, AcquireEvent) and e.channel == "charge"
+                                for t in chunk for e in t.events):
+            raise ValueError("timeline acquires the charge channel but no trap parameters were given")
+        m0, stats = _run_engine(chunk, env, species, relax, ensemble)
+        for timeline, point_stats in zip(chunk, stats):
+            acquire_events = [e for e in timeline.events if isinstance(e, AcquireEvent)]
+            traces = {}
+            for channel in sorted({e.channel for e in acquire_events}):
+                xs, ys, ses = [], [], []
+                units = "dimensionless"
+                for event, stat in zip(acquire_events, point_stats):
+                    if event.channel != channel:
+                        continue
+                    value, se, units = _channel_value(event, stat, m0, trap)
+                    xs.append(event.start)
+                    ys.append(value)
+                    ses.append(se)
+                meta = {
+                    "rng_seed": ensemble.rng_seed,
+                    "n_static": ensemble.n_static,
+                    "n_noise": ensemble.n_noise,
+                    "equilibrium_mz": m0,
+                    "y_stderr": tuple(ses),
+                }
+                traces[channel] = SignalTrace(axis_kind="time", x=tuple(xs), y=tuple(ys),
+                                              units=units, meta=meta)
+            out.append(traces)
+    return out
+
+
 def run_timeline_by_channel(
     timeline: Timeline,
     env: Environment,
@@ -434,33 +557,5 @@ def run_timeline_by_channel(
     ensemble: EnsembleSpec,
     trap: "trapdyn.TrapParams | None" = None,
 ) -> dict[str, SignalTrace]:
-    """Run one compiled timeline; one trace per acquisition channel.
-
-    Each trace's x axis holds the acquire-event start times.  Deterministic
-    for a fixed ``ensemble.rng_seed``.
-    """
-    channels = {e.channel for e in timeline.events if isinstance(e, AcquireEvent)}
-    if "charge" in channels and trap is None:
-        raise ValueError("timeline acquires the charge channel but no trap parameters were given")
-    acquire_events, stats, m0 = _run_engine(timeline, env, species, relax, ensemble)
-
-    out = {}
-    for channel in sorted(channels):
-        xs, ys, ses = [], [], []
-        units = "dimensionless"
-        for event, stat in zip(acquire_events, stats):
-            if event.channel != channel:
-                continue
-            value, se, units = _channel_value(event, stat, m0, trap)
-            xs.append(event.start)
-            ys.append(value)
-            ses.append(se)
-        meta = {
-            "rng_seed": ensemble.rng_seed,
-            "n_static": ensemble.n_static,
-            "n_noise": ensemble.n_noise,
-            "equilibrium_mz": m0,
-            "y_stderr": tuple(ses),
-        }
-        out[channel] = SignalTrace(axis_kind="time", x=tuple(xs), y=tuple(ys), units=units, meta=meta)
-    return out
+    """Run one compiled timeline; one trace per acquisition channel."""
+    return run_sweep_by_channel([timeline], env, species, relax, ensemble, trap)[0]

@@ -38,10 +38,12 @@ EXIT_SEQUENCE = 3
 EXIT_DATA = 4
 
 # Largest `run`: sweep points times trajectories per point, with each point
-# counted as at least MIN_POINT_WORK trajectories (compiling and starting a
-# point costs about as much as propagating 500-1000 of them).  1e8 is one to
-# three minutes of engine time on one core; anything larger exits 3 before
-# the sweep grid or any ensemble is allocated.
+# counted as at least MIN_POINT_WORK trajectories.  Compiling a point,
+# running its own events and building its trace take about 0.25 ms, as
+# much as propagating about 650 trajectories through it (a swept Hahn echo
+# on 2 vCPU, at about 0.4 us per trajectory and point).  1e8 is under a
+# minute of engine time on one core; anything larger exits 3 before the
+# sweep grid or any ensemble is allocated.
 MAX_SWEEP_WORK = 10**8
 MIN_POINT_WORK = 1024
 
@@ -193,10 +195,9 @@ def cmd_run(args) -> int:
         points = [float(v) for v in seqlang.sweep_values(sweep)]
         sweep_meta = {"sweep_variable": sweep.name}
 
+    timelines = (seqlang.compile_timeline(ast, env, sweep_value=value) for value in points)
     runs: dict[str, list[SignalTrace]] = {}  # per channel, the engine's trace at each point
-    for value in points:
-        timeline = seqlang.compile_timeline(ast, env, sweep_value=value)
-        point = blochsim.run_timeline_by_channel(timeline, env, species, relax, ensemble, trap)
+    for point in blochsim.run_sweep_by_channel(timelines, env, species, relax, ensemble, trap):
         for channel, trace in point.items():
             runs.setdefault(channel, []).append(trace)
     traces = {
@@ -210,6 +211,7 @@ def cmd_run(args) -> int:
         )
         for channel, parts in runs.items()
     }
+    del runs  # a long sweep's CSV lines reuse the memory of its per-point traces
 
     for trace in traces.values():  # refuse before any channel's file is written
         require_finite(trace)

@@ -1,9 +1,14 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as hs
 from scipy.linalg import expm
 
+from spintrap import blochsim
 from spintrap.blochsim import (
     BlochState,
     EnsembleSpec,
@@ -13,10 +18,14 @@ from spintrap.blochsim import (
     evolve_free,
     inversion_recovery_curve,
     nutation_curve,
+    run_sweep_by_channel,
     run_timeline_by_channel,
 )
-from spintrap.seqlang import compile_timeline, parse
-from spintrap.spincore import Environment, SpinSpecies, resonance_field
+from spintrap.config import load_config
+from spintrap.seqlang import AcquireEvent, SequenceError, compile_timeline, parse, sweep_values
+from spintrap.spincore import (Environment, SpinSpecies, detuning, manifold_labels, manifold_weight,
+                               resonance_field)
+from test_seqlang import acquire_statements, delay_statements, pulse_statements
 
 W1 = 2 * math.pi * (1.0 / (2 * 480e-9))  # default drive, rad/s
 RELAX = RelaxationParams(t1=2.5e-3, t2=160e-6, t_s=200e-6)
@@ -195,6 +204,25 @@ class TestNutation:
         # first minimum at the pi time, 480 ns
         assert x[np.argmin(y)] == pytest.approx(480e-9, abs=4e-9)
 
+    def test_matches_per_duration_loop(self):
+        # 1000 offsets make chunks of 65 durations, so 200 durations end in a
+        # partial chunk; the per-duration loop is the reference, bit for bit
+        species = SpinSpecies("wide", 1.9985, 0.0, 0.0, 3e-5)
+        env = _resonant_env(species)
+        durations = np.linspace(0, 6e-6, 200)
+        ensemble = EnsembleSpec(1000, 1, 9)
+        m0, w1, sigma = blochsim._ensemble_setup(env, species)
+        offsets = blochsim._philox(9, blochsim._STATIC_STREAM).standard_normal(1000) * sigma
+        expected = np.zeros_like(durations)
+        for m_i in manifold_labels(species):
+            det = detuning(species, env, m_i) + offsets
+            weff2 = w1 * w1 + det * det
+            for k, tp in enumerate(durations):
+                mz = m0 * (1.0 - 2.0 * (w1 * w1 / weff2) * np.sin(np.sqrt(weff2) * tp / 2.0) ** 2)
+                expected[k] += manifold_weight(species, m_i) * float(np.mean(mz))
+        trace = nutation_curve(durations, env, species, RELAX, ensemble)
+        assert trace.y == tuple(expected)
+
     def test_inhomogeneity_damps_oscillations(self):
         species = SpinSpecies("wide", 1.9985, 0.0, 0.0, 3e-5)
         env = _resonant_env(species)
@@ -261,6 +289,91 @@ class TestRunTimeline:
         tl = compile_timeline(parse("pulse pi +x\nacquire mz"), env)
         tr = run_timeline_by_channel(tl, env, species, RELAX_NONOISE, EnsembleSpec(4, 1, 1))["mz"]
         assert tr.y[0] == pytest.approx(-tr.meta["equilibrium_mz"], abs=1e-9)
+
+
+def _sweep_timelines(source, env):
+    ast = parse(source)
+    values = sweep_values(ast.sweep) if ast.sweep is not None else [None]
+    return [compile_timeline(ast, env, sweep_value=v) for v in values]
+
+
+_MICROSECONDS = hs.integers(min_value=1, max_value=300).map(lambda n: f"{n}us")
+
+
+@hs.composite
+def _swept_programs(draw):
+    """A sweep of 1-4 points over ``tau``, which any statement may use."""
+    statement = hs.one_of(pulse_statements(True, _MICROSECONDS), delay_statements(True, _MICROSECONDS),
+                          acquire_statements(_MICROSECONDS))
+    start = draw(hs.integers(min_value=1, max_value=100))
+    lines = [f"sweep tau {start}us {start + 50}us {draw(hs.integers(min_value=1, max_value=4))}"]
+    lines += draw(hs.lists(statement, max_size=5))
+    lines.append(draw(acquire_statements(_MICROSECONDS)))
+    return "\n".join(lines)
+
+
+class TestSweepEngine:
+    """One engine pass over a sweep equals running each point on its own, bit for bit."""
+
+    CONFIG = load_config({})
+
+    def _assert_sweep_equals_points(self, timelines, ensemble, chunk=blochsim._SWEEP_CHUNK):
+        cfg = self.CONFIG
+        args = (cfg.environment, cfg.species, cfg.relaxation, ensemble, cfg.trap)
+        with mock.patch.object(blochsim, "_SWEEP_CHUNK", chunk):
+            swept = run_sweep_by_channel(timelines, *args)
+        alone = [run_timeline_by_channel(t, *args) for t in timelines]
+        assert repr(swept) == repr(alone)  # repr shows every float exactly
+
+    @given(source=_swept_programs(), n_static=hs.integers(1, 4), n_noise=hs.integers(1, 4),
+           seed=hs.integers(0, 2**32), chunk=hs.sampled_from([1, 3, blochsim._SWEEP_CHUNK]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_each_point(self, source, n_static, n_noise, seed, chunk):
+        try:
+            timelines = _sweep_timelines(source, self.CONFIG.environment)
+        except SequenceError:  # one channel acquired twice at the same instant
+            reject()
+        self._assert_sweep_equals_points(timelines, EnsembleSpec(n_static, n_noise, seed), chunk)
+
+    @pytest.mark.parametrize("source, n_shared, ensemble", [
+        pytest.param("sweep tau 100ns 900ns 5\npulse 90deg +x dur=tau\ndelay 20us\nacquire echo",
+                     0, EnsembleSpec(4, 3, 1), id="empty-prefix"),
+        pytest.param("sweep tau 10us 30us 3\npulse pi/2 +x\nacquire mz window=5us\ndelay 40us\n"
+                     "acquire echo\npulse pi +x\ndelay tau\nacquire echo",
+                     5, EnsembleSpec(4, 3, 2), id="acquires-in-prefix"),
+        pytest.param("sweep tr 70us 90us 4\npulse pi/2 +x\ndelay 80us\npulse pi +x\ndelay tr\n"
+                     "pulse pi/2 +x\nacquire charge window=10ms",
+                     3, EnsembleSpec(4, 3, 3), id="windowed-final-acquire"),
+        pytest.param("sweep tr 70us 90us 4\npulse pi/2 +x\ndelay 80us\npulse pi +x\ndelay tr\n"
+                     "pulse pi/2 +x\nacquire charge window=10ms",
+                     3, EnsembleSpec(300, 30, 4), id="two-blocks"),
+    ])
+    def test_explicit_cases(self, source, n_shared, ensemble):
+        timelines = _sweep_timelines(source, self.CONFIG.environment)
+        ends = [max(i for i, e in enumerate(t.events) if isinstance(e, AcquireEvent)) for t in timelines]
+        assert blochsim._shared_prefix([t.events for t in timelines], min(ends)) == n_shared
+        self._assert_sweep_equals_points(timelines, ensemble)
+
+    @pytest.mark.parametrize("n_static, n_noise", [(300, 30), (3, 4000), (20000, 1), (1, 9000), (4, 8192)])
+    def test_block_offsets_equal_one_full_draw(self, n_static, n_noise):
+        ensemble = EnsembleSpec(n_static, n_noise, 77)
+        full = blochsim._philox(77, blochsim._STATIC_STREAM).standard_normal(n_static) * 2.5
+        blocks = list(blochsim._block_offsets(ensemble, 2.5))
+        assert [b.size for b in blocks[:-1]] == [blochsim._BLOCK] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks), full[np.arange(ensemble.n_trajectories) // n_noise])
+
+    def test_static_offsets_bounded_by_block(self):
+        # a million static offsets would take 8 MB if drawn up front
+        cfg = self.CONFIG
+        timeline = compile_timeline(parse("pulse pi +x\nacquire mz"), cfg.environment)
+        tracemalloc.start()
+        try:
+            run_timeline_by_channel(timeline, cfg.environment, cfg.species, cfg.relaxation,
+                                    EnsembleSpec(10**6, 1, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestNoiseCalibration:

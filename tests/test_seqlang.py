@@ -102,40 +102,50 @@ class TestUnparse:
         assert unparse(parse("pulse pi +x\nacquire mz")).islower()
 
 
-def _source_strategy():
-    times = hs.builds(
-        lambda n, u: f"{n}{u}",
-        hs.integers(min_value=1, max_value=500000),
-        hs.sampled_from(["ns", "us", "ms", "s"]),
-    )
-    angles = hs.one_of(
-        hs.sampled_from(["pi", "pi/2"]),
-        hs.integers(min_value=1, max_value=359).map(lambda d: f"{d}deg"),
-        hs.floats(min_value=0.5, max_value=359.5, allow_nan=False).map(lambda d: f"{d!r}deg"),
-    )
-    phases = hs.sampled_from(["+x", "+y", "-x", "-y"])
-    channels = hs.sampled_from(["echo", "mz", "charge"])
+# Statement strategies, shared with the sweep-engine property test in
+# test_blochsim.py.
+TIMES = hs.builds(
+    lambda n, u: f"{n}{u}",
+    hs.integers(min_value=1, max_value=500000),
+    hs.sampled_from(["ns", "us", "ms", "s"]),
+)
+_ANGLES = hs.one_of(
+    hs.sampled_from(["pi", "pi/2"]),
+    hs.integers(min_value=1, max_value=359).map(lambda d: f"{d}deg"),
+    hs.floats(min_value=0.5, max_value=359.5, allow_nan=False).map(lambda d: f"{d!r}deg"),
+)
+_PHASES = hs.sampled_from(["+x", "+y", "-x", "-y"])
+_CHANNELS = hs.sampled_from(["echo", "mz", "charge"])
 
-    def pulse(use_var):
-        dur = hs.one_of(hs.just(""), times.map(lambda t: f" dur={t}"))
-        if use_var:
-            dur = hs.one_of(dur, hs.just(" dur=tau"))
-        return hs.builds(lambda a, p, d: f"pulse {a} {p}{d}", angles, phases, dur)
 
-    def delay(use_var):
-        dur = times
-        if use_var:
-            dur = hs.one_of(dur, hs.just("tau"))
-        return dur.map(lambda t: f"delay {t}")
+def pulse_statements(use_var, times=TIMES):
+    """``pulse`` lines; with ``use_var`` the duration may be the sweep variable ``tau``."""
+    dur = hs.one_of(hs.just(""), times.map(lambda t: f" dur={t}"))
+    if use_var:
+        dur = hs.one_of(dur, hs.just(" dur=tau"))
+    return hs.builds(lambda a, p, d: f"pulse {a} {p}{d}", _ANGLES, _PHASES, dur)
 
-    acquire = hs.builds(
+
+def delay_statements(use_var, times=TIMES):
+    dur = times
+    if use_var:
+        dur = hs.one_of(dur, hs.just("tau"))
+    return dur.map(lambda t: f"delay {t}")
+
+
+def acquire_statements(times=TIMES):
+    return hs.builds(
         lambda c, w: f"acquire {c}{w}",
-        channels,
+        _CHANNELS,
         hs.one_of(hs.just(""), times.map(lambda t: f" window={t}")),
     )
 
+
+def _source_strategy():
+    acquire = acquire_statements()
+
     def body(has_sweep):
-        stmt = hs.one_of(pulse(has_sweep), delay(has_sweep), acquire)
+        stmt = hs.one_of(pulse_statements(has_sweep), delay_statements(has_sweep), acquire)
         return hs.lists(stmt, min_size=0, max_size=7)
 
     def assemble(has_sweep, sweep_header, lines, closing_acquire):
@@ -146,8 +156,8 @@ def _source_strategy():
 
     sweep_header = hs.builds(
         lambda a, b, n: [f"sweep tau {a} {b} {n}"],
-        times,
-        times,
+        TIMES,
+        TIMES,
         hs.integers(min_value=1, max_value=50),
     )
     return hs.booleans().flatmap(

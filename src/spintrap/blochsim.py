@@ -45,7 +45,7 @@ results depend only on the seed and the ensemble layout.
 
 Sweeps
 ------
-:func:`run_sweep_by_channel` runs all points of a sweep in one pass.  Each
+:func:`run_sweep_values` runs all points of a sweep in one pass.  Each
 block draws its static offsets (continuing one stream-0 generator) and its
 noise once for every point.  The leading events equal in every point's
 timeline are propagated once per block and manifold; each point then runs
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +67,9 @@ from . import trapdyn
 from .seqlang import AcquireEvent, FreeEvolutionEvent, PulseEvent, Timeline
 from .spincore import (
     BlochState,
+    EnsembleSpec,
     Environment,
+    RelaxationParams,
     SpinSpecies,
     gyromagnetic_ratio,
     manifold_labels,
@@ -84,7 +85,9 @@ __all__ = [
     "EnsembleSpec",
     "apply_pulse",
     "evolve_free",
-    "run_sweep_by_channel",
+    "CHANNEL_UNITS",
+    "run_sweep_values",
+    "run_meta",
     "run_timeline_by_channel",
     "echo_envelope_analytic",
     "nutation_curve",
@@ -107,53 +110,6 @@ _SWEEP_CHUNK = 4096
 _STATIC_STREAM = 0
 _NOISE_STREAM_BASE = 1
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-@dataclass(frozen=True)
-class RelaxationParams:
-    """T1/T2/spectral-diffusion times in seconds; ``t_s`` may be infinite."""
-
-    t1: float
-    t2: float
-    t_s: float = math.inf
-
-    def __post_init__(self) -> None:
-        if self.t1 <= 0:
-            raise ValueError(f"t1 must be > 0, got {self.t1}")
-        if not 0 < self.t2 <= 2 * self.t1:
-            raise ValueError(f"t2 must satisfy 0 < t2 <= 2*t1, got t2={self.t2}, t1={self.t1}")
-        if not self.t_s > 0:
-            raise ValueError(f"t_s must be > 0 (may be inf), got {self.t_s}")
-
-    @property
-    def diffusion_constant(self) -> float:
-        """Frequency random-walk diffusion constant D = 24/t_s^3 (rad^2/s^3)."""
-        if math.isinf(self.t_s):
-            return 0.0
-        return 24.0 / self.t_s**3
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Monte Carlo ensemble layout.
-
-    ``n_static`` static-detuning samples (Gaussian, sigma from the species
-    linewidth) times ``n_noise`` stochastic trajectories each.  Each
-    hyperfine manifold is weighted by its nuclear-polarization population
-    (:func:`spincore.manifold_weight`).
-    """
-
-    n_static: int = 128
-    n_noise: int = 32
-    rng_seed: int = 20260810
-
-    def __post_init__(self) -> None:
-        if self.n_static < 1 or self.n_noise < 1:
-            raise ValueError("n_static and n_noise must be >= 1")
-
-    @property
-    def n_trajectories(self) -> int:
-        return self.n_static * self.n_noise
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
@@ -475,12 +431,16 @@ def _run_engine(timelines, env, species, relax, ensemble):
     return m0, stats
 
 
+# Units of each acquire channel's values.
+CHANNEL_UNITS = {"mz": "dimensionless", "echo": "dimensionless", "charge": "C"}
+
+
 def _channel_value(event, stat, m0, trap):
-    """(value, stderr, units) of one acquire event from its row of engine stats."""
+    """(value, stderr) of one acquire event from its row of engine stats."""
     mean = stat[:3]
     vx, vy, cxy, vz = stat[3:]
     if event.channel == "mz":
-        return mean[2], math.sqrt(vz), "dimensionless"
+        return mean[2], math.sqrt(vz)
     if event.channel == "echo":
         amp = math.hypot(mean[0], mean[1])
         if amp > 0:
@@ -488,35 +448,37 @@ def _channel_value(event, stat, m0, trap):
         else:
             ux, uy = 1.0, 0.0
         se = math.sqrt(max(ux * ux * vx + 2 * ux * uy * cxy + uy * uy * vy, 0.0))
-        return amp, se, "dimensionless"
+        return amp, se
     if event.channel == "charge":
         window = event.window if event.window is not None else 6.0 / trap.emission_rate
-        fraction = trapdyn.flip_fraction_from_state(mean[2], m0)
+        # a non-finite mz stays non-finite, and the trace is refused where it is written
+        fraction = trapdyn.flip_fraction_from_state(mean[2], m0) if math.isfinite(mean[2]) else math.nan
         unit_charge = trapdyn.boxcar_charge(1.0, trap, window)
         se = abs(unit_charge) * math.sqrt(vz) / 2.0  # charge is linear in mz
-        return unit_charge * fraction, se, "C"
+        return unit_charge * fraction, se
     raise ValueError(f"unknown channel {event.channel!r}")  # pragma: no cover
 
 
-def run_sweep_by_channel(
+def run_sweep_values(
     timelines,
     env: Environment,
     species: SpinSpecies,
     relax: RelaxationParams,
     ensemble: EnsembleSpec,
     trap: "trapdyn.TrapParams | None" = None,
-) -> list[dict[str, SignalTrace]]:
-    """Run the compiled timelines of a sweep; per timeline, one trace per channel.
+):
+    """Run the compiled timelines of a sweep in one engine pass.
 
-    Every timeline sees the same static offsets and noise draws (common
-    random numbers), so the result for each equals its own
-    :func:`run_timeline_by_channel`.  Each trace's x axis holds the
-    acquire-event start times.  Deterministic for a fixed
+    Yields, per timeline, a list of ``(channel, start, value, stderr)``: one
+    tuple per acquire event, in time order, with ``start`` the event's start
+    time and ``stderr`` the Monte Carlo standard error of ``value`` (units in
+    :data:`CHANNEL_UNITS`).  Every timeline sees the same static offsets and
+    noise draws (common random numbers), so the values of each equal those of
+    the timeline run alone.  Deterministic for a fixed
     ``ensemble.rng_seed``.  ``timelines`` may be any iterable; it is read in
     chunks of ``_SWEEP_CHUNK``, so a generator keeps a long sweep from
     holding all of its compiled timelines at once.
     """
-    out = []
     timelines = iter(timelines)
     while chunk := list(itertools.islice(timelines, _SWEEP_CHUNK)):
         if trap is None and any(isinstance(e, AcquireEvent) and e.channel == "charge"
@@ -524,29 +486,20 @@ def run_sweep_by_channel(
             raise ValueError("timeline acquires the charge channel but no trap parameters were given")
         m0, stats = _run_engine(chunk, env, species, relax, ensemble)
         for timeline, point_stats in zip(chunk, stats):
-            acquire_events = [e for e in timeline.events if isinstance(e, AcquireEvent)]
-            traces = {}
-            for channel in sorted({e.channel for e in acquire_events}):
-                xs, ys, ses = [], [], []
-                units = "dimensionless"
-                for event, stat in zip(acquire_events, point_stats):
-                    if event.channel != channel:
-                        continue
-                    value, se, units = _channel_value(event, stat, m0, trap)
-                    xs.append(event.start)
-                    ys.append(value)
-                    ses.append(se)
-                meta = {
-                    "rng_seed": ensemble.rng_seed,
-                    "n_static": ensemble.n_static,
-                    "n_noise": ensemble.n_noise,
-                    "equilibrium_mz": m0,
-                    "y_stderr": tuple(ses),
-                }
-                traces[channel] = SignalTrace(axis_kind="time", x=tuple(xs), y=tuple(ys),
-                                              units=units, meta=meta)
-            out.append(traces)
-    return out
+            acquires = [e for e in timeline.events if isinstance(e, AcquireEvent)]
+            yield [(e.channel, e.start, *_channel_value(e, stat, m0, trap))
+                   for e, stat in zip(acquires, point_stats)]
+
+
+def run_meta(env: Environment, species: SpinSpecies, ensemble: EnsembleSpec) -> dict:
+    """Metadata of a run's traces: the seed, the ensemble layout and the
+    equilibrium mz that echo amplitudes are measured against."""
+    return {
+        "rng_seed": ensemble.rng_seed,
+        "n_static": ensemble.n_static,
+        "n_noise": ensemble.n_noise,
+        "equilibrium_mz": _ensemble_setup(env, species)[0],
+    }
 
 
 def run_timeline_by_channel(
@@ -557,5 +510,15 @@ def run_timeline_by_channel(
     ensemble: EnsembleSpec,
     trap: "trapdyn.TrapParams | None" = None,
 ) -> dict[str, SignalTrace]:
-    """Run one compiled timeline; one trace per acquisition channel."""
-    return run_sweep_by_channel([timeline], env, species, relax, ensemble, trap)[0]
+    """Run one compiled timeline; one trace per acquisition channel.
+
+    Each trace's x axis holds the acquire-event start times, and its
+    ``meta["y_stderr"]`` the standard error of each value.
+    """
+    (acquires,) = run_sweep_values([timeline], env, species, relax, ensemble, trap)
+    traces = {}
+    for channel in sorted({row[0] for row in acquires}):
+        _, xs, ys, ses = zip(*(row for row in acquires if row[0] == channel))
+        traces[channel] = SignalTrace(axis_kind="time", x=xs, y=ys, units=CHANNEL_UNITS[channel],
+                                      meta={**run_meta(env, species, ensemble), "y_stderr": ses})
+    return traces

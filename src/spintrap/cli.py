@@ -17,20 +17,40 @@ configuration and seed give byte-identical data sections.
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import json
-import math
-import sys
-from datetime import datetime, timezone
+import gc
 
-import numpy as np
+# Every call is a fresh process whose imports leave some 30k objects that
+# live until exit.  With the collector paused while the imports make them,
+# no collection pass walks them then; frozen afterwards (moved where the
+# collector never looks), they are not walked by a later collection or by
+# the one at interpreter exit either.  Each command imports the modules
+# only it runs (config, engine, sequence language, fitter) in its own body,
+# so a call pays for no module it does not use.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import dataclasses
+    import json
+    import math
+    import sys
+    from datetime import datetime, timezone
+    from typing import TYPE_CHECKING
 
-from . import __version__, blochsim, fitkit, seqlang, spectrum, trapdyn
-from .config import ConfigError, RunConfig, config_hash, load_config
-from .spincore import equilibrium_state, gyromagnetic_ratio
-from .trace import (CsvFormatError, MixedConfigHashError, SignalTrace, read_trace_csv,
-                    require_finite, write_trace_csv)
+    import numpy as np
+
+    from . import __version__
+    from .errors import (ConfigError, CsvFormatError, DegenerateDataError, MixedConfigHashError,
+                         SequenceError)
+    from .trace import SignalTrace, read_trace_csv, require_finite, write_trace_csv
+finally:
+    if _collecting:
+        gc.enable()
+gc.freeze()
+
+if TYPE_CHECKING:
+    from .config import RunConfig
+    from .seqlang import SequenceAst
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,6 +76,8 @@ MAX_POINTS = 10**5
 
 
 def _load_config_file(args) -> RunConfig:
+    from .config import load_config
+
     data = {}
     if getattr(args, "config", None):
         try:
@@ -90,6 +112,8 @@ def _apply_overrides(args, data: dict) -> None:
 
 
 def _base_meta(config: RunConfig) -> dict:
+    from .config import config_hash
+
     return {
         "created": datetime.now(timezone.utc).isoformat(),
         "config_hash": config_hash(config),
@@ -119,6 +143,8 @@ def _time_grid(args) -> np.ndarray:
 
 def cmd_spectrum(args) -> int:
     config = _load_config_file(args)
+    from . import spectrum
+
     if config.spectrum.n_points > MAX_POINTS:
         raise ConfigError(f"spectrum.n_points must be <= {MAX_POINTS}, got {config.spectrum.n_points}")
     trace = spectrum.simulate_field_sweep(
@@ -134,7 +160,12 @@ def cmd_transient(args) -> int:
                         ("--field-offset-tesla", args.field_offset_tesla)):
         if not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
+    if args.pulse_angle_deg < 0:
+        raise ConfigError(f"--pulse-angle-deg must be >= 0, got {args.pulse_angle_deg}")
     config = _load_config_file(args)
+    from . import blochsim, trapdyn
+    from .spincore import equilibrium_state, gyromagnetic_ratio
+
     env, species, trap = config.environment, config.species, config.trap
     if args.flip_fraction is not None:
         fraction = args.flip_fraction
@@ -146,29 +177,35 @@ def cmd_transient(args) -> int:
         duration = math.radians(args.pulse_angle_deg) / w1
         det = gyromagnetic_ratio(species.g_factor) * args.field_offset_tesla
         final = blochsim.apply_pulse(eq, w1, "+x", duration, det)
+        if not math.isfinite(final.mz):  # a drive so weak the pulse never ends
+            raise CsvFormatError(f"refusing to write a transient: the pulse leaves mz={final.mz}")
         fraction = trapdyn.flip_fraction_from_state(final.mz, eq.mz)
     trace = trapdyn.transient_response(fraction, trap, grid)
     _write_output(trace, config, args.out, {"command": "transient", "flip_fraction": fraction})
     return EXIT_OK
 
 
-def _sweep_axis_kind(ast: seqlang.SequenceAst) -> str:
+def _sweep_axis_kind(ast: SequenceAst) -> str:
+    from .seqlang import DelayStmt
+
     sweep = ast.sweep
     if sweep is None:
         return "time"
     for stmt in ast.statements:
-        if isinstance(stmt, seqlang.DelayStmt) and stmt.duration == sweep.name:
+        if isinstance(stmt, DelayStmt) and stmt.duration == sweep.name:
             return "tau"
     return "pulse_duration"
 
 
 def cmd_run(args) -> int:
     config = _load_config_file(args)
+    from . import blochsim, seqlang
+
     try:
         with open(args.seqfile, "r", encoding="utf-8") as fh:
             source = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise seqlang.SequenceError(f"cannot read sequence file {args.seqfile}: {exc}")
+        raise SequenceError(f"cannot read sequence file {args.seqfile}: {exc}")
     ast = seqlang.parse(source)
     env, species, relax = config.environment, config.species, config.relaxation
     ensemble, trap = config.ensemble, config.trap
@@ -177,41 +214,43 @@ def cmd_run(args) -> int:
     n_points = sweep.steps if sweep is not None else 1
     work = n_points * max(ensemble.n_trajectories, MIN_POINT_WORK)
     if work > MAX_SWEEP_WORK:
-        raise seqlang.SequenceError(
+        raise SequenceError(
             f"{n_points} points x {ensemble.n_trajectories} trajectories exceeds the work "
             f"limit: points x max(trajectories, {MIN_POINT_WORK}) must be <= {MAX_SWEEP_WORK:.0e}"
         )
     points = [None]  # an unswept program is the single point None
-    sweep_meta = {}
+    meta = blochsim.run_meta(env, species, ensemble)
     if sweep is not None:
         # a swept trace holds one value per point, so a second acquire on the
         # same channel would have nowhere to go
         repeated = sorted({c for c in ast.acquire_channels if ast.acquire_channels.count(c) > 1})
         if repeated:
-            raise seqlang.SequenceError(
+            raise SequenceError(
                 f"swept sequence acquires channel {', '.join(repeated)} more than once; "
                 "a sweep records one value per channel and point"
             )
         points = [float(v) for v in seqlang.sweep_values(sweep)]
-        sweep_meta = {"sweep_variable": sweep.name}
+        meta["sweep_variable"] = sweep.name
 
     timelines = (seqlang.compile_timeline(ast, env, sweep_value=value) for value in points)
-    runs: dict[str, list[SignalTrace]] = {}  # per channel, the engine's trace at each point
-    for point in blochsim.run_sweep_by_channel(timelines, env, species, relax, ensemble, trap):
-        for channel, trace in point.items():
-            runs.setdefault(channel, []).append(trace)
+    columns: dict[str, tuple[list, list, list]] = {}  # per channel: acquire times, values, stderrs
+    for acquires in blochsim.run_sweep_values(timelines, env, species, relax, ensemble, trap):
+        for channel, start, value, se in acquires:
+            starts, values, ses = columns.setdefault(channel, ([], [], []))
+            starts.append(start)
+            values.append(value)
+            ses.append(se)
     traces = {
         channel: SignalTrace(
             axis_kind=_sweep_axis_kind(ast),
-            x=parts[0].x if sweep is None else points,  # acquire times, or the sweep values
-            y=tuple(y for part in parts for y in part.y),
-            units=parts[0].units,
-            meta={**parts[0].meta, **sweep_meta,
-                  "y_stderr": tuple(se for part in parts for se in part.meta["y_stderr"])},
+            x=starts if sweep is None else points,  # acquire times, or the sweep values
+            y=values,
+            units=blochsim.CHANNEL_UNITS[channel],
+            meta={**meta, "y_stderr": tuple(ses)},
         )
-        for channel, parts in runs.items()
+        for channel, (starts, values, ses) in sorted(columns.items())
     }
-    del runs  # a long sweep's CSV lines reuse the memory of its per-point traces
+    del columns  # a long sweep's CSV lines reuse the memory of its columns
 
     for trace in traces.values():  # refuse before any channel's file is written
         require_finite(trace)
@@ -232,6 +271,8 @@ def cmd_nutation(args) -> int:
     if n_static > MAX_POINTS or len(durations) * n_static > MAX_SWEEP_WORK:
         raise ConfigError(f"nutation of {len(durations)} points x {n_static} static offsets: n_static "
                           f"must be <= {MAX_POINTS} and points x n_static <= {MAX_SWEEP_WORK:.0e}")
+    from . import blochsim
+
     trace = blochsim.nutation_curve(
         durations, config.environment, config.species, config.relaxation, config.ensemble
     )
@@ -240,6 +281,11 @@ def cmd_nutation(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import fitkit
+
+    for flag, model in (("--model", args.model), ("--compare-with", args.compare_with)):
+        if model is not None and model not in fitkit.MODEL_IDS:
+            raise ConfigError(f"{flag} must be one of {', '.join(fitkit.MODEL_IDS)}, got {model!r}")
     trace = read_trace_csv(args.csvfile, allow_mixed_hash=args.force)
     comparison = None
     if args.compare_with:
@@ -296,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-start", type=float, help="sweep start in Tesla")
     p.add_argument("--b-stop", type=float, help="sweep stop in Tesla")
     p.add_argument("--n-points", type=int, help="points across the sweep")
-    p.add_argument("--lineshape", choices=spectrum.LINESHAPES)
+    p.add_argument("--lineshape", help="gaussian or lorentzian")
     p.add_argument("--nuclear-polarization", type=float, help="override the 31P nuclear polarization")
     p.set_defaults(func=cmd_spectrum)
 
@@ -330,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a trace CSV, emit JSON")
     p.add_argument("csvfile")
-    p.add_argument("--model", required=True, choices=fitkit.MODEL_IDS)
-    p.add_argument("--compare-with", choices=fitkit.MODEL_IDS,
+    p.add_argument("--model", required=True,
+                   help="exp_decay, inversion_recovery, echo_cubic or trap_biexp")
+    p.add_argument("--compare-with", metavar="MODEL",
                    help="also fit this model and report which one the information criterion prefers")
     p.add_argument("--force", action="store_true", help="allow mixed config hashes in the input")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -349,12 +396,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except seqlang.SequenceError as exc:
+    except SequenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEQUENCE
-    except (CsvFormatError, MixedConfigHashError, fitkit.DegenerateDataError, OSError,
+    except (CsvFormatError, MixedConfigHashError, DegenerateDataError, OSError,
             UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ArithmeticError as exc:  # a Python float formula overflowed where numpy gives inf
+        print(f"error: a value is too large or too small to compute with: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

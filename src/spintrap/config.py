@@ -26,16 +26,13 @@ import json
 import math
 from dataclasses import dataclass
 
-from .blochsim import EnsembleSpec, RelaxationParams
-from .spincore import SPECIES_PRESETS, DANGLING_BOND, Environment, SpinSpecies
+from .errors import ConfigError
+from .spincore import (SPECIES_PRESETS, DANGLING_BOND, EnsembleSpec, Environment, RelaxationParams,
+                       SpinSpecies)
 from .spectrum import SweepSpec
 from .trapdyn import TrapParams
 
 __all__ = ["ConfigError", "SpectrumConfig", "RunConfig", "load_config", "config_hash"]
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; the message names the offending field."""
 
 
 @dataclass(frozen=True)
@@ -173,12 +170,12 @@ def load_config(data: dict | None = None, seed: int | None = None) -> RunConfig:
         merged.update(kwargs)
         try:
             return cls(**merged)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ArithmeticError) as exc:
             raise ConfigError(f"invalid {section!r} config: {exc}") from exc
 
     species_body = data.get("species", {})
     preset_name = species_body.get("preset", "phosphorus")
-    if preset_name not in SPECIES_PRESETS:
+    if not isinstance(preset_name, str) or preset_name not in SPECIES_PRESETS:
         raise ConfigError(
             f"unknown species.preset {preset_name!r}; expected one of {sorted(SPECIES_PRESETS)}"
         )

@@ -47,6 +47,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DegenerateDataError
 from .trace import SignalTrace
 
 __all__ = [
@@ -58,12 +59,6 @@ __all__ = [
     "compare_models",
     "model_predict",
 ]
-
-
-class DegenerateDataError(ValueError):
-    """The trace cannot be fitted: too few points, constant y, a non-finite
-    result, a parameter the data do not constrain, or (in
-    :func:`compare_models`) a fit that did not converge."""
 
 
 # J is analytic, so it carries only rounding error, but the covariance inverts

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SequenceError
 from .spincore import Environment
 
 __all__ = [
@@ -60,21 +61,6 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 # few enough that int() is cheap; any real sweep is far below the bound.
 _MAX_SWEEP_STEPS = 10**9 - 1
 _STEPS_RE = re.compile(r"0*[1-9][0-9]{0,8}")
-
-
-class SequenceError(ValueError):
-    """Parse or compile failure, annotated with source line (and column)."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
-        self.column = column
-        loc = ""
-        if line is not None:
-            loc = f"line {line}"
-            if column is not None:
-                loc += f", col {column}"
-            loc += ": "
-        super().__init__(loc + message)
 
 
 @dataclass(frozen=True)

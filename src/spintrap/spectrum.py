@@ -45,7 +45,7 @@ class SweepSpec:
 
 def _unit_peak_line(b, center, width, lineshape):
     if lineshape == "gaussian":
-        return np.exp(-((b - center) ** 2) / (2.0 * width**2))
+        return np.exp(-((b - center) ** 2) / (2.0 * np.square(width)))  # inf, not OverflowError
     return 1.0 / (1.0 + ((b - center) / width) ** 2)
 
 

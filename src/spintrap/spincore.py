@@ -4,6 +4,9 @@ Everything downstream (pulse simulation, spectra, trap dynamics) builds on the
 quantities defined here: CODATA constants, the two built-in spin species of a
 Si:P sample (the phosphorus donor doublet and the broad dangling-bond line),
 thermal electron polarization, resonance fields, and rotating-frame detunings.
+The relaxation times and the Monte Carlo ensemble layout that
+:mod:`spintrap.blochsim` runs with are defined here too, so a configuration
+can be built without importing the engine.
 
 Conventions
 -----------
@@ -29,6 +32,8 @@ __all__ = [
     "CODATA",
     "SpinSpecies",
     "Environment",
+    "RelaxationParams",
+    "EnsembleSpec",
     "BlochState",
     "PHOSPHORUS",
     "DANGLING_BOND",
@@ -119,6 +124,53 @@ class Environment:
         for name in ("static_field_b0", "temperature", "mw_frequency", "rabi_frequency"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
+class RelaxationParams:
+    """T1/T2/spectral-diffusion times in seconds; ``t_s`` may be infinite."""
+
+    t1: float
+    t2: float
+    t_s: float = math.inf
+
+    def __post_init__(self) -> None:
+        if self.t1 <= 0:
+            raise ValueError(f"t1 must be > 0, got {self.t1}")
+        if not 0 < self.t2 <= 2 * self.t1:
+            raise ValueError(f"t2 must satisfy 0 < t2 <= 2*t1, got t2={self.t2}, t1={self.t1}")
+        if not self.t_s > 0:
+            raise ValueError(f"t_s must be > 0 (may be inf), got {self.t_s}")
+
+    @property
+    def diffusion_constant(self) -> float:
+        """Frequency random-walk diffusion constant D = 24/t_s^3 (rad^2/s^3)."""
+        if math.isinf(self.t_s):
+            return 0.0
+        return 24.0 / self.t_s**3
+
+
+@dataclass(frozen=True)
+class EnsembleSpec:
+    """Monte Carlo ensemble layout.
+
+    ``n_static`` static-detuning samples (Gaussian, sigma from the species
+    linewidth) times ``n_noise`` stochastic trajectories each.  Each
+    hyperfine manifold is weighted by its nuclear-polarization population
+    (:func:`manifold_weight`).
+    """
+
+    n_static: int = 128
+    n_noise: int = 32
+    rng_seed: int = 20260810
+
+    def __post_init__(self) -> None:
+        if self.n_static < 1 or self.n_noise < 1:
+            raise ValueError("n_static and n_noise must be >= 1")
+
+    @property
+    def n_trajectories(self) -> int:
+        return self.n_static * self.n_noise
 
 
 @dataclass(frozen=True)

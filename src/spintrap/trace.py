@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CsvFormatError, MixedConfigHashError
+
 __all__ = [
     "AXIS_KINDS",
     "SignalTrace",
@@ -25,20 +27,6 @@ __all__ = [
 ]
 
 AXIS_KINDS = ("time", "field", "tau", "pulse_duration")
-
-
-class CsvFormatError(ValueError):
-    """Malformed trace CSV; carries the 1-based offending row number."""
-
-    def __init__(self, message: str, row: int | None = None):
-        self.row = row
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
-
-
-class MixedConfigHashError(ValueError):
-    """The file concatenates data sections produced under different configs."""
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from spintrap.blochsim import (
     evolve_free,
     inversion_recovery_curve,
     nutation_curve,
-    run_sweep_by_channel,
+    run_sweep_values,
     run_timeline_by_channel,
 )
 from spintrap.config import load_config
@@ -321,8 +321,8 @@ class TestSweepEngine:
         cfg = self.CONFIG
         args = (cfg.environment, cfg.species, cfg.relaxation, ensemble, cfg.trap)
         with mock.patch.object(blochsim, "_SWEEP_CHUNK", chunk):
-            swept = run_sweep_by_channel(timelines, *args)
-        alone = [run_timeline_by_channel(t, *args) for t in timelines]
+            swept = list(run_sweep_values(timelines, *args))
+        alone = [value for t in timelines for value in run_sweep_values([t], *args)]
         assert repr(swept) == repr(alone)  # repr shows every float exactly
 
     @given(source=_swept_programs(), n_static=hs.integers(1, 4), n_noise=hs.integers(1, 4),

@@ -1,15 +1,17 @@
 import json
+import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as hs
 
-from spintrap import cli, fitkit
+from spintrap import cli, config, fitkit
 from spintrap.cli import main
 from spintrap.spectrum import find_peaks
 from spintrap.trace import read_trace_csv
@@ -137,6 +139,30 @@ class TestInputValidation:
                     + flags) == 2
         assert str(cli.MAX_POINTS) in _single_error_line(capsys).err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command, config, flags, code", [
+        ("spectrum", {"species": {"linewidth_tesla": 1e300}}, [], 0),
+        ("spectrum", {"species": {"preset": ["phosphorus"]}}, [], 2),
+        ("transient", {"trap": {"emission_rate_per_second": 5e-324}}, [], 2),
+        ("transient", {}, ["--pulse-angle-deg", "-90"], 2),
+        ("transient", {"environment": {"rabi_frequency_hz": 5e-324}}, [], 4),
+        ("nutation", {"environment": {"temperature_kelvin": 5e-324}}, [], 4),
+        ("run", {}, [str(SEQ_DIR / "readout_vee.seq"), "--linewidth", "1e300", *SMALL], 4),
+        ("run", {"relaxation": {"t_s_seconds": 1e-300}}, [str(SEQ_DIR / "hahn_echo.seq"), *SMALL], 4),
+        ("run", {"relaxation": {"t_s_seconds": 1e300}}, [str(SEQ_DIR / "hahn_echo.seq"), *SMALL], 4),
+    ], ids=["wide-line", "preset-array", "emission-underflow", "negative-angle", "vanishing-drive",
+            "vanishing-temperature", "charge-of-nan", "t_s-underflow", "t_s-overflow"])
+    def test_extreme_value_exit_code(self, tmp_path, capsys, command, config, flags, code):
+        # a float formula that overflows ends in one error line, never a traceback
+        out = tmp_path / "x.csv"
+        assert main([command, "--out", str(out), "--config", _write_config(tmp_path, config)]
+                    + flags) == code
+        if code:
+            _single_error_line(capsys)
+            assert not out.exists()
+        else:
+            assert np.isfinite(read_trace_csv(str(out)).y_array()).all()
 
 
 class TestFileErrors:
@@ -537,6 +563,17 @@ class TestFitCommand:
         assert report["param_uncertainties"]["t2_seconds"] > 0
         assert report["comparison"]["preferred"] == "exp_decay"
 
+    @pytest.mark.parametrize("flags", [["--model", "nope"], ["--model", "exp_decay", "--compare-with", ""]])
+    def test_unknown_model_exit_2(self, tmp_path, capsys, flags):
+        assert main(["fit", str(SEQ_DIR / "golden_transient.csv"), *flags]) == 2
+        assert ", ".join(fitkit.MODEL_IDS) in _single_error_line(capsys).err
+
+    def test_help_names_every_model(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        *others, last = fitkit.MODEL_IDS
+        assert f"{', '.join(others)} or {last}" in " ".join(capsys.readouterr().out.split())
+
     def test_mixed_hash_refused_unless_forced(self, tmp_path):
         a = self._hahn_csv(tmp_path, seed="7")
         b = tmp_path / "b.csv"
@@ -606,8 +643,144 @@ for argv in {calls!r}:
     scipy_modules = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     assert not scipy_modules, (argv, scipy_modules)
 """
+    _run_python(script, tmp_path)
+
+
+def _run_python(script, cwd):
+    """Run ``script`` in a fresh interpreter that imports spintrap from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["spectrum", "--n-points", "201", "--out", "spectrum.csv"],
+     {"spectrum", "config"}, {"seqlang", "blochsim", "fitkit"}),
+    (["fit", str(SEQ_DIR / "golden_hahn_echo.csv"), "--model", "echo_cubic",
+      "--compare-with", "exp_decay", "--out", "fit.json"],
+     {"fitkit"}, {"seqlang", "blochsim", "config", "spectrum", "trapdyn"}),
+    (["run", str(SEQ_DIR / "hahn_echo.seq"), *SMALL, "--out", "run.csv"],
+     {"seqlang", "blochsim"}, {"fitkit"}),
+], ids=["spectrum", "fit", "run"])
+def test_command_imports_only_its_modules(tmp_path, argv, loaded, absent):
+    """A fresh process loads the modules its command runs and not the others,
+    and the heap its imports left is frozen out of the collector."""
+    script = f"""
+import gc, sys
+from spintrap.cli import main
+
+assert gc.get_freeze_count() > 0
+assert main({argv!r}) == 0
+print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("spintrap."))))
+"""
+    modules = set(_run_python(script, tmp_path).splitlines()[-1].split())
+    assert loaded <= modules and not absent & modules, modules
+
+
+# Every key of config's key tables, and values of every JSON type: numbers
+# small, huge and non-finite (json.dumps writes NaN and Infinity, which
+# json.load reads back), strings, null, arrays and objects.
+_CONFIG_KEYS = [(section, key) for section, keys in config._SECTIONS.items() for key in keys]
+_CONFIG_KEYS += [("species", "preset")]
+_JSON_VALUES = hs.one_of(
+    hs.integers(min_value=-3, max_value=40),
+    hs.sampled_from([0, -1, 2**63, 10**30, 10**5 + 1]),
+    hs.floats(allow_nan=True, allow_infinity=True),
+    hs.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308]),
+    hs.booleans(),
+    hs.sampled_from(["", "inf", "nan", "gaussian", "lorentzian", "phosphorus", "dangling_bond"]),
+    hs.text(max_size=4),
+    hs.none(),
+    hs.sampled_from([[], [1.0], {}, {"a": 1}]),
+)
+_FLOAT_ARGS = hs.one_of(
+    hs.floats(allow_nan=True, allow_infinity=True),
+    hs.sampled_from([0.0, -1.0, 1e-300, 1e300, 4e-6, 15e-3, 8.57, 8.59, 0.5, 1e6]),
+).map(repr)
+_INT_ARGS = hs.one_of(hs.integers(min_value=-2, max_value=60),
+                      hs.sampled_from([10**5 + 1, 10**20])).map(str)
+_FLAGS = {
+    "spectrum": {"--b-start": _FLOAT_ARGS, "--b-stop": _FLOAT_ARGS, "--n-points": _INT_ARGS,
+                 "--lineshape": hs.sampled_from(["gaussian", "lorentzian", "cauchy"]),
+                 "--nuclear-polarization": _FLOAT_ARGS},
+    "transient": {"--flip-fraction": _FLOAT_ARGS, "--pulse-angle-deg": _FLOAT_ARGS,
+                  "--field-offset-tesla": _FLOAT_ARGS, "--t-max": _FLOAT_ARGS,
+                  "--n-points": _INT_ARGS},
+    "run": {"--linewidth": _FLOAT_ARGS, "--rabi-frequency": _FLOAT_ARGS},
+    "nutation": {"--t-max": _FLOAT_ARGS, "--n-points": _INT_ARGS, "--linewidth": _FLOAT_ARGS},
+    "fit": {"--compare-with": hs.sampled_from(fitkit.MODEL_IDS + ("", "nope", "EXP_DECAY"))},
+}
+_SEQUENCES = ["hahn_echo.seq", "inversion_recovery.seq", "nutation.seq", "readout_vee.seq",
+              "three_pulse_ed_echo.seq", "missing.seq"]
+_FIT_INPUTS = ["golden_hahn_echo.csv", "golden_transient.csv", "golden_spectrum.csv", "missing.csv"]
+
+
+@hs.composite
+def _args(draw, command):
+    """The arguments of ``command`` after its name, up to ``--config`` and ``--out``."""
+    args = []
+    if command == "run":
+        args += [str(SEQ_DIR / draw(hs.sampled_from(_SEQUENCES))), "--n-static", "2", "--n-noise", "2"]
+    if command == "fit":
+        args += [str(SEQ_DIR / draw(hs.sampled_from(_FIT_INPUTS))), "--model",
+                 draw(hs.sampled_from(fitkit.MODEL_IDS + ("nope",)))]
+    elif draw(hs.booleans()):
+        args += ["--seed", draw(_INT_ARGS)]
+    flags = _FLAGS[command]
+    for flag in draw(hs.lists(hs.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        args += [flag, draw(flags[flag])]
+    return args
+
+
+@hs.composite
+def _configs(draw):
+    """A config object over up to four keys of config's key tables."""
+    data = {}
+    for section, key in draw(hs.lists(hs.sampled_from(_CONFIG_KEYS), max_size=4, unique=True)):
+        data.setdefault(section, {})[key] = draw(_JSON_VALUES)
+    return data
+
+
+def _assert_finite_outputs(directory):
+    """Every number in every CSV or JSON file under ``directory`` is finite."""
+    def refuse(token):
+        raise AssertionError(f"non-finite {token} in {path}")
+
+    for path in directory.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            json.loads(text, parse_constant=refuse)
+            continue
+        for line in text.splitlines():
+            if line and not line.startswith("#") and line != "x,y":
+                assert all(math.isfinite(float(v)) for v in line.split(",")), (path, line)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "transient", "run", "nutation", "fit"])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=hs.data())
+def test_exit_code_contract(tmp_path, capsys, command, data):
+    """Any argument vector and config ends in 0, or in 2, 3 or 4 with one error line."""
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    argv = [command] + data.draw(_args(command), label="args")
+    if command != "fit":  # fit takes no config
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data.draw(_configs(), label="config")))
+        argv += ["--config", str(cfg)]
+    argv += ["--out", str(out / ("fit.json" if command == "fit" else "out.csv"))]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse refuses the argument vector: usage, then one error line
+        rc = exc.code
+    err = capsys.readouterr().err.splitlines()
+    event(f"exit {rc}")
+    assert rc in (0, 2, 3, 4)
+    assert sum("error:" in line for line in err) == (rc != 0), err
+    if rc != 0 and not err[0].startswith("usage:"):
+        assert len(err) == 1 and err[0].startswith("error: "), err
+    _assert_finite_outputs(out)

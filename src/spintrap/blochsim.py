@@ -45,9 +45,11 @@ results depend only on the seed and the ensemble layout.
 
 Sweeps
 ------
-:func:`run_sweep_values` runs all points of a sweep in one pass.  Each
-block draws its static offsets (continuing one stream-0 generator) and its
-noise once for every point.  The leading events equal in every point's
+:func:`run_program` runs a parsed program.  It compiles a swept program's
+points as it goes, ``_SWEEP_CHUNK`` at a time, and runs each chunk in one
+engine pass (every shipped sweep is one chunk).  Each block draws its
+static offsets (continuing one stream-0 generator) and its noise once for
+every point.  The leading events equal in every point's
 timeline are propagated once per block and manifold; each point then runs
 its own remaining events from a copy of that state.  A block stops at each
 point's last acquire, since nothing reads the state after it, so the
@@ -64,7 +66,9 @@ import math
 import numpy as np
 
 from . import trapdyn
-from .seqlang import AcquireEvent, FreeEvolutionEvent, PulseEvent, Timeline
+from .errors import SequenceError
+from .seqlang import (AcquireEvent, DelayStmt, FreeEvolutionEvent, PulseEvent, SequenceAst,
+                      compile_timeline, sweep_values)
 from .spincore import (
     BlochState,
     EnsembleSpec,
@@ -85,10 +89,7 @@ __all__ = [
     "EnsembleSpec",
     "apply_pulse",
     "evolve_free",
-    "CHANNEL_UNITS",
-    "run_sweep_values",
-    "run_meta",
-    "run_timeline_by_channel",
+    "run_program",
     "echo_envelope_analytic",
     "nutation_curve",
     "inversion_recovery_curve",
@@ -218,7 +219,7 @@ def echo_envelope_analytic(tau, relax: RelaxationParams):
     t = np.asarray(tau, dtype=float)
     if np.any(t < 0):
         raise ValueError("tau must be >= 0")
-    cubic = 0.0 if math.isinf(relax.t_s) else 8.0 * t**3 / relax.t_s**3
+    cubic = relax.diffusion_constant * t**3 / 3.0  # 8 tau^3 / t_s^3
     out = np.exp(-2.0 * t / relax.t2 - cubic)
     return float(out) if np.isscalar(tau) else out
 
@@ -431,10 +432,6 @@ def _run_engine(timelines, env, species, relax, ensemble):
     return m0, stats
 
 
-# Units of each acquire channel's values.
-CHANNEL_UNITS = {"mz": "dimensionless", "echo": "dimensionless", "charge": "C"}
-
-
 def _channel_value(event, stat, m0, trap):
     """(value, stderr) of one acquire event from its row of engine stats."""
     mean = stat[:3]
@@ -459,31 +456,17 @@ def _channel_value(event, stat, m0, trap):
     raise ValueError(f"unknown channel {event.channel!r}")  # pragma: no cover
 
 
-def run_sweep_values(
-    timelines,
-    env: Environment,
-    species: SpinSpecies,
-    relax: RelaxationParams,
-    ensemble: EnsembleSpec,
-    trap: "trapdyn.TrapParams | None" = None,
-):
-    """Run the compiled timelines of a sweep in one engine pass.
+def _run_points(timelines, env, species, relax, ensemble, trap):
+    """Run compiled timelines, one engine pass per ``_SWEEP_CHUNK`` of them.
 
-    Yields, per timeline, a list of ``(channel, start, value, stderr)``: one
-    tuple per acquire event, in time order, with ``start`` the event's start
-    time and ``stderr`` the Monte Carlo standard error of ``value`` (units in
-    :data:`CHANNEL_UNITS`).  Every timeline sees the same static offsets and
-    noise draws (common random numbers), so the values of each equal those of
-    the timeline run alone.  Deterministic for a fixed
-    ``ensemble.rng_seed``.  ``timelines`` may be any iterable; it is read in
-    chunks of ``_SWEEP_CHUNK``, so a generator keeps a long sweep from
-    holding all of its compiled timelines at once.
+    Yields, per timeline, a list of ``(channel, start, value, stderr)``, one
+    per acquire event in time order.  Every timeline sees the same draws
+    (common random numbers), so each gives the values it gives run alone.
+    Read in chunks, a generator keeps a long sweep from holding all of its
+    compiled timelines at once.
     """
     timelines = iter(timelines)
     while chunk := list(itertools.islice(timelines, _SWEEP_CHUNK)):
-        if trap is None and any(isinstance(e, AcquireEvent) and e.channel == "charge"
-                                for t in chunk for e in t.events):
-            raise ValueError("timeline acquires the charge channel but no trap parameters were given")
         m0, stats = _run_engine(chunk, env, species, relax, ensemble)
         for timeline, point_stats in zip(chunk, stats):
             acquires = [e for e in timeline.events if isinstance(e, AcquireEvent)]
@@ -491,34 +474,47 @@ def run_sweep_values(
                    for e, stat in zip(acquires, point_stats)]
 
 
-def run_meta(env: Environment, species: SpinSpecies, ensemble: EnsembleSpec) -> dict:
-    """Metadata of a run's traces: the seed, the ensemble layout and the
-    equilibrium mz that echo amplitudes are measured against."""
-    return {
-        "rng_seed": ensemble.rng_seed,
-        "n_static": ensemble.n_static,
-        "n_noise": ensemble.n_noise,
-        "equilibrium_mz": _ensemble_setup(env, species)[0],
-    }
+# Units of each acquire channel's values.
+_CHANNEL_UNITS = {"mz": "dimensionless", "echo": "dimensionless", "charge": "C"}
 
 
-def run_timeline_by_channel(
-    timeline: Timeline,
-    env: Environment,
-    species: SpinSpecies,
-    relax: RelaxationParams,
-    ensemble: EnsembleSpec,
-    trap: "trapdyn.TrapParams | None" = None,
-) -> dict[str, SignalTrace]:
-    """Run one compiled timeline; one trace per acquisition channel.
+def run_program(ast: SequenceAst, env: Environment, species: SpinSpecies, relax: RelaxationParams,
+                ensemble: EnsembleSpec, trap: "trapdyn.TrapParams | None" = None) -> dict[str, SignalTrace]:
+    """Run a parsed pulse program; one trace per acquisition channel.
 
-    Each trace's x axis holds the acquire-event start times, and its
-    ``meta["y_stderr"]`` the standard error of each value.
+    An unswept program's x axis (``time``) holds the acquire times.  A swept
+    one runs all of its points in one engine pass, and its x axis holds the
+    sweep values: ``tau`` when a delay takes the sweep variable, else
+    ``pulse_duration``.  Each trace's meta holds the seed, the ensemble
+    layout, the equilibrium mz that echo amplitudes are measured against, a
+    swept program's ``sweep_variable``, and ``y_stderr``: the Monte Carlo
+    standard error of each value.  A swept program that acquires a channel
+    twice, or whose sweep values do not increase, raises SequenceError.
     """
-    (acquires,) = run_sweep_values([timeline], env, species, relax, ensemble, trap)
-    traces = {}
-    for channel in sorted({row[0] for row in acquires}):
-        _, xs, ys, ses = zip(*(row for row in acquires if row[0] == channel))
-        traces[channel] = SignalTrace(axis_kind="time", x=xs, y=ys, units=CHANNEL_UNITS[channel],
-                                      meta={**run_meta(env, species, ensemble), "y_stderr": ses})
-    return traces
+    if trap is None and "charge" in ast.acquire_channels:
+        raise ValueError("program acquires the charge channel but no trap parameters were given")
+    meta = {"rng_seed": ensemble.rng_seed, "n_static": ensemble.n_static, "n_noise": ensemble.n_noise,
+            "equilibrium_mz": _ensemble_setup(env, species)[0]}
+    sweep, points, axis_kind = ast.sweep, [None], "time"  # an unswept program is the single point None
+    if sweep is not None:
+        # a swept trace holds one value per point, so a second acquire on the
+        # same channel would have nowhere to go
+        repeated = sorted({c for c in ast.acquire_channels if ast.acquire_channels.count(c) > 1})
+        if repeated:
+            raise SequenceError(f"swept sequence acquires channel {', '.join(repeated)} more than once; "
+                                "a sweep records one value per channel and point")
+        points = [float(v) for v in sweep_values(sweep)]
+        meta["sweep_variable"] = sweep.name
+        axis_kind = "tau" if DelayStmt(sweep.name) in ast.statements else "pulse_duration"
+
+    timelines = (compile_timeline(ast, env, sweep_value=value) for value in points)
+    columns: dict[str, tuple[list, list, list]] = {}  # per channel: acquire times, values, stderrs
+    for acquires in _run_points(timelines, env, species, relax, ensemble, trap):
+        for channel, start, value, se in acquires:
+            starts, values, ses = columns.setdefault(channel, ([], [], []))
+            starts.append(start)
+            values.append(value)
+            ses.append(se)
+    return {channel: SignalTrace(axis_kind, starts if sweep is None else points, values,
+                                 _CHANNEL_UNITS[channel], {**meta, "y_stderr": tuple(ses)})
+            for channel, (starts, values, ses) in sorted(columns.items())}

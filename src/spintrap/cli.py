@@ -50,7 +50,6 @@ gc.freeze()
 
 if TYPE_CHECKING:
     from .config import RunConfig
-    from .seqlang import SequenceAst
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,9 +146,7 @@ def cmd_spectrum(args) -> int:
 
     if config.spectrum.n_points > MAX_POINTS:
         raise ConfigError(f"spectrum.n_points must be <= {MAX_POINTS}, got {config.spectrum.n_points}")
-    trace = spectrum.simulate_field_sweep(
-        config.species_amplitudes(), config.environment, config.spectrum.sweep_spec()
-    )
+    trace = spectrum.simulate_field_sweep(config.species_amplitudes(), config.environment, config.spectrum)
     _write_output(trace, config, args.out, {"command": "spectrum"})
     return EXIT_OK
 
@@ -185,18 +182,6 @@ def cmd_transient(args) -> int:
     return EXIT_OK
 
 
-def _sweep_axis_kind(ast: SequenceAst) -> str:
-    from .seqlang import DelayStmt
-
-    sweep = ast.sweep
-    if sweep is None:
-        return "time"
-    for stmt in ast.statements:
-        if isinstance(stmt, DelayStmt) and stmt.duration == sweep.name:
-            return "tau"
-    return "pulse_duration"
-
-
 def cmd_run(args) -> int:
     config = _load_config_file(args)
     from . import blochsim, seqlang
@@ -207,51 +192,16 @@ def cmd_run(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise SequenceError(f"cannot read sequence file {args.seqfile}: {exc}")
     ast = seqlang.parse(source)
-    env, species, relax = config.environment, config.species, config.relaxation
-    ensemble, trap = config.ensemble, config.trap
-
-    sweep = ast.sweep
-    n_points = sweep.steps if sweep is not None else 1
+    ensemble = config.ensemble
+    n_points = ast.sweep.steps if ast.sweep is not None else 1
     work = n_points * max(ensemble.n_trajectories, MIN_POINT_WORK)
     if work > MAX_SWEEP_WORK:
         raise SequenceError(
             f"{n_points} points x {ensemble.n_trajectories} trajectories exceeds the work "
             f"limit: points x max(trajectories, {MIN_POINT_WORK}) must be <= {MAX_SWEEP_WORK:.0e}"
         )
-    points = [None]  # an unswept program is the single point None
-    meta = blochsim.run_meta(env, species, ensemble)
-    if sweep is not None:
-        # a swept trace holds one value per point, so a second acquire on the
-        # same channel would have nowhere to go
-        repeated = sorted({c for c in ast.acquire_channels if ast.acquire_channels.count(c) > 1})
-        if repeated:
-            raise SequenceError(
-                f"swept sequence acquires channel {', '.join(repeated)} more than once; "
-                "a sweep records one value per channel and point"
-            )
-        points = [float(v) for v in seqlang.sweep_values(sweep)]
-        meta["sweep_variable"] = sweep.name
-
-    timelines = (seqlang.compile_timeline(ast, env, sweep_value=value) for value in points)
-    columns: dict[str, tuple[list, list, list]] = {}  # per channel: acquire times, values, stderrs
-    for acquires in blochsim.run_sweep_values(timelines, env, species, relax, ensemble, trap):
-        for channel, start, value, se in acquires:
-            starts, values, ses = columns.setdefault(channel, ([], [], []))
-            starts.append(start)
-            values.append(value)
-            ses.append(se)
-    traces = {
-        channel: SignalTrace(
-            axis_kind=_sweep_axis_kind(ast),
-            x=starts if sweep is None else points,  # acquire times, or the sweep values
-            y=values,
-            units=blochsim.CHANNEL_UNITS[channel],
-            meta={**meta, "y_stderr": tuple(ses)},
-        )
-        for channel, (starts, values, ses) in sorted(columns.items())
-    }
-    del columns  # a long sweep's CSV lines reuse the memory of its columns
-
+    traces = blochsim.run_program(ast, config.environment, config.species, config.relaxation,
+                                  ensemble, config.trap)
     for trace in traces.values():  # refuse before any channel's file is written
         require_finite(trace)
     for channel, trace in traces.items():
@@ -329,8 +279,16 @@ def _add_common(p, default_out):
     p.add_argument("--out", default=default_out, help=f"output path (default {default_out})")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses with one ``error:`` line and exit 2, without the usage text;
+    the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spintrap",
         description="Spin-trap electrical readout simulator for Si:P at high field",
     )

@@ -36,23 +36,19 @@ __all__ = ["ConfigError", "SpectrumConfig", "RunConfig", "load_config", "config_
 
 
 @dataclass(frozen=True)
-class SpectrumConfig:
-    """Field-sweep settings plus the display amplitudes of the preset lines."""
+class SpectrumConfig(SweepSpec):
+    """The field sweep, over the preset lines by default, plus the display
+    amplitudes of those lines."""
 
     b_start: float = 8.560
     b_stop: float = 8.600
-    n_points: int = 2001
-    lineshape: str = "gaussian"
     phosphorus_amplitude: float = 6.0e-10  # A; 1% of the 60 nA baseline
     db_amplitude_ratio: float = 0.05  # "barely visible" background line; 0 drops it
 
     def __post_init__(self) -> None:
-        self.sweep_spec()  # bounds/lineshape validation happens at load time
+        super().__post_init__()
         if self.phosphorus_amplitude < 0 or self.db_amplitude_ratio < 0:
             raise ValueError("spectrum amplitudes must be >= 0")
-
-    def sweep_spec(self) -> SweepSpec:
-        return SweepSpec(self.b_start, self.b_stop, self.n_points, self.lineshape)
 
 
 @dataclass(frozen=True)

@@ -295,7 +295,10 @@ def parse(source_text: str) -> SequenceAst:
 
 def _format_time(value: float) -> str:
     # Prefer an integer count of the largest unit that reproduces the exact
-    # float; fall back to repr() seconds, which round-trips losslessly.
+    # float; fall back to repr() seconds, which round-trips losslessly.  A
+    # literal too large for a float reads as inf, and inf prints as one.
+    if value == math.inf:
+        return "1e999s"
     for suffix, factor in _TIME_UNITS_PRINT:
         count = value / factor
         if abs(count - round(count)) < 1e-9 and round(count) != 0:
@@ -309,6 +312,8 @@ def _format_angle(angle_deg: float) -> str:
         return "pi"
     if angle_deg == 90.0:
         return "pi/2"
+    if angle_deg == math.inf:
+        return "1e999deg"
     return f"{angle_deg!r}deg"
 
 
@@ -342,19 +347,22 @@ def unparse(ast: SequenceAst) -> str:
 def sweep_values(decl: SweepDecl) -> np.ndarray:
     """The arithmetic grid of sweep values (endpoints exact).
 
-    A sweep of more than one step must run upwards (``start < stop``): the
-    values become the strictly increasing x axis of the output trace.
+    A sweep of more than one step must run upwards (``start < stop``) to a
+    finite stop, over values that differ in double precision: they become
+    the strictly increasing x axis of the output trace.
     """
     if decl.steps < 1:
         raise SequenceError(f"sweep must have at least one step, got {decl.steps}")
     if decl.steps == 1:
         return np.asarray([decl.start])
-    if decl.start >= decl.stop:
-        raise SequenceError(
-            f"sweep {decl.name!r} of {decl.steps} steps must have start < stop, "
-            f"got {_format_time(decl.start)} to {_format_time(decl.stop)}"
-        )
-    return np.linspace(decl.start, decl.stop, decl.steps)
+    if decl.start < decl.stop < math.inf:
+        values = np.linspace(decl.start, decl.stop, decl.steps)
+        if (np.diff(values) > 0).all():
+            return values
+    raise SequenceError(
+        f"sweep {decl.name!r} of {decl.steps} steps must have start < stop, a finite stop and steps "
+        f"that floats tell apart, got {_format_time(decl.start)} to {_format_time(decl.stop)}"
+    )
 
 
 def _resolve_duration(

@@ -141,13 +141,18 @@ class RelaxationParams:
             raise ValueError(f"t2 must satisfy 0 < t2 <= 2*t1, got t2={self.t2}, t1={self.t1}")
         if not self.t_s > 0:
             raise ValueError(f"t_s must be > 0 (may be inf), got {self.t_s}")
+        if not math.isfinite(self.diffusion_constant):
+            raise ValueError(f"t_s must be large enough that 24/t_s^3 is finite, got {self.t_s}")
 
     @property
     def diffusion_constant(self) -> float:
         """Frequency random-walk diffusion constant D = 24/t_s^3 (rad^2/s^3)."""
-        if math.isinf(self.t_s):
+        try:
+            return 24.0 / self.t_s**3
+        except OverflowError:  # t_s^3 is past the float range, and D below 1.4e-307
             return 0.0
-        return 24.0 / self.t_s**3
+        except ZeroDivisionError:  # t_s^3 underflows to 0
+            return math.inf
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from spintrap.blochsim import (
     apply_pulse,
     echo_envelope_analytic,
     inversion_recovery_curve,
-    run_timeline_by_channel,
+    run_program,
 )
 from spintrap.cli import main
 from spintrap.fitkit import compare_models, fit
@@ -58,9 +58,8 @@ def _resonant_env(species):
     return Environment(static_field_b0=resonance_field(species, 240e9))
 
 
-def _hahn_timeline(tau, env):
-    src = f"pulse pi/2 +x\ndelay {tau!r}s\npulse pi +x\ndelay {tau!r}s\nacquire echo\n"
-    return compile_timeline(parse(src), env)
+def _hahn(tau):
+    return parse(f"pulse pi/2 +x\ndelay {tau!r}s\npulse pi +x\ndelay {tau!r}s\nacquire echo\n")
 
 
 def test_criterion_01_spectrum_positions():
@@ -152,7 +151,7 @@ def test_criterion_05_echo_noise_calibration():
     ensemble = EnsembleSpec(n_static=1, n_noise=100000, rng_seed=20260810)
     lines = []
     for tau in (40e-6, 80e-6, 120e-6):
-        trace = run_timeline_by_channel(_hahn_timeline(tau, env), env, species, relax, ensemble)["echo"]
+        trace = run_program(_hahn(tau), env, species, relax, ensemble)["echo"]
         m0 = trace.meta["equilibrium_mz"]
         amp = trace.y[0] / m0
         se = trace.meta["y_stderr"][0] / m0
@@ -174,7 +173,7 @@ def test_criterion_06_closed_loop_fit():
     taus = np.linspace(10e-6, 250e-6, 25)
     amps = []
     for tau in taus:
-        trace = run_timeline_by_channel(_hahn_timeline(float(tau), env), env, species, relax, ensemble)["echo"]
+        trace = run_program(_hahn(float(tau)), env, species, relax, ensemble)["echo"]
         amps.append(trace.y[0] / trace.meta["equilibrium_mz"])
     sim_trace = SignalTrace("tau", tuple(taus), tuple(amps))
     res = fit("echo_cubic", sim_trace)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -18,8 +19,7 @@ from spintrap.blochsim import (
     evolve_free,
     inversion_recovery_curve,
     nutation_curve,
-    run_sweep_values,
-    run_timeline_by_channel,
+    run_program,
 )
 from spintrap.config import load_config
 from spintrap.seqlang import AcquireEvent, SequenceError, compile_timeline, parse, sweep_values
@@ -235,9 +235,8 @@ class TestNutation:
         assert np.ptp(late) < 0.5 * 2 * m0
 
 
-def _hahn_timeline(tau_s, env):
-    src = f"pulse pi/2 +x\ndelay {tau_s!r}s\npulse pi +x\ndelay {tau_s!r}s\nacquire echo\n"
-    return compile_timeline(parse(src), env)
+def _hahn(tau_s):
+    return parse(f"pulse pi/2 +x\ndelay {tau_s!r}s\npulse pi +x\ndelay {tau_s!r}s\nacquire echo\n")
 
 
 class TestRunTimeline:
@@ -248,8 +247,7 @@ class TestRunTimeline:
         for width in (1e-5, 3e-4):
             species = SpinSpecies("w", 1.9985, 0.0, 0.0, width)
             env = _resonant_env(species, rabi_frequency=5e8)  # near-ideal pulses
-            tl = _hahn_timeline(tau, env)
-            tr = run_timeline_by_channel(tl, env, species, RELAX_NONOISE, EnsembleSpec(2000, 1, 11))["echo"]
+            tr = run_program(_hahn(tau), env, species, RELAX_NONOISE, EnsembleSpec(2000, 1, 11))["echo"]
             amp = tr.y[0] / tr.meta["equilibrium_mz"]
             assert amp == pytest.approx(math.exp(-2 * tau / RELAX.t2), rel=2e-3)
 
@@ -257,8 +255,7 @@ class TestRunTimeline:
         species = _narrow_species()
         env = _resonant_env(species)
         tau = 80e-6
-        tl = _hahn_timeline(tau, env)
-        tr = run_timeline_by_channel(tl, env, species, RELAX, EnsembleSpec(1, 20000, 7))["echo"]
+        tr = run_program(_hahn(tau), env, species, RELAX, EnsembleSpec(1, 20000, 7))["echo"]
         m0 = tr.meta["equilibrium_mz"]
         amp = tr.y[0] / m0
         se = tr.meta["y_stderr"][0] / m0
@@ -267,27 +264,27 @@ class TestRunTimeline:
     def test_seed_reproducible_and_worker_invariant(self):
         species = _narrow_species()
         env = _resonant_env(species)
-        tl = _hahn_timeline(40e-6, env)
+        ast = _hahn(40e-6)
         # 2000 trajectories fit one block; 12 000 span two, so the fixed
         # block-order reduction is exercised
         for ens in (EnsembleSpec(50, 40, 123), EnsembleSpec(3, 4000, 123)):
-            a = run_timeline_by_channel(tl, env, species, RELAX, ens)["echo"]
-            b = run_timeline_by_channel(tl, env, species, RELAX, ens)["echo"]
-            c = run_timeline_by_channel(tl, env, species, RELAX, ens)["echo"]
+            a = run_program(ast, env, species, RELAX, ens)["echo"]
+            b = run_program(ast, env, species, RELAX, ens)["echo"]
+            c = run_program(ast, env, species, RELAX, ens)["echo"]
             assert a.y == b.y == c.y
 
     def test_charge_channel_needs_trap_params(self):
         species = _narrow_species()
         env = _resonant_env(species)
-        tl = compile_timeline(parse("pulse pi +x\nacquire charge window=10ms"), env)
+        ast = parse("pulse pi +x\nacquire charge window=10ms")
         with pytest.raises(ValueError, match="trap"):
-            run_timeline_by_channel(tl, env, species, RELAX, EnsembleSpec(2, 1, 1))
+            run_program(ast, env, species, RELAX, EnsembleSpec(2, 1, 1))
 
     def test_mz_channel_after_pi_pulse(self):
         species = _narrow_species()
         env = _resonant_env(species)
-        tl = compile_timeline(parse("pulse pi +x\nacquire mz"), env)
-        tr = run_timeline_by_channel(tl, env, species, RELAX_NONOISE, EnsembleSpec(4, 1, 1))["mz"]
+        tr = run_program(parse("pulse pi +x\nacquire mz"), env, species, RELAX_NONOISE,
+                         EnsembleSpec(4, 1, 1))["mz"]
         assert tr.y[0] == pytest.approx(-tr.meta["equilibrium_mz"], abs=1e-9)
 
 
@@ -321,8 +318,8 @@ class TestSweepEngine:
         cfg = self.CONFIG
         args = (cfg.environment, cfg.species, cfg.relaxation, ensemble, cfg.trap)
         with mock.patch.object(blochsim, "_SWEEP_CHUNK", chunk):
-            swept = list(run_sweep_values(timelines, *args))
-        alone = [value for t in timelines for value in run_sweep_values([t], *args)]
+            swept = list(blochsim._run_points(timelines, *args))
+        alone = [value for t in timelines for value in blochsim._run_points([t], *args)]
         assert repr(swept) == repr(alone)  # repr shows every float exactly
 
     @given(source=_swept_programs(), n_static=hs.integers(1, 4), n_noise=hs.integers(1, 4),
@@ -365,15 +362,66 @@ class TestSweepEngine:
     def test_static_offsets_bounded_by_block(self):
         # a million static offsets would take 8 MB if drawn up front
         cfg = self.CONFIG
-        timeline = compile_timeline(parse("pulse pi +x\nacquire mz"), cfg.environment)
+        ast = parse("pulse pi +x\nacquire mz")
         tracemalloc.start()
         try:
-            run_timeline_by_channel(timeline, cfg.environment, cfg.species, cfg.relaxation,
-                                    EnsembleSpec(10**6, 1, 5))
+            run_program(ast, cfg.environment, cfg.species, cfg.relaxation, EnsembleSpec(10**6, 1, 5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestRunProgram:
+    """``run_program``, as the CLI calls it, on swept and unswept programs."""
+
+    CONFIG = load_config({})
+
+    def _run(self, source, ensemble=EnsembleSpec(3, 2, 5)):
+        cfg = self.CONFIG
+        return run_program(parse(source), cfg.environment, cfg.species, cfg.relaxation, ensemble, cfg.trap)
+
+    @given(source=_swept_programs(), n_static=hs.integers(1, 3), n_noise=hs.integers(1, 3),
+           seed=hs.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_sweep_equals_each_point_as_its_own_program(self, source, n_static, n_noise, seed):
+        ensemble = EnsembleSpec(n_static, n_noise, seed)
+        try:
+            swept = self._run(source, ensemble)
+        except SequenceError:  # a channel acquired twice
+            reject()
+        body = source.split("\n", 1)[1]  # the program without its sweep line
+        values = [float(v) for v in sweep_values(parse(source).sweep)]
+        assert all(trace.x == tuple(values) for trace in swept.values())
+        for i, v in enumerate(values):
+            alone = self._run(re.sub(r"\btau\b", f"{v!r}s", body), ensemble)
+            assert alone.keys() == swept.keys()
+            for channel, trace in alone.items():
+                # repr shows every float exactly
+                assert repr((trace.y, trace.meta["y_stderr"])) == repr(
+                    ((swept[channel].y[i],), (swept[channel].meta["y_stderr"][i],)))
+
+    @pytest.mark.parametrize("source, axis_kind, xs", [
+        ("sweep tau 10us 30us 3\npulse pi/2 +x\ndelay tau\npulse pi +x dur=tau\nacquire echo",
+         "tau", (10e-6, 20e-6, 30e-6)),
+        ("sweep tp 100ns 300ns 3\npulse 90deg +x dur=tp\ndelay 2us\nacquire mz\nacquire charge",
+         "pulse_duration", (100e-9, 200e-9, 300e-9)),
+        ("pulse pi/2 +x dur=500ns\ndelay 10us\nacquire echo window=5us\nacquire echo\nacquire mz",
+         "time", (10.5e-6, 15.5e-6)),
+    ], ids=["tau", "pulse_duration", "time"])
+    def test_axis_kind_and_meta(self, source, axis_kind, xs):
+        swept = parse(source).sweep is not None
+        traces = self._run(source)
+        assert sorted(traces) == sorted(set(parse(source).acquire_channels))
+        assert traces["echo" if "echo" in traces else "mz"].x == pytest.approx(xs, rel=1e-12)
+        keys = {"rng_seed", "n_static", "n_noise", "equilibrium_mz", "y_stderr"}
+        for trace in traces.values():
+            assert trace.axis_kind == axis_kind
+            assert set(trace.meta) == keys | ({"sweep_variable"} if swept else set())
+            assert (trace.meta["rng_seed"], trace.meta["n_static"], trace.meta["n_noise"]) == (5, 3, 2)
+            assert len(trace.meta["y_stderr"]) == len(trace)
+        if swept:
+            assert {t.meta["sweep_variable"] for t in traces.values()} == {parse(source).sweep.name}
 
 
 class TestNoiseCalibration:
@@ -385,9 +433,8 @@ class TestNoiseCalibration:
         env = _resonant_env(species)
         relax = RelaxationParams(t1=1e3, t2=1e3, t_s=200e-6)
         for t in (60e-6, 100e-6):
-            src = f"pulse pi/2 +x\ndelay {t!r}s\nacquire echo\n"
-            tl = compile_timeline(parse(src), env)
-            tr = run_timeline_by_channel(tl, env, species, relax, EnsembleSpec(1, 20000, 21))["echo"]
+            ast = parse(f"pulse pi/2 +x\ndelay {t!r}s\nacquire echo\n")
+            tr = run_program(ast, env, species, relax, EnsembleSpec(1, 20000, 21))["echo"]
             m0 = tr.meta["equilibrium_mz"]
             amp = tr.y[0] / m0
             se = tr.meta["y_stderr"][0] / m0
@@ -399,8 +446,7 @@ class TestNoiseCalibration:
         env = _resonant_env(species)
         relax = RelaxationParams(t1=1e3, t2=1e3, t_s=200e-6)
         tau = 100e-6
-        tl = _hahn_timeline(tau, env)
-        tr = run_timeline_by_channel(tl, env, species, relax, EnsembleSpec(1, 20000, 22))["echo"]
+        tr = run_program(_hahn(tau), env, species, relax, EnsembleSpec(1, 20000, 22))["echo"]
         m0 = tr.meta["equilibrium_mz"]
         amp = tr.y[0] / m0
         se = tr.meta["y_stderr"][0] / m0
@@ -420,14 +466,14 @@ class TestNoiseCalibrationAcrossSeeds:
         env = _resonant_env(species)
         relax = RelaxationParams(t1=1e3, t2=1e3, t_s=200e-6)
         if kind == "fid":
-            tl = compile_timeline(parse(f"pulse pi/2 +x\ndelay {tau!r}s\nacquire echo\n"), env)
+            ast = parse(f"pulse pi/2 +x\ndelay {tau!r}s\nacquire echo\n")
             expected = math.exp(-4 * tau**3 / relax.t_s**3)
         else:
-            tl = _hahn_timeline(tau, env)
+            ast = _hahn(tau)
             expected = math.exp(-8 * tau**3 / relax.t_s**3)
         z = []
         for seed in range(first_seed, first_seed + 200):
-            tr = run_timeline_by_channel(tl, env, species, relax, EnsembleSpec(1, 4000, seed))["echo"]
+            tr = run_program(ast, env, species, relax, EnsembleSpec(1, 4000, seed))["echo"]
             m0 = tr.meta["equilibrium_mz"]
             z.append((tr.y[0] / m0 - expected) / (tr.meta["y_stderr"][0] / m0))
         assert abs(np.mean(z)) <= 0.25
@@ -445,6 +491,14 @@ class TestRelaxationParamsValidation:
             RelaxationParams(t1=0, t2=1e-3)
         with pytest.raises(ValueError):
             RelaxationParams(t1=1e-3, t2=1e-3, t_s=0)
+
+    def test_diffusion_constant_at_extreme_t_s(self):
+        assert RelaxationParams(t1=1e-3, t2=1e-3, t_s=200e-6).diffusion_constant == 24.0 / 200e-6**3
+        for t_s in (math.inf, 1e300, 1e103):  # t_s^3 past the float range: no diffusion
+            assert RelaxationParams(t1=1e-3, t2=1e-3, t_s=t_s).diffusion_constant == 0.0
+        for t_s in (1e-105, 1e-300, 5e-324):  # 24/t_s^3 overflows, or t_s^3 underflows to 0
+            with pytest.raises(ValueError, match="finite"):
+                RelaxationParams(t1=1e-3, t2=1e-3, t_s=t_s)
 
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from spintrap import cli, config, fitkit
 from spintrap.cli import main
 from spintrap.spectrum import find_peaks
 from spintrap.trace import read_trace_csv
+from test_seqlang import EXTREME_ANGLES, EXTREME_STEPS, EXTREME_TIMES, source_programs
 
 SEQ_DIR = Path(__file__).resolve().parents[1] / "src" / "spintrap" / "sequences" / "v1"
 
@@ -149,8 +150,8 @@ class TestInputValidation:
         ("transient", {"environment": {"rabi_frequency_hz": 5e-324}}, [], 4),
         ("nutation", {"environment": {"temperature_kelvin": 5e-324}}, [], 4),
         ("run", {}, [str(SEQ_DIR / "readout_vee.seq"), "--linewidth", "1e300", *SMALL], 4),
-        ("run", {"relaxation": {"t_s_seconds": 1e-300}}, [str(SEQ_DIR / "hahn_echo.seq"), *SMALL], 4),
-        ("run", {"relaxation": {"t_s_seconds": 1e300}}, [str(SEQ_DIR / "hahn_echo.seq"), *SMALL], 4),
+        ("run", {"relaxation": {"t_s_seconds": 1e-300}}, [str(SEQ_DIR / "hahn_echo.seq"), *SMALL], 2),
+        ("run", {"relaxation": {"t_s_seconds": 1e300}}, [str(SEQ_DIR / "hahn_echo.seq"), *SMALL], 0),
     ], ids=["wide-line", "preset-array", "emission-underflow", "negative-angle", "vanishing-drive",
             "vanishing-temperature", "charge-of-nan", "t_s-underflow", "t_s-overflow"])
     def test_extreme_value_exit_code(self, tmp_path, capsys, command, config, flags, code):
@@ -163,6 +164,30 @@ class TestInputValidation:
             assert not out.exists()
         else:
             assert np.isfinite(read_trace_csv(str(out)).y_array()).all()
+
+    def test_huge_t_s_runs_as_infinite(self, tmp_path):
+        # t_s^3 is past the float range, so D = 0: no spectral diffusion, as with "inf"
+        sections = []
+        for t_s in (1e300, "inf"):
+            out = tmp_path / f"{t_s}.csv"
+            config = _write_config(tmp_path, {"relaxation": {"t_s_seconds": t_s}})
+            assert main(["run", str(SEQ_DIR / "hahn_echo.seq"), "--config", config, "--out", str(out)]
+                        + SMALL) == 0
+            lines = _data_section(out).splitlines()
+            sections.append([l for l in lines if not l.startswith("# config_hash=")])  # configs differ
+        assert sections[0] == sections[1]
+
+    @pytest.mark.parametrize("argv", [["transient", "--n-points", "abc"], ["fit", "x.csv"]],
+                             ids=["non-integer-flag", "missing-required-flag"])
+    def test_refused_argument_vector_one_error_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        _single_error_line(capsys)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: spintrap {argv[0]}")
 
 
 class TestFileErrors:
@@ -334,7 +359,10 @@ class TestRunCommand:
         "sweep tau 250us 10us 25\npulse pi/2 +x\ndelay tau\npulse pi +x\ndelay tau\nacquire echo\n",
         "sweep tau 10us 10us 3\npulse pi/2 +x\ndelay tau\nacquire echo\n",
         "pulse pi +x\nacquire mz\nacquire mz\n",
-    ], ids=["descending-sweep", "zero-span-sweep", "same-instant-acquire"])
+        "sweep tau 1us 1e400s 3\npulse pi/2 +x\ndelay tau\nacquire echo\n",
+        "sweep tau 5e-324s 1e-323s 3\npulse pi/2 +x\ndelay tau\nacquire echo\n",
+    ], ids=["descending-sweep", "zero-span-sweep", "same-instant-acquire", "infinite-stop-sweep",
+            "subnormal-steps-sweep"])
     def test_sequence_without_increasing_axis_exit_3(self, tmp_path, capsys, source):
         seq = tmp_path / "bad.seq"
         seq.write_text(source)
@@ -768,6 +796,11 @@ def test_exit_code_contract(tmp_path, capsys, command, data):
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir()
     argv = [command] + data.draw(_args(command), label="args")
+    if command == "run" and data.draw(hs.booleans(), label="generated program"):
+        program = tmp_path / "program.seq"
+        program.write_text(data.draw(source_programs(EXTREME_TIMES, EXTREME_ANGLES, EXTREME_STEPS),
+                                     label="program"))
+        argv[1] = str(program)
     if command != "fit":  # fit takes no config
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(data.draw(_configs(), label="config")))
@@ -775,12 +808,12 @@ def test_exit_code_contract(tmp_path, capsys, command, data):
     argv += ["--out", str(out / ("fit.json" if command == "fit" else "out.csv"))]
     try:
         rc = main(argv)
-    except SystemExit as exc:  # argparse refuses the argument vector: usage, then one error line
+    except SystemExit as exc:  # argparse refuses the argument vector
         rc = exc.code
     err = capsys.readouterr().err.splitlines()
     event(f"exit {rc}")
     assert rc in (0, 2, 3, 4)
     assert sum("error:" in line for line in err) == (rc != 0), err
-    if rc != 0 and not err[0].startswith("usage:"):
+    if rc != 0:
         assert len(err) == 1 and err[0].startswith("error: "), err
     _assert_finite_outputs(out)

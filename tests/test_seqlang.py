@@ -116,14 +116,28 @@ _ANGLES = hs.one_of(
 )
 _PHASES = hs.sampled_from(["+x", "+y", "-x", "-y"])
 _CHANNELS = hs.sampled_from(["echo", "mz", "charge"])
+_STEPS = hs.integers(min_value=1, max_value=50).map(str)
+
+# Literals at the edges of double precision.  Huge numbers take any unit and
+# may overflow to inf; tiny and subnormal ones are in seconds, so that no
+# unit scales them to 0, which the parser refuses as not positive.
+_HUGE = hs.one_of(hs.sampled_from(["1e300", "1.7976931348623157e308", "1e309", "1e400"]),
+                  hs.floats(min_value=1e250, allow_infinity=False).map(repr))
+_TINY = hs.one_of(hs.sampled_from(["2.2250738585072014e-308", "1e-320", "4.9e-324", "5e-324"]),
+                  hs.floats(min_value=5e-324, max_value=1e-250).map(repr))
+EXTREME_TIMES = hs.one_of(TIMES, _TINY.map(lambda n: f"{n}s"),
+                          hs.builds(lambda n, u: f"{n}{u}", _HUGE, hs.sampled_from(["ns", "us", "ms", "s"])))
+EXTREME_ANGLES = hs.one_of(_ANGLES, hs.one_of(_HUGE, _TINY).map(lambda n: f"{n}deg"))
+EXTREME_STEPS = hs.one_of(_STEPS, hs.sampled_from(["1", "0001", "97657", "100000000", "999999999",
+                                                   "000999999999"]))
 
 
-def pulse_statements(use_var, times=TIMES):
+def pulse_statements(use_var, times=TIMES, angles=_ANGLES):
     """``pulse`` lines; with ``use_var`` the duration may be the sweep variable ``tau``."""
     dur = hs.one_of(hs.just(""), times.map(lambda t: f" dur={t}"))
     if use_var:
         dur = hs.one_of(dur, hs.just(" dur=tau"))
-    return hs.builds(lambda a, p, d: f"pulse {a} {p}{d}", _ANGLES, _PHASES, dur)
+    return hs.builds(lambda a, p, d: f"pulse {a} {p}{d}", angles, _PHASES, dur)
 
 
 def delay_statements(use_var, times=TIMES):
@@ -141,11 +155,13 @@ def acquire_statements(times=TIMES):
     )
 
 
-def _source_strategy():
-    acquire = acquire_statements()
+def source_programs(times=TIMES, angles=_ANGLES, steps=_STEPS):
+    """Whole programs, swept over ``tau`` or not, that end in an acquire."""
+    acquire = acquire_statements(times)
 
     def body(has_sweep):
-        stmt = hs.one_of(pulse_statements(has_sweep), delay_statements(has_sweep), acquire)
+        stmt = hs.one_of(pulse_statements(has_sweep, times, angles), delay_statements(has_sweep, times),
+                         acquire)
         return hs.lists(stmt, min_size=0, max_size=7)
 
     def assemble(has_sweep, sweep_header, lines, closing_acquire):
@@ -154,12 +170,7 @@ def _source_strategy():
         out.append(closing_acquire)  # guarantee at least one acquire
         return "\n".join(out)
 
-    sweep_header = hs.builds(
-        lambda a, b, n: [f"sweep tau {a} {b} {n}"],
-        TIMES,
-        TIMES,
-        hs.integers(min_value=1, max_value=50),
-    )
+    sweep_header = hs.builds(lambda a, b, n: [f"sweep tau {a} {b} {n}"], times, times, steps)
     return hs.booleans().flatmap(
         lambda has_sweep: hs.builds(
             assemble,
@@ -172,9 +183,15 @@ def _source_strategy():
 
 
 class TestRoundTripProperty:
-    @given(_source_strategy())
+    @given(source_programs())
     @settings(max_examples=300, deadline=None)
     def test_parse_unparse_identity(self, source):
+        ast = parse(source)
+        assert parse(unparse(ast)) == ast
+
+    @given(source_programs(EXTREME_TIMES, EXTREME_ANGLES, EXTREME_STEPS))
+    @settings(max_examples=150, deadline=None)
+    def test_parse_unparse_identity_at_float_extremes(self, source):
         ast = parse(source)
         assert parse(unparse(ast)) == ast
 

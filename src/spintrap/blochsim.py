@@ -110,11 +110,10 @@ _SWEEP_CHUNK = 4096
 
 _STATIC_STREAM = 0
 _NOISE_STREAM_BASE = 1
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed & _SEED_MASK, stream & _SEED_MASK], dtype=np.uint64)
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -8,11 +8,15 @@ Subcommands::
     spintrap nutation   mz versus pulse duration (Rabi oscillations)
     spintrap fit        fit a trace CSV and emit a JSON report
 
-All commands accept ``--config <json>`` (see :mod:`spintrap.config`),
-``--seed <int>``, and ``--out <path>``.  Exit codes: 0 success, 2 invalid
+All commands but ``fit`` accept ``--config <json>`` (see
+:mod:`spintrap.config`) and ``--seed <int>``, and all accept ``--out <path>``.  Exit codes: 0 success, 2 invalid
 configuration/usage, 3 sequence error, 4 data error.  Outputs are CSV traces
 (or JSON for ``fit``) stamped with the resolved config hash; identical
 configuration and seed give byte-identical data sections.
+
+A flag that overrides a config key has that ``section.key`` as its argparse
+``dest``, which ``-h`` shows as its metavar; the dotted dests that are set
+reach :func:`spintrap.config.load_config` as its ``overrides``.
 """
 
 from __future__ import annotations
@@ -84,30 +88,13 @@ def _load_config_file(args) -> RunConfig:
                 data = json.load(fh)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the 4300-digit limit
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(data, dict):
             raise ConfigError(f"config file must hold a JSON object, got {json.dumps(data)[:40]}")
-    _apply_overrides(args, data)
-    return load_config(data, seed=getattr(args, "seed", None))
-
-
-def _apply_overrides(args, data: dict) -> None:
-    """Fold per-command flags into the config dict before validation."""
-
-    def put(section, key, value):
-        if value is not None:
-            data.setdefault(section, {})[key] = value
-
-    put("spectrum", "b_start_tesla", getattr(args, "b_start", None))
-    put("spectrum", "b_stop_tesla", getattr(args, "b_stop", None))
-    put("spectrum", "n_points", getattr(args, "n_points", None) if args.command == "spectrum" else None)
-    put("spectrum", "lineshape", getattr(args, "lineshape", None))
-    put("species", "nuclear_polarization", getattr(args, "nuclear_polarization", None))
-    put("species", "linewidth_tesla", getattr(args, "linewidth", None))
-    put("environment", "rabi_frequency_hz", getattr(args, "rabi_frequency", None))
-    put("ensemble", "n_static", getattr(args, "n_static", None))
-    put("ensemble", "n_noise", getattr(args, "n_noise", None))
+    # an override flag's dest is the "section.key" it sets
+    overrides = {dest: value for dest, value in vars(args).items() if "." in dest and value is not None}
+    return load_config(data, overrides)
 
 
 def _base_meta(config: RunConfig) -> dict:
@@ -275,7 +262,7 @@ def cmd_fit(args) -> int:
 
 def _add_common(p, default_out):
     p.add_argument("--config", help="JSON config file (see spintrap.config)")
-    p.add_argument("--seed", type=int, help="override ensemble.rng_seed")
+    p.add_argument("--seed", type=int, dest="ensemble.rng_seed", help="override ensemble.rng_seed")
     p.add_argument("--out", default=default_out, help=f"output path (default {default_out})")
 
 
@@ -297,11 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="synthesize a field-swept spectrum")
     _add_common(p, "spectrum.csv")
-    p.add_argument("--b-start", type=float, help="sweep start in Tesla")
-    p.add_argument("--b-stop", type=float, help="sweep stop in Tesla")
-    p.add_argument("--n-points", type=int, help="points across the sweep")
-    p.add_argument("--lineshape", help="gaussian or lorentzian")
-    p.add_argument("--nuclear-polarization", type=float, help="override the 31P nuclear polarization")
+    p.add_argument("--b-start", type=float, dest="spectrum.b_start_tesla", help="sweep start in Tesla")
+    p.add_argument("--b-stop", type=float, dest="spectrum.b_stop_tesla", help="sweep stop in Tesla")
+    p.add_argument("--n-points", type=int, dest="spectrum.n_points", help="points across the sweep")
+    p.add_argument("--lineshape", dest="spectrum.lineshape", help="gaussian or lorentzian")
+    p.add_argument("--nuclear-polarization", type=float, dest="species.nuclear_polarization",
+                   help="override the 31P nuclear polarization")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("transient", help="single-pulse photocurrent transient")
@@ -319,17 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "run.csv")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; has no effect (the engine runs in one thread)")
-    p.add_argument("--n-static", type=int, help="override ensemble.n_static")
-    p.add_argument("--n-noise", type=int, help="override ensemble.n_noise")
-    p.add_argument("--linewidth", type=float, help="override species linewidth in Tesla")
-    p.add_argument("--rabi-frequency", type=float, help="override drive Rabi frequency in Hz")
+    p.add_argument("--n-static", type=int, dest="ensemble.n_static", help="override ensemble.n_static")
+    p.add_argument("--n-noise", type=int, dest="ensemble.n_noise", help="override ensemble.n_noise")
+    p.add_argument("--linewidth", type=float, dest="species.linewidth_tesla",
+                   help="override species linewidth in Tesla")
+    p.add_argument("--rabi-frequency", type=float, dest="environment.rabi_frequency_hz",
+                   help="override drive Rabi frequency in Hz")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("nutation", help="mz versus resonant pulse duration")
     _add_common(p, "nutation.csv")
     p.add_argument("--t-max", type=float, default=4e-6, help="longest pulse in seconds")
     p.add_argument("--n-points", type=int, default=81)
-    p.add_argument("--linewidth", type=float, help="override species linewidth in Tesla")
+    p.add_argument("--linewidth", type=float, dest="species.linewidth_tesla",
+                   help="override species linewidth in Tesla")
     p.set_defaults(func=cmd_nutation)
 
     p = sub.add_parser("fit", help="fit a trace CSV, emit JSON")

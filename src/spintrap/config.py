@@ -2,10 +2,16 @@
 
 Configuration files are JSON objects whose keys carry their units
 (``t2_seconds``, ``static_field_tesla``); unknown keys are hard errors so
-typos cannot silently fall back to defaults.  Numbers must be finite
-(``t_s_seconds`` alone also takes the string ``"inf"``), and the ensemble
-counts, the seed and ``spectrum.n_points`` must be integers.  Every section
-is optional and defaults to the built-in presets.  The resolved
+typos cannot silently fall back to defaults.  One table, ``_SECTIONS``,
+names each section's class and maps its JSON keys to the class's fields;
+loading, validation, defaults and hashing all read it.  Numbers must be
+finite and may not be ``true`` or ``false`` (``t_s_seconds`` alone also
+takes the string ``"inf"``).  The ensemble counts, the seed and
+``spectrum.n_points`` must be integers, and the seed must lie in
+[0, 2**64); an integer literal for any other key is stored as a float, so
+``400`` and ``400.0`` are one configuration with one hash.  Every section
+is optional and defaults to the built-in presets.  The CLI's override
+flags reach :func:`load_config` as ``{"section.key": value}``.  The resolved
 configuration (defaults filled in) is hashed into every output file so
 traces can be matched to the physics that produced them.
 
@@ -24,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
 from .spincore import (SPECIES_PRESETS, DANGLING_BOND, EnsembleSpec, Environment, RelaxationParams,
@@ -68,56 +74,28 @@ class RunConfig:
         ]
 
 
-_DEFAULT_RELAXATION = dict(t1=2.5e-3, t2=160e-6, t_s=200e-6)
-
-# JSON key -> dataclass field, per section.
-_ENVIRONMENT_KEYS = {
-    "static_field_tesla": "static_field_b0",
-    "temperature_kelvin": "temperature",
-    "mw_frequency_hz": "mw_frequency",
-    "rabi_frequency_hz": "rabi_frequency",
-}
-_SPECIES_KEYS = {
-    "g_factor": "g_factor",
-    "hyperfine_splitting_tesla": "hyperfine_splitting_field",
-    "nuclear_polarization": "nuclear_polarization",
-    "linewidth_tesla": "linewidth_field",
-}
-_RELAXATION_KEYS = {
-    "t1_seconds": "t1",
-    "t2_seconds": "t2",
-    "t_s_seconds": "t_s",
-}
-_TRAP_KEYS = {
-    "capture_rate_per_second": "capture_rate_k0",
-    "emission_rate_per_second": "emission_rate",
-    "baseline_current_amperes": "baseline_current",
-    "coupling_amplitude_amperes": "coupling_amplitude",
-}
-_ENSEMBLE_KEYS = {
-    "n_static": "n_static",
-    "n_noise": "n_noise",
-    "rng_seed": "rng_seed",
-}
-_SPECTRUM_KEYS = {
-    "b_start_tesla": "b_start",
-    "b_stop_tesla": "b_stop",
-    "n_points": "n_points",
-    "lineshape": "lineshape",
-    "phosphorus_amplitude_amperes": "phosphorus_amplitude",
-    "db_amplitude_ratio": "db_amplitude_ratio",
+# The schema: section -> (its class, {JSON key: dataclass field}).  The
+# sections are also the fields of RunConfig, in the same order.
+_SECTIONS = {
+    "environment": (Environment, {
+        "static_field_tesla": "static_field_b0", "temperature_kelvin": "temperature",
+        "mw_frequency_hz": "mw_frequency", "rabi_frequency_hz": "rabi_frequency"}),
+    "species": (SpinSpecies, {
+        "g_factor": "g_factor", "hyperfine_splitting_tesla": "hyperfine_splitting_field",
+        "nuclear_polarization": "nuclear_polarization", "linewidth_tesla": "linewidth_field"}),
+    "relaxation": (RelaxationParams, {"t1_seconds": "t1", "t2_seconds": "t2", "t_s_seconds": "t_s"}),
+    "trap": (TrapParams, {
+        "capture_rate_per_second": "capture_rate_k0", "emission_rate_per_second": "emission_rate",
+        "baseline_current_amperes": "baseline_current",
+        "coupling_amplitude_amperes": "coupling_amplitude"}),
+    "ensemble": (EnsembleSpec, {"n_static": "n_static", "n_noise": "n_noise", "rng_seed": "rng_seed"}),
+    "spectrum": (SpectrumConfig, {
+        "b_start_tesla": "b_start", "b_stop_tesla": "b_stop", "n_points": "n_points",
+        "lineshape": "lineshape", "phosphorus_amplitude_amperes": "phosphorus_amplitude",
+        "db_amplitude_ratio": "db_amplitude_ratio"}),
 }
 
 _INTEGER_KEYS = {"ensemble.n_static", "ensemble.n_noise", "ensemble.rng_seed", "spectrum.n_points"}
-
-_SECTIONS = {
-    "environment": _ENVIRONMENT_KEYS,
-    "species": _SPECIES_KEYS,
-    "relaxation": _RELAXATION_KEYS,
-    "trap": _TRAP_KEYS,
-    "ensemble": _ENSEMBLE_KEYS,
-    "spectrum": _SPECTRUM_KEYS,
-}
 
 
 def _section_kwargs(section: str, data: dict, keymap: dict) -> dict:
@@ -130,26 +108,32 @@ def _section_kwargs(section: str, data: dict, keymap: dict) -> dict:
             raise ConfigError(f"unknown key {name!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
-        if name in _INTEGER_KEYS and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if name in _INTEGER_KEYS:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        elif isinstance(value, bool):
+            raise ConfigError(f"{name} must not be a boolean, got {json.dumps(value)}")
+        elif isinstance(value, int):
+            # 400 and 400.0 are one value and must hash alike
+            try:
+                value = float(value)
+            except OverflowError as exc:
+                raise ConfigError(f"invalid {section!r} config: {exc}") from exc
+        elif name == "relaxation.t_s_seconds" and isinstance(value, str):
+            if value.lower() not in ("inf", "infinity"):
+                raise ConfigError(f"relaxation.t_s_seconds must be a number or \"inf\", got {value!r}")
+            value = math.inf
         kwargs[keymap[key]] = value
     return kwargs
 
 
-def _coerce_special(section: str, kwargs: dict) -> dict:
-    if section == "relaxation" and isinstance(kwargs.get("t_s"), str):
-        if kwargs["t_s"].lower() not in ("inf", "infinity"):
-            raise ConfigError(f"relaxation.t_s_seconds must be a number or \"inf\", got {kwargs['t_s']!r}")
-        kwargs["t_s"] = math.inf
-    return kwargs
-
-
-def load_config(data: dict | None = None, seed: int | None = None) -> RunConfig:
+def load_config(data: dict | None = None, overrides: dict | None = None) -> RunConfig:
     """Build a validated :class:`RunConfig` from a parsed JSON object.
 
-    ``seed`` overrides ``ensemble.rng_seed`` (the ``--seed`` flag).  Raises
-    :class:`ConfigError` naming the offending field for unknown keys, bad
-    types, or physically invalid values.
+    ``overrides`` maps ``"section.key"`` names to values that replace the
+    file's (the CLI override flags).  Raises :class:`ConfigError` naming the
+    offending field for unknown keys, bad types, or physically invalid
+    values.
     """
     data = dict(data or {})
     for section in data:
@@ -157,65 +141,35 @@ def load_config(data: dict | None = None, seed: int | None = None) -> RunConfig:
             raise ConfigError(f"unknown config section {section!r}")
         if not isinstance(data[section], dict):
             raise ConfigError(f"config section {section!r} must be an object")
+    for name, value in (overrides or {}).items():
+        section, key = name.split(".")
+        data[section] = {**data.get(section, {}), key: value}
 
-    def build(section, cls, base_kwargs=None):
-        body = data.get(section, {})
-        kwargs = _section_kwargs(section, body, _SECTIONS[section])
-        kwargs = _coerce_special(section, kwargs)
-        merged = dict(base_kwargs or {})
-        merged.update(kwargs)
-        try:
-            return cls(**merged)
-        except (ValueError, TypeError, ArithmeticError) as exc:
-            raise ConfigError(f"invalid {section!r} config: {exc}") from exc
-
-    species_body = data.get("species", {})
-    preset_name = species_body.get("preset", "phosphorus")
+    preset_name = data.get("species", {}).get("preset", "phosphorus")
     if not isinstance(preset_name, str) or preset_name not in SPECIES_PRESETS:
         raise ConfigError(
             f"unknown species.preset {preset_name!r}; expected one of {sorted(SPECIES_PRESETS)}"
         )
-    preset = SPECIES_PRESETS[preset_name]
-    species_base = dict(
-        label=preset.label,
-        g_factor=preset.g_factor,
-        hyperfine_splitting_field=preset.hyperfine_splitting_field,
-        nuclear_polarization=preset.nuclear_polarization,
-        linewidth_field=preset.linewidth_field,
-    )
+    bases = {"species": asdict(SPECIES_PRESETS[preset_name]),
+             "relaxation": dict(t1=2.5e-3, t2=160e-6, t_s=200e-6)}
 
-    ensemble_body = dict(data.get("ensemble", {}))
-    if seed is not None:
-        ensemble_body["rng_seed"] = seed
-        data["ensemble"] = ensemble_body
-
-    return RunConfig(
-        environment=build("environment", Environment),
-        species=build("species", SpinSpecies, species_base),
-        relaxation=build("relaxation", RelaxationParams, _DEFAULT_RELAXATION),
-        trap=build("trap", TrapParams),
-        ensemble=build("ensemble", EnsembleSpec),
-        spectrum=build("spectrum", SpectrumConfig),
-    )
+    sections = {}
+    for section, (cls, keymap) in _SECTIONS.items():
+        kwargs = {**bases.get(section, {}), **_section_kwargs(section, data.get(section, {}), keymap)}
+        try:
+            sections[section] = cls(**kwargs)
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            raise ConfigError(f"invalid {section!r} config: {exc}") from exc
+    return RunConfig(**sections)
 
 
 def _resolved_dict(config: RunConfig) -> dict:
-    def section(obj, keymap):
-        out = {}
-        for json_key, attr in keymap.items():
-            value = getattr(obj, attr)
-            if isinstance(value, float) and math.isinf(value):
-                value = "inf"
-            out[json_key] = value
-        return out
+    def resolved(value):
+        return "inf" if isinstance(value, float) and math.isinf(value) else value
 
     return {
-        "environment": section(config.environment, _ENVIRONMENT_KEYS),
-        "species": section(config.species, _SPECIES_KEYS),
-        "relaxation": section(config.relaxation, _RELAXATION_KEYS),
-        "trap": section(config.trap, _TRAP_KEYS),
-        "ensemble": section(config.ensemble, _ENSEMBLE_KEYS),
-        "spectrum": section(config.spectrum, _SPECTRUM_KEYS),
+        section: {key: resolved(getattr(getattr(config, section), attr)) for key, attr in keymap.items()}
+        for section, (_, keymap) in _SECTIONS.items()
     }
 
 

@@ -172,6 +172,8 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.n_static < 1 or self.n_noise < 1:
             raise ValueError("n_static and n_noise must be >= 1")
+        if not 0 <= self.rng_seed < 2**64:  # the Philox key word; no two seeds may alias
+            raise ValueError(f"rng_seed must lie in [0, 2**64), got {self.rng_seed}")
 
     @property
     def n_trajectories(self) -> int:

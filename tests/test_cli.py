@@ -152,8 +152,12 @@ class TestInputValidation:
         ("run", {}, [str(SEQ_DIR / "readout_vee.seq"), "--linewidth", "1e300", *SMALL], 4),
         ("run", {"relaxation": {"t_s_seconds": 1e-300}}, [str(SEQ_DIR / "hahn_echo.seq"), *SMALL], 2),
         ("run", {"relaxation": {"t_s_seconds": 1e300}}, [str(SEQ_DIR / "hahn_echo.seq"), *SMALL], 0),
+        ("nutation", {"environment": {"temperature_kelvin": True}}, [], 2),
+        ("nutation", {}, ["--seed", str(2**64 + 1)], 2),
+        ("nutation", {}, ["--seed", "-1"], 2),
     ], ids=["wide-line", "preset-array", "emission-underflow", "negative-angle", "vanishing-drive",
-            "vanishing-temperature", "charge-of-nan", "t_s-underflow", "t_s-overflow"])
+            "vanishing-temperature", "charge-of-nan", "t_s-underflow", "t_s-overflow",
+            "boolean-temperature", "seed-past-64-bits", "negative-seed"])
     def test_extreme_value_exit_code(self, tmp_path, capsys, command, config, flags, code):
         # a float formula that overflows ends in one error line, never a traceback
         out = tmp_path / "x.csv"
@@ -191,23 +195,27 @@ class TestInputValidation:
 
 
 class TestFileErrors:
-    @pytest.mark.parametrize("content, flags", [
-        (b"[1]", []),
-        (b'"abc"', []),
-        (b"5", []),
-        (b"[1]", ["--b-start", "8.5"]),
-        (b"null", []),
-        (b"\xff{}", []),
-        (None, []),
-    ], ids=["array", "string", "number", "array-with-flag", "null", "undecodable", "directory"])
-    def test_unusable_config_file_exit_2(self, tmp_path, capsys, content, flags):
+    @pytest.mark.parametrize("content, argv", [
+        (b"[1]", ["spectrum"]),
+        (b'"abc"', ["spectrum"]),
+        (b"5", ["spectrum"]),
+        (b"[1]", ["spectrum", "--b-start", "8.5"]),
+        (b"null", ["spectrum"]),
+        (b"\xff{}", ["spectrum"]),
+        (None, ["spectrum"]),
+        (b'{"ensemble": 5}', ["run", str(SEQ_DIR / "nutation.seq"), "--n-static", "2"]),
+        (b'{"spectrum": [1]}', ["spectrum", "--b-start", "8.5"]),
+        (b'{"trap": {"emission_rate_per_second": 1' + b"0" * 5000 + b"}}", ["spectrum"]),
+    ], ids=["array", "string", "number", "array-with-flag", "null", "undecodable", "directory",
+            "number-section-with-flag", "array-section-with-flag", "integer-past-digit-limit"])
+    def test_unusable_config_file_exit_2(self, tmp_path, capsys, content, argv):
         cfg = tmp_path / "config.json"
         if content is None:
             cfg.mkdir()
         else:
             cfg.write_bytes(content)
         out = tmp_path / "x.csv"
-        assert main(["spectrum", "--out", str(out), "--config", str(cfg)] + flags) == 2
+        assert main(argv + ["--out", str(out), "--config", str(cfg)]) == 2
         _single_error_line(capsys)
         assert not out.exists()
 
@@ -708,10 +716,10 @@ print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("spin
     assert loaded <= modules and not absent & modules, modules
 
 
-# Every key of config's key tables, and values of every JSON type: numbers
+# Every key of config's schema table, and values of every JSON type: numbers
 # small, huge and non-finite (json.dumps writes NaN and Infinity, which
 # json.load reads back), strings, null, arrays and objects.
-_CONFIG_KEYS = [(section, key) for section, keys in config._SECTIONS.items() for key in keys]
+_CONFIG_KEYS = [(section, key) for section, (_, keys) in config._SECTIONS.items() for key in keys]
 _CONFIG_KEYS += [("species", "preset")]
 _JSON_VALUES = hs.one_of(
     hs.integers(min_value=-3, max_value=40),
@@ -765,10 +773,13 @@ def _args(draw, command):
 
 @hs.composite
 def _configs(draw):
-    """A config object over up to four keys of config's key tables."""
+    """A config object over up to four keys of config's schema table, with
+    some sections replaced by a value that is not an object."""
     data = {}
     for section, key in draw(hs.lists(hs.sampled_from(_CONFIG_KEYS), max_size=4, unique=True)):
         data.setdefault(section, {})[key] = draw(_JSON_VALUES)
+    for section in draw(hs.lists(hs.sampled_from(sorted(config._SECTIONS)), max_size=2, unique=True)):
+        data[section] = draw(_JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
     return data
 
 

@@ -102,10 +102,11 @@ _PHASE_ANGLES = {"+x": 0.0, "+y": 0.5 * math.pi, "-x": math.pi, "-y": 1.5 * math
 # the results.
 _BLOCK = 8192
 
-# Timelines go through the engine this many at a time.  A sweep of up to
-# this many points (every shipped one) draws its offsets and noise once; a
-# longer one, which the CLI work bound allows only with small ensembles,
-# draws them once per chunk and never holds more compiled timelines.
+# Compiled sweep points go through the engine this many at a time.  A sweep
+# of up to this many points (every shipped one) draws its offsets and noise
+# once; a longer one, which the CLI work bound allows only with small
+# ensembles, draws them once per chunk and never holds more compiled
+# timelines.
 _SWEEP_CHUNK = 4096
 
 _STATIC_STREAM = 0
@@ -374,23 +375,23 @@ def _shared_prefix(sequences, limit: int) -> int:
 
 
 def _run_engine(timelines, env, species, relax, ensemble):
-    """Shared ensemble propagation of every timeline of a sweep.
+    """Shared ensemble propagation of every timeline (tuple of compiled events) of a sweep.
 
     Returns ``(m0, stats)``.  ``stats[i, k]`` holds the weighted means
     ``(x, y, z)`` and the variances of the mean ``(var_x, var_y, cov_xy,
     var_z)`` at acquire event ``k`` of timeline ``i``; rows past a timeline's
     own acquires stay zero.
     """
-    acquire_at = [[i for i, e in enumerate(t.events) if isinstance(e, AcquireEvent)] for t in timelines]
+    acquire_at = [[i for i, e in enumerate(t) if isinstance(e, AcquireEvent)] for t in timelines]
     if not all(acquire_at):
         raise ValueError("timeline has no acquisition events")
     # Nothing after a timeline's last acquire is read, so each one stops
     # there; the leading events equal in every timeline are propagated once
     # per block and manifold, and each timeline continues from that state.
     ends = [at[-1] for at in acquire_at]
-    n_shared = _shared_prefix([t.events for t in timelines], min(ends))
-    shared = timelines[0].events[:n_shared]
-    n_free = max(sum(map(_evolves_freely, t.events[:end])) for t, end in zip(timelines, ends))
+    n_shared = _shared_prefix(timelines, min(ends))
+    shared = timelines[0][:n_shared]
+    n_free = max(sum(map(_evolves_freely, t[:end])) for t, end in zip(timelines, ends))
     n_acquire = max(map(len, acquire_at))
 
     m0, w1, sigma = _ensemble_setup(env, species)
@@ -415,7 +416,7 @@ def _run_engine(timelines, env, species, relax, ensemble):
             mx, my, mz, walk, acc, j, k = _walk(shared, start, det, m0, w1, relax, draws)
             for i, (timeline, end) in enumerate(zip(timelines, ends)):
                 px, py, pz, _, point_acc, _, k_last = _walk(
-                    timeline.events[n_shared:end], (mx, my, mz, walk, acc.copy(), j, k),
+                    timeline[n_shared:end], (mx, my, mz, walk, acc.copy(), j, k),
                     det, m0, w1, relax, draws)
                 point_acc[k_last] = _moments(px, py, pz)  # the last acquire
                 sums[mf, i] += point_acc
@@ -446,7 +447,7 @@ def _channel_value(event, stat, m0, trap):
         se = math.sqrt(max(ux * ux * vx + 2 * ux * uy * cxy + uy * uy * vy, 0.0))
         return amp, se
     if event.channel == "charge":
-        window = event.window if event.window is not None else 6.0 / trap.emission_rate
+        window = event.duration or 6.0 / trap.emission_rate  # an unwindowed acquire has duration 0
         # a non-finite mz stays non-finite, and the trace is refused where it is written
         fraction = trapdyn.flip_fraction_from_state(mean[2], m0) if math.isfinite(mean[2]) else math.nan
         unit_charge = trapdyn.boxcar_charge(1.0, trap, window)
@@ -468,7 +469,7 @@ def _run_points(timelines, env, species, relax, ensemble, trap):
     while chunk := list(itertools.islice(timelines, _SWEEP_CHUNK)):
         m0, stats = _run_engine(chunk, env, species, relax, ensemble)
         for timeline, point_stats in zip(chunk, stats):
-            acquires = [e for e in timeline.events if isinstance(e, AcquireEvent)]
+            acquires = [e for e in timeline if isinstance(e, AcquireEvent)]
             yield [(e.channel, e.start, *_channel_value(e, stat, m0, trap))
                    for e, stat in zip(acquires, point_stats)]
 

@@ -37,6 +37,7 @@ try:
     import dataclasses
     import json
     import math
+    import os
     import sys
     from datetime import datetime, timezone
     from typing import TYPE_CHECKING
@@ -191,11 +192,9 @@ def cmd_run(args) -> int:
                                   ensemble, config.trap)
     for trace in traces.values():  # refuse before any channel's file is written
         require_finite(trace)
+    stem, ext = os.path.splitext(args.out)
     for channel, trace in traces.items():
-        path = args.out
-        if len(traces) > 1:
-            stem, dot, ext = args.out.rpartition(".")
-            path = f"{stem}_{channel}{dot}{ext}" if dot else f"{args.out}_{channel}"
+        path = f"{stem}_{channel}{ext}" if len(traces) > 1 else args.out
         _write_output(trace, config, path, {"command": "run", "channel": channel,
                                             "sequence_file": args.seqfile})
     return EXIT_OK

@@ -40,7 +40,6 @@ __all__ = [
     "PulseEvent",
     "FreeEvolutionEvent",
     "AcquireEvent",
-    "Timeline",
     "parse",
     "unparse",
     "compile_timeline",
@@ -108,8 +107,7 @@ class SequenceAst:
 @dataclass(frozen=True)
 class PulseEvent:
     start: float
-    duration: float
-    angle: float  # effective rotation angle at resonance, rad
+    duration: float  # rotates by 2 pi f_rabi * duration at resonance
     phase: str
 
 
@@ -122,17 +120,8 @@ class FreeEvolutionEvent:
 @dataclass(frozen=True)
 class AcquireEvent:
     start: float
-    duration: float
+    duration: float  # the window; 0 when none is given
     channel: str
-    window: float | None
-
-
-@dataclass(frozen=True)
-class Timeline:
-    """Absolute-time, gap-free event schedule compiled from one sweep point."""
-
-    events: tuple
-    total_duration: float
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
@@ -384,8 +373,8 @@ def compile_timeline(
     ast: SequenceAst,
     env: Environment,
     sweep_value: float | None = None,
-) -> Timeline:
-    """Compile an AST into an absolute-time, gap-free :class:`Timeline`.
+) -> tuple:
+    """Compile an AST into its timeline: the absolute-time, gap-free tuple of events.
 
     ``sweep_value`` must be given exactly when the AST declares a sweep.
     Pulse durations left as "auto" resolve to ``angle / (2 pi f_rabi)``; a
@@ -412,8 +401,7 @@ def compile_timeline(
                 duration = angle_rad / (2.0 * math.pi * f_rabi)
             else:
                 duration = _resolve_duration(stmt.duration, sweep, sweep_value)
-            effective_angle = 2.0 * math.pi * f_rabi * duration
-            events.append(PulseEvent(start=t, duration=duration, angle=effective_angle, phase=stmt.phase))
+            events.append(PulseEvent(start=t, duration=duration, phase=stmt.phase))
             t += duration
         elif isinstance(stmt, DelayStmt):
             duration = _resolve_duration(stmt.duration, sweep, sweep_value)
@@ -424,6 +412,6 @@ def compile_timeline(
                    for e in events):
                 raise SequenceError(f"channel {stmt.channel!r} is acquired twice at t = {t!r} s")
             duration = stmt.window if stmt.window is not None else 0.0
-            events.append(AcquireEvent(start=t, duration=duration, channel=stmt.channel, window=stmt.window))
+            events.append(AcquireEvent(start=t, duration=duration, channel=stmt.channel))
             t += duration
-    return Timeline(events=tuple(events), total_duration=t)
+    return tuple(events)

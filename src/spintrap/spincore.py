@@ -1,7 +1,7 @@
 """Physical constants, spin species, and resonance relations.
 
 Everything downstream (pulse simulation, spectra, trap dynamics) builds on the
-quantities defined here: CODATA constants, the two built-in spin species of a
+quantities defined here: physical constants, the two built-in spin species of a
 Si:P sample (the phosphorus donor doublet and the broad dangling-bond line),
 thermal electron polarization, resonance fields, and rotating-frame detunings.
 The relaxation times and the Monte Carlo ensemble layout that
@@ -28,8 +28,10 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "PhysicalConstants",
-    "CODATA",
+    "PLANCK_H",
+    "HBAR",
+    "BOHR_MAGNETON",
+    "BOLTZMANN_K",
     "SpinSpecies",
     "Environment",
     "RelaxationParams",
@@ -37,7 +39,6 @@ __all__ = [
     "BlochState",
     "PHOSPHORUS",
     "DANGLING_BOND",
-    "DEFAULT_ENVIRONMENT",
     "thermal_polarization",
     "resonance_field",
     "detuning",
@@ -48,20 +49,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA values used throughout; immutable."""
-
-    planck_h: float = 6.62607015e-34  # J s
-    bohr_magneton: float = 9.2740100783e-24  # J/T
-    boltzmann_k: float = 1.380649e-23  # J/K
-
-    @property
-    def hbar(self) -> float:
-        return self.planck_h / (2.0 * math.pi)
-
-
-CODATA = PhysicalConstants()
+# Physical constants: h and k_B are exact in the 2019 SI, mu_B is the 2018
+# recommended value.
+PLANCK_H = 6.62607015e-34  # J s
+HBAR = PLANCK_H / (2.0 * math.pi)  # J s
+BOHR_MAGNETON = 9.2740100783e-24  # J/T
+BOLTZMANN_K = 1.380649e-23  # J/K
 
 
 @dataclass(frozen=True)
@@ -212,8 +205,6 @@ DANGLING_BOND = SpinSpecies(
     linewidth_field=1.2e-3,
 )
 
-DEFAULT_ENVIRONMENT = Environment()
-
 SPECIES_PRESETS = {
     "phosphorus": PHOSPHORUS,
     "dangling_bond": DANGLING_BOND,
@@ -235,7 +226,7 @@ def thermal_polarization(g: float, b: float, t: float) -> float:
         raise ValueError(f"temperature must be > 0, got {t}")
     if b < 0:
         raise ValueError(f"field must be >= 0, got {b}")
-    return math.tanh(g * CODATA.bohr_magneton * b / (2.0 * CODATA.boltzmann_k * t))
+    return math.tanh(g * BOHR_MAGNETON * b / (2.0 * BOLTZMANN_K * t))
 
 
 def _m_i_sign(species: SpinSpecies, m_i: float | None) -> float:
@@ -263,13 +254,13 @@ def resonance_field(species: SpinSpecies, f_mw: float, m_i: float | None = None)
     if f_mw <= 0:
         raise ValueError(f"mw frequency must be > 0, got {f_mw}")
     sign = _m_i_sign(species, m_i)
-    center = CODATA.planck_h * f_mw / (species.g_factor * CODATA.bohr_magneton)
+    center = PLANCK_H * f_mw / (species.g_factor * BOHR_MAGNETON)
     return center - sign * species.hyperfine_splitting_field / 2.0
 
 
 def gyromagnetic_ratio(g: float) -> float:
     """g mu_B / hbar, in rad/s per Tesla."""
-    return g * CODATA.bohr_magneton / CODATA.hbar
+    return g * BOHR_MAGNETON / HBAR
 
 
 def detuning(species: SpinSpecies, env: Environment, m_i: float | None = None) -> float:

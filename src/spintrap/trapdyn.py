@@ -64,20 +64,10 @@ class TrapParams:
         if self.baseline_current <= 0:
             raise ValueError(f"baseline_current must be > 0, got {self.baseline_current}")
         if self.coupling_amplitude is None:
-            peak = _peak_trapped_fraction(self.flipped_capture_rate, self.emission_rate)
+            peak = _peak_trapped_fraction(self.capture_rate_k0, self.emission_rate)
             object.__setattr__(self, "coupling_amplitude", 0.01 * self.baseline_current / peak)
         elif self.coupling_amplitude <= 0:
             raise ValueError(f"coupling_amplitude must be > 0, got {self.coupling_amplitude}")
-
-    @property
-    def flipped_capture_rate(self) -> float:
-        """Capture rate seen by the flipped donor sub-population.
-
-        A flipped donor is by construction fully anti-aligned with the
-        majority conduction spins, so the Pauli factor is 1 and the rate is
-        the full spin-allowed ``k0``.
-        """
-        return self.capture_rate_k0
 
 
 def _peak_trapped_fraction(k_c: float, k_e: float) -> float:
@@ -94,7 +84,7 @@ def trapped_fraction(flip_fraction: float, params: TrapParams, t) -> np.ndarray:
     degenerate case ``k_c = k_e`` uses the confluent limit ``f k t e^{-kt}``.
     """
     t = np.asarray(t, dtype=float)
-    k_c = params.flipped_capture_rate
+    k_c = params.capture_rate_k0
     k_e = params.emission_rate
     if math.isclose(k_c, k_e, rel_tol=1e-12):
         return flip_fraction * k_c * t * np.exp(-k_c * t)
@@ -171,7 +161,7 @@ def boxcar_charge(flip_fraction: float, params: TrapParams, window: float) -> fl
         raise ValueError(f"flip_fraction must lie in [0, 1], got {flip_fraction}")
     if not window > 0.0:
         raise ValueError(f"window must be > 0, got {window}")
-    k_c = params.flipped_capture_rate
+    k_c = params.capture_rate_k0
     k_e = params.emission_rate
     scale = -params.coupling_amplitude * flip_fraction
     if math.isclose(k_c, k_e, rel_tol=1e-12):
@@ -198,7 +188,7 @@ def spin_recovery_curve(params: TrapParams, t_grid, flip_fraction: float = 1.0) 
     t = np.asarray(t_grid, dtype=float)
     if np.any(t < 0) or np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be sorted, non-negative, strictly increasing")
-    k_c = params.flipped_capture_rate
+    k_c = params.capture_rate_k0
     flipped = flip_fraction * np.exp(-k_c * t)
     trapped = trapped_fraction(flip_fraction, params, t)
     aligned = 1.0 - flipped - trapped

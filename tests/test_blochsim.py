@@ -25,6 +25,7 @@ from spintrap.config import load_config
 from spintrap.seqlang import AcquireEvent, SequenceError, compile_timeline, parse, sweep_values
 from spintrap.spincore import (Environment, SpinSpecies, detuning, manifold_labels, manifold_weight,
                                resonance_field)
+from spintrap.trapdyn import TrapParams
 from test_seqlang import acquire_statements, delay_statements, pulse_statements
 
 W1 = 2 * math.pi * (1.0 / (2 * 480e-9))  # default drive, rad/s
@@ -280,6 +281,19 @@ class TestRunTimeline:
         with pytest.raises(ValueError, match="trap"):
             run_program(ast, env, species, RELAX, EnsembleSpec(2, 1, 1))
 
+    @pytest.mark.parametrize("emission_rate, window", [(400.0, "15ms"), (200.0, "30ms")])
+    def test_unwindowed_charge_integrates_six_emission_times(self, emission_rate, window):
+        # an acquire without a window has duration 0; its charge is integrated over 6/k_e
+        species = _narrow_species()
+        env = _resonant_env(species)
+        trap = TrapParams(emission_rate=emission_rate)
+        body = "pulse pi/2 +x\ndelay 20us\npulse pi/2 +y\nacquire charge"
+        default, windowed = (
+            run_program(parse(source), env, species, RELAX, EnsembleSpec(8, 4, 5), trap)["charge"]
+            for source in (body, f"{body} window={window}"))
+        assert default.y == windowed.y and default.meta == windowed.meta
+        assert default.y[0] != 0.0
+
     def test_mz_channel_after_pi_pulse(self):
         species = _narrow_species()
         env = _resonant_env(species)
@@ -347,8 +361,8 @@ class TestSweepEngine:
     ])
     def test_explicit_cases(self, source, n_shared, ensemble):
         timelines = _sweep_timelines(source, self.CONFIG.environment)
-        ends = [max(i for i, e in enumerate(t.events) if isinstance(e, AcquireEvent)) for t in timelines]
-        assert blochsim._shared_prefix([t.events for t in timelines], min(ends)) == n_shared
+        ends = [max(i for i, e in enumerate(t) if isinstance(e, AcquireEvent)) for t in timelines]
+        assert blochsim._shared_prefix(timelines, min(ends)) == n_shared
         self._assert_sweep_equals_points(timelines, ensemble)
 
     @pytest.mark.parametrize("n_static, n_noise", [(300, 30), (3, 4000), (20000, 1), (1, 9000), (4, 8192)])

@@ -409,6 +409,19 @@ class TestRunCommand:
         assert charges[0] == charges[1] and np.isfinite(charges[0][0])
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("out, written", [
+        ("d.v2/run.csv", ("d.v2/run_echo.csv", "d.v2/run_mz.csv")),
+        ("d.v2/run", ("d.v2/run_echo", "d.v2/run_mz")),
+    ], ids=["extension", "no-extension"])
+    def test_channel_files_split_only_the_file_extension(self, tmp_path, out, written):
+        # one file per channel, <stem>_<channel><ext>; a dot in a directory name is not an extension
+        (tmp_path / "d.v2").mkdir()
+        seq = tmp_path / "two.seq"
+        seq.write_text("pulse pi/2 +x\ndelay 10us\nacquire echo\nacquire mz\n")
+        assert main(["run", str(seq), "--out", str(tmp_path / out)] + SMALL) == 0
+        assert sorted(str(p.relative_to(tmp_path)) for p in (tmp_path / "d.v2").iterdir()) == list(written)
+        assert [read_trace_csv(str(tmp_path / p)).meta["channel"] for p in written] == ["echo", "mz"]
+
     @pytest.mark.parametrize("sweep, flags", [
         ("sweep t 1ns 2ns 100000000", []),
         ("sweep t 1ns 2ns 100000", ["--n-static", "1", "--n-noise", "1"]),

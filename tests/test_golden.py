@@ -30,11 +30,11 @@ def test_golden_transient(tmp_path):
     _compare(SEQ_DIR / "golden_transient.csv", out)
 
 
-def _compare_run(tmp_path, name):
+def _compare_run(tmp_path, name, config="pulsed_defaults"):
     out = tmp_path / f"{name}.csv"
     rc = main([
         "run", str(SEQ_DIR / f"{name}.seq"),
-        "--config", str(SEQ_DIR / "pulsed_defaults.json"),
+        "--config", str(SEQ_DIR / f"{config}.json"),
         "--out", str(out), "--seed", "31415", "--n-static", "16", "--n-noise", "4",
     ])
     assert rc == 0
@@ -48,3 +48,15 @@ def test_golden_hahn_echo(tmp_path):
 def test_golden_three_pulse_ed_echo(tmp_path):
     # the charge channel: the echo converted through the trap model
     _compare_run(tmp_path, "three_pulse_ed_echo")
+
+
+def test_golden_nutation(tmp_path):
+    _compare_run(tmp_path, "nutation")
+
+
+def test_golden_readout_vee(tmp_path):
+    _compare_run(tmp_path, "readout_vee")
+
+
+def test_golden_inversion_recovery(tmp_path):
+    _compare_run(tmp_path, "inversion_recovery", "inversion_recovery")

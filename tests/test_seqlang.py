@@ -209,20 +209,20 @@ class TestCompile:
         )
         tl = compile_timeline(parse(src), Environment())
         expected = 600e-9 + 1e-4 + 300e-9 + 1e-6 + 600e-9 + 1e-6
-        assert tl.total_duration == pytest.approx(expected, rel=1e-12)
+        assert tl[-1].start + tl[-1].duration == pytest.approx(expected, rel=1e-12)
 
     def test_single_pulse_and_acquire(self):
         tl = compile_timeline(parse("pulse pi +x dur=480ns\nacquire mz"), Environment())
-        assert len(tl.events) == 2
-        assert isinstance(tl.events[0], PulseEvent)
-        assert tl.events[0].duration == pytest.approx(480e-9, rel=1e-12)
-        assert isinstance(tl.events[1], AcquireEvent)
+        assert len(tl) == 2
+        assert isinstance(tl[0], PulseEvent)
+        assert tl[0].duration == pytest.approx(480e-9, rel=1e-12)
+        assert isinstance(tl[1], AcquireEvent)
 
     def test_auto_duration_from_rabi(self):
         env = Environment(rabi_frequency=1.0 / (2 * 480e-9))
         tl = compile_timeline(parse("pulse pi +x\nacquire mz"), env)
-        assert tl.events[0].duration == pytest.approx(480e-9, rel=1e-12)
-        assert tl.events[0].angle == pytest.approx(math.pi, rel=1e-12)
+        assert tl[0].duration == pytest.approx(480e-9, rel=1e-12)
+        assert 2 * math.pi * env.rabi_frequency * tl[0].duration == pytest.approx(math.pi, rel=1e-12)
 
     def test_sweep_grid_values(self):
         decl = parse("sweep tau 10us 30us 3\ndelay tau\nacquire mz").sweep
@@ -244,11 +244,10 @@ class TestCompile:
         for value in sweep_values(ast.sweep):
             tl = compile_timeline(ast, Environment(), sweep_value=float(value))
             t = 0.0
-            for event in tl.events:
+            for event in tl:
                 assert event.start == t  # exact: starts are cumulative sums
                 t = event.start + event.duration
-            assert t == tl.total_duration
-            starts = [e.start for e in tl.events]
+            starts = [e.start for e in tl]
             assert all(b > a for a, b in zip(starts, starts[1:]))
 
     def test_deterministic(self):
@@ -259,7 +258,7 @@ class TestCompile:
 
     def test_acquire_window_occupies_time(self):
         tl = compile_timeline(parse("acquire charge window=2ms"), Environment())
-        assert tl.total_duration == pytest.approx(2e-3, rel=1e-12)
+        assert tl[-1].start + tl[-1].duration == pytest.approx(2e-3, rel=1e-12)
 
 
 class TestBadInputCorpus:

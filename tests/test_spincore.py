@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from spintrap.spincore import (
-    CODATA,
+    BOHR_MAGNETON,
+    BOLTZMANN_K,
     DANGLING_BOND,
-    DEFAULT_ENVIRONMENT,
+    HBAR,
     PHOSPHORUS,
+    PLANCK_H,
     Environment,
     SpinSpecies,
     detuning,
@@ -22,13 +24,10 @@ from spintrap.spincore import (
 
 class TestConstants:
     def test_codata_values(self):
-        assert CODATA.planck_h == 6.62607015e-34
-        assert CODATA.bohr_magneton == 9.2740100783e-24
-        assert CODATA.boltzmann_k == 1.380649e-23
-
-    def test_immutable(self):
-        with pytest.raises(Exception):
-            CODATA.planck_h = 1.0
+        assert PLANCK_H == 6.62607015e-34
+        assert BOHR_MAGNETON == 9.2740100783e-24
+        assert BOLTZMANN_K == 1.380649e-23
+        assert HBAR == PLANCK_H / (2.0 * math.pi)
 
 
 class TestThermalPolarization:
@@ -54,7 +53,7 @@ class TestThermalPolarization:
 
     def test_odd_in_field(self):
         # the underlying tanh form is odd; the public surface clamps b >= 0
-        arg = 2.0 * CODATA.bohr_magneton * 8.6 / (2 * CODATA.boltzmann_k * 2.8)
+        arg = 2.0 * BOHR_MAGNETON * 8.6 / (2 * BOLTZMANN_K * 2.8)
         assert math.tanh(-arg) == -math.tanh(arg)
         with pytest.raises(ValueError):
             thermal_polarization(2.0, -8.6, 2.8)
@@ -115,7 +114,7 @@ class TestDetuning:
 
 class TestEquilibriumState:
     def test_default_preset(self):
-        state = equilibrium_state(DEFAULT_ENVIRONMENT, PHOSPHORUS)
+        state = equilibrium_state(Environment(), PHOSPHORUS)
         assert state.mx == 0.0 and state.my == 0.0
         assert state.mz == pytest.approx(0.968, abs=1e-3)
 

@@ -70,7 +70,7 @@ class TestTransientResponse:
 
     def test_against_rate_equation_oracle(self):
         # fixed-step integration with dt <= 1/(100 k_c) agrees within 0.1%
-        k_c = PRESET.flipped_capture_rate
+        k_c = PRESET.capture_rate_k0
         k_e = PRESET.emission_rate
         t_end = 10e-3
         n_steps = int(t_end * 100 * k_c)  # dt = 1/(100 kc) = 1 us
@@ -83,7 +83,7 @@ class TestTransientResponse:
         f = 0.6
         t = np.linspace(0, 15e-3, 512)
         trapped = trapped_fraction(f, PRESET, t)
-        flipped = f * np.exp(-PRESET.flipped_capture_rate * t)
+        flipped = f * np.exp(-PRESET.capture_rate_k0 * t)
         reemitted = f - flipped - trapped
         d0 = (1 - f) + flipped + reemitted
         assert np.allclose(d0 + trapped, 1.0, atol=1e-12)
@@ -113,7 +113,7 @@ class TestChargeSignal:
 
     def test_full_span_integral_matches_closed_form(self):
         # integral of the biexponential: a kc/(kc-ke) (1/ke - 1/kc)
-        k_c = PRESET.flipped_capture_rate
+        k_c = PRESET.capture_rate_k0
         k_e = PRESET.emission_rate
         span = 20.0 / k_e  # truncation error ~ e^-20
         grid = np.linspace(0, span, 20001)
@@ -202,7 +202,6 @@ class TestTrapParams:
     def test_preset_rates(self):
         assert PRESET.capture_rate_k0 == 1e4
         assert PRESET.emission_rate == 400.0
-        assert PRESET.flipped_capture_rate == 1e4
         assert PRESET.capture_rate_k0 > PRESET.emission_rate
 
     def test_default_coupling_normalization(self):

@@ -1,4 +1,4 @@
-"""Bloch-vector dynamics: pulses, relaxation, spectral diffusion, timelines.
+"""Bloch-vector dynamics: pulses, relaxation, spectral diffusion, pulse programs.
 
 The simulation picture is classical: each hyperfine manifold contributes a
 weighted sub-ensemble of magnetization 3-vectors.  Pulses are exact rotations
@@ -36,39 +36,39 @@ All randomness comes from counter-based Philox streams keyed by
 ``(rng_seed, stream)``: stream 0 draws the static detuning offsets, and
 stream ``1 + block`` draws every noise normal of one fixed-size block of
 trajectories at once, as a ``(2 * n_free, n_block)`` array.  The engine
-walks the compiled timeline's events in order; the ``j``-th free evolution
-(a delay, or the window of an acquire, which records its moments first)
-takes rows ``2j, 2j+1``.  Both hyperfine manifolds reuse the block's draws,
+walks the program's statements in order; the ``j``-th free evolution (a
+delay, or the window of an acquire, which records its moments first) takes
+rows ``2j, 2j+1``.  Both hyperfine manifolds reuse the block's draws,
 and so does every sweep point of a sequence (common random numbers).
 Partial sums are accumulated per block and reduced in block order, so
 results depend only on the seed and the ensemble layout.
 
 Sweeps
 ------
-:func:`run_program` runs a parsed program.  It compiles a swept program's
-points as it goes, ``_SWEEP_CHUNK`` at a time, and runs each chunk in one
-engine pass (every shipped sweep is one chunk).  Each block draws its
+:func:`run_program` runs a parsed program, swept or not, in one engine
+pass.  The points of a sweep differ only in the durations that name the
+sweep variable, and the walk resolves each statement's duration at the
+point's value (:func:`seqlang.statement_duration`).  Each block draws its
 static offsets (continuing one stream-0 generator) and its noise once for
-every point.  The leading events equal in every point's
-timeline are propagated once per block and manifold; each point then runs
-its own remaining events from a copy of that state.  A block stops at each
-point's last acquire, since nothing reads the state after it, so the
-window of a final acquire is never evolved and its draw rows are not
-drawn.  None of this moves a draw: the RNG layout above is unchanged and a
-swept point gives the same numbers as the same timeline run alone.
+every point.  The statements before the first swept one are propagated
+once per block and manifold; each point then runs the rest from a copy of
+that state.  A block stops at the last acquire, since nothing reads the
+state after it, so the window of a final acquire is never evolved and its
+draw rows are not drawn.  None of this moves a draw: the RNG layout above
+is unchanged and a swept point gives the same numbers as the unswept
+program with its value written in.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from . import trapdyn
 from .errors import SequenceError
-from .seqlang import (AcquireEvent, DelayStmt, FreeEvolutionEvent, PulseEvent, SequenceAst,
-                      compile_timeline, sweep_values)
+from .seqlang import (AcquireStmt, DelayStmt, PulseStmt, SequenceAst, SweepDecl, statement_duration,
+                      sweep_values)
 from .spincore import (
     BlochState,
     EnsembleSpec,
@@ -101,13 +101,6 @@ _PHASE_ANGLES = {"+x": 0.0, "+y": 0.5 * math.pi, "-x": math.pi, "-y": 1.5 * math
 # noise stream per block) and bounds the working set, so changing it changes
 # the results.
 _BLOCK = 8192
-
-# Compiled sweep points go through the engine this many at a time.  A sweep
-# of up to this many points (every shipped one) draws its offsets and noise
-# once; a longer one, which the CLI work bound allows only with small
-# ensembles, draws them once per chunk and never holds more compiled
-# timelines.
-_SWEEP_CHUNK = 4096
 
 _STATIC_STREAM = 0
 _NOISE_STREAM_BASE = 1
@@ -296,9 +289,9 @@ def nutation_curve(
 _ACC_FIELDS = 7  # sum_x, sum_y, sum_z, sum_xx, sum_yy, sum_xy, sum_zz
 
 
-def _evolves_freely(event) -> bool:
+def _evolves_freely(stmt) -> bool:
     """A delay, or an acquire with a window, is free evolution over its span."""
-    return isinstance(event, FreeEvolutionEvent) or (isinstance(event, AcquireEvent) and event.duration > 0)
+    return isinstance(stmt, DelayStmt) or (isinstance(stmt, AcquireStmt) and stmt.window is not None)
 
 
 def _moments(mx, my, mz):
@@ -307,8 +300,9 @@ def _moments(mx, my, mz):
             (mx * mx).sum(), (my * my).sum(), (mx * my).sum(), (mz * mz).sum())
 
 
-def _walk(events, state, det, m0, w1, relax, draws):
-    """Propagate ``state = (mx, my, mz, walk, acc, j, k)`` through ``events``.
+def _walk(statements, value, state, env, det, m0, w1, relax, draws):
+    """Propagate ``state = (mx, my, mz, walk, acc, j, k)`` through ``statements``
+    at sweep value ``value``.
 
     ``walk`` is each trajectory's current noise-walk frequency offset (rad/s),
     ``j`` the next free evolution and ``k`` the next acquire, whose moment
@@ -320,16 +314,16 @@ def _walk(events, state, det, m0, w1, relax, draws):
     """
     mx, my, mz, walk, acc, j, k = state
     diffusion = relax.diffusion_constant
-    for event in events:
-        if isinstance(event, PulseEvent):
-            mx, my, mz = _pulse_arrays(mx, my, mz, w1, event.phase, event.duration, det)
+    for stmt in statements:
+        duration = statement_duration(stmt, env, value)
+        if isinstance(stmt, PulseStmt):
+            mx, my, mz = _pulse_arrays(mx, my, mz, w1, stmt.phase, duration, det)
             continue
-        if isinstance(event, AcquireEvent):
+        if isinstance(stmt, AcquireStmt):
             acc[k] = _moments(mx, my, mz)
             k += 1
-        if not _evolves_freely(event):
+        if not _evolves_freely(stmt):
             continue
-        duration = event.duration
         phase = det * duration
         if draws is not None:
             # exact joint update of the walk end and its time integral
@@ -364,35 +358,24 @@ def _block_offsets(ensemble: EnsembleSpec, sigma: float):
         yield offsets[np.arange(lo, hi) // n_noise - first]
 
 
-def _shared_prefix(sequences, limit: int) -> int:
-    """Length of the longest run of leading items equal in every sequence, at most ``limit``."""
-    n = 0
-    for column in zip(*sequences):
-        if n == limit or any(item != column[0] for item in column[1:]):
-            break
-        n += 1
-    return n
+def _run_engine(ast, values, env, species, relax, ensemble):
+    """Shared ensemble propagation of a program at each of its sweep values.
 
-
-def _run_engine(timelines, env, species, relax, ensemble):
-    """Shared ensemble propagation of every timeline (tuple of compiled events) of a sweep.
-
-    Returns ``(m0, stats)``.  ``stats[i, k]`` holds the weighted means
-    ``(x, y, z)`` and the variances of the mean ``(var_x, var_y, cov_xy,
-    var_z)`` at acquire event ``k`` of timeline ``i``; rows past a timeline's
-    own acquires stay zero.
+    ``values`` is the list of sweep values, or ``[None]`` for an unswept
+    program.  Returns ``(m0, stats)``.  ``stats[i, k]`` holds the weighted
+    means ``(x, y, z)`` and the variances of the mean ``(var_x, var_y,
+    cov_xy, var_z)`` at acquire ``k`` of point ``i``.
     """
-    acquire_at = [[i for i, e in enumerate(t) if isinstance(e, AcquireEvent)] for t in timelines]
-    if not all(acquire_at):
-        raise ValueError("timeline has no acquisition events")
-    # Nothing after a timeline's last acquire is read, so each one stops
-    # there; the leading events equal in every timeline are propagated once
-    # per block and manifold, and each timeline continues from that state.
-    ends = [at[-1] for at in acquire_at]
-    n_shared = _shared_prefix(timelines, min(ends))
-    shared = timelines[0][:n_shared]
-    n_free = max(sum(map(_evolves_freely, t[:end])) for t, end in zip(timelines, ends))
-    n_acquire = max(map(len, acquire_at))
+    statements = [s for s in ast.statements if not isinstance(s, SweepDecl)]
+    # Nothing after the last acquire is read, so each point stops there; the
+    # statements before the first swept one are propagated once per block and
+    # manifold, and each point continues from that state.
+    end = max(i for i, s in enumerate(statements) if isinstance(s, AcquireStmt))
+    name = ast.sweep.name if ast.sweep is not None else None
+    n_shared = next((i for i, s in enumerate(statements[:end])
+                     if not isinstance(s, AcquireStmt) and s.duration == name), end)
+    n_free = sum(map(_evolves_freely, statements[:end]))
+    n_acquire = len(ast.acquire_channels)
 
     m0, w1, sigma = _ensemble_setup(env, species)
     labels = manifold_labels(species)
@@ -400,9 +383,9 @@ def _run_engine(timelines, env, species, relax, ensemble):
     base_dets = [line_detuning(species, env, m_i) for m_i in labels]
     n_traj = ensemble.n_trajectories
 
-    # Both manifolds and every timeline share each block's draws; partial
-    # sums are added in block order.
-    sums = np.zeros((len(labels), len(timelines), n_acquire, _ACC_FIELDS))
+    # Both manifolds and every point share each block's draws; partial sums
+    # are added in block order.
+    sums = np.zeros((len(labels), len(values), n_acquire, _ACC_FIELDS))
     for b, static in enumerate(_block_offsets(ensemble, sigma)):
         draws = None
         if relax.diffusion_constant > 0.0:
@@ -413,15 +396,16 @@ def _run_engine(timelines, env, species, relax, ensemble):
             det = base_det + static
             start = (np.zeros(n), np.zeros(n), np.full(n, m0), np.zeros(n),
                      np.zeros((n_acquire, _ACC_FIELDS)), 0, 0)
-            mx, my, mz, walk, acc, j, k = _walk(shared, start, det, m0, w1, relax, draws)
-            for i, (timeline, end) in enumerate(zip(timelines, ends)):
+            mx, my, mz, walk, acc, j, k = _walk(statements[:n_shared], None, start, env, det, m0, w1,
+                                                relax, draws)
+            for i, value in enumerate(values):
                 px, py, pz, _, point_acc, _, k_last = _walk(
-                    timeline[n_shared:end], (mx, my, mz, walk, acc.copy(), j, k),
-                    det, m0, w1, relax, draws)
+                    statements[n_shared:end], value, (mx, my, mz, walk, acc.copy(), j, k),
+                    env, det, m0, w1, relax, draws)
                 point_acc[k_last] = _moments(px, py, pz)  # the last acquire
                 sums[mf, i] += point_acc
 
-    stats = np.zeros((len(timelines), n_acquire, _ACC_FIELDS))
+    stats = np.zeros((len(values), n_acquire, _ACC_FIELDS))
     for weight, acc in zip(weights, sums):
         mean = acc[..., :3] / n_traj
         mx, my, mz = np.moveaxis(mean, -1, 0)
@@ -432,13 +416,13 @@ def _run_engine(timelines, env, species, relax, ensemble):
     return m0, stats
 
 
-def _channel_value(event, stat, m0, trap):
-    """(value, stderr) of one acquire event from its row of engine stats."""
+def _channel_value(acquire, stat, m0, trap):
+    """(value, stderr) of one acquire statement from its row of engine stats."""
     mean = stat[:3]
     vx, vy, cxy, vz = stat[3:]
-    if event.channel == "mz":
+    if acquire.channel == "mz":
         return mean[2], math.sqrt(vz)
-    if event.channel == "echo":
+    if acquire.channel == "echo":
         amp = math.hypot(mean[0], mean[1])
         if amp > 0:
             ux, uy = mean[0] / amp, mean[1] / amp
@@ -446,32 +430,14 @@ def _channel_value(event, stat, m0, trap):
             ux, uy = 1.0, 0.0
         se = math.sqrt(max(ux * ux * vx + 2 * ux * uy * cxy + uy * uy * vy, 0.0))
         return amp, se
-    if event.channel == "charge":
-        window = event.duration or 6.0 / trap.emission_rate  # an unwindowed acquire has duration 0
+    if acquire.channel == "charge":
+        window = acquire.window or 6.0 / trap.emission_rate
         # a non-finite mz stays non-finite, and the trace is refused where it is written
         fraction = trapdyn.flip_fraction_from_state(mean[2], m0) if math.isfinite(mean[2]) else math.nan
         unit_charge = trapdyn.boxcar_charge(1.0, trap, window)
         se = abs(unit_charge) * math.sqrt(vz) / 2.0  # charge is linear in mz
         return unit_charge * fraction, se
-    raise ValueError(f"unknown channel {event.channel!r}")  # pragma: no cover
-
-
-def _run_points(timelines, env, species, relax, ensemble, trap):
-    """Run compiled timelines, one engine pass per ``_SWEEP_CHUNK`` of them.
-
-    Yields, per timeline, a list of ``(channel, start, value, stderr)``, one
-    per acquire event in time order.  Every timeline sees the same draws
-    (common random numbers), so each gives the values it gives run alone.
-    Read in chunks, a generator keeps a long sweep from holding all of its
-    compiled timelines at once.
-    """
-    timelines = iter(timelines)
-    while chunk := list(itertools.islice(timelines, _SWEEP_CHUNK)):
-        m0, stats = _run_engine(chunk, env, species, relax, ensemble)
-        for timeline, point_stats in zip(chunk, stats):
-            acquires = [e for e in timeline if isinstance(e, AcquireEvent)]
-            yield [(e.channel, e.start, *_channel_value(e, stat, m0, trap))
-                   for e, stat in zip(acquires, point_stats)]
+    raise ValueError(f"unknown channel {acquire.channel!r}")  # pragma: no cover
 
 
 # Units of each acquire channel's values.
@@ -489,7 +455,8 @@ def run_program(ast: SequenceAst, env: Environment, species: SpinSpecies, relax:
     layout, the equilibrium mz that echo amplitudes are measured against, a
     swept program's ``sweep_variable``, and ``y_stderr``: the Monte Carlo
     standard error of each value.  A swept program that acquires a channel
-    twice, or whose sweep values do not increase, raises SequenceError.
+    twice, or whose sweep values do not increase, raises SequenceError, and
+    so does an unswept one that acquires a channel twice at the same time.
     """
     if trap is None and "charge" in ast.acquire_channels:
         raise ValueError("program acquires the charge channel but no trap parameters were given")
@@ -506,15 +473,26 @@ def run_program(ast: SequenceAst, env: Environment, species: SpinSpecies, relax:
         points = [float(v) for v in sweep_values(sweep)]
         meta["sweep_variable"] = sweep.name
         axis_kind = "tau" if DelayStmt(sweep.name) in ast.statements else "pulse_duration"
+    else:  # x holds each acquire's time, the sum of the durations before it
+        t, starts = 0.0, []  # (channel, time) per acquire
+        for stmt in ast.statements:
+            if isinstance(stmt, AcquireStmt):
+                # a channel's samples form a trace over strictly increasing times
+                if (stmt.channel, t) in starts:
+                    raise SequenceError(f"channel {stmt.channel!r} is acquired twice at t = {t!r} s")
+                starts.append((stmt.channel, t))
+            t += statement_duration(stmt, env)
 
-    timelines = (compile_timeline(ast, env, sweep_value=value) for value in points)
-    columns: dict[str, tuple[list, list, list]] = {}  # per channel: acquire times, values, stderrs
-    for acquires in _run_points(timelines, env, species, relax, ensemble, trap):
-        for channel, start, value, se in acquires:
-            starts, values, ses = columns.setdefault(channel, ([], [], []))
-            starts.append(start)
-            values.append(value)
+    acquires = [s for s in ast.statements if isinstance(s, AcquireStmt)]
+    m0, stats = _run_engine(ast, points, env, species, relax, ensemble)
+    columns: dict[str, tuple[list, list, list]] = {}  # per channel: x values, values, stderrs
+    for value, point_stats in zip(points, stats):
+        for k, (acquire, stat) in enumerate(zip(acquires, point_stats)):
+            xs, values, ses = columns.setdefault(acquire.channel, ([], [], []))
+            xs.append(starts[k][1] if sweep is None else value)
+            y, se = _channel_value(acquire, stat, m0, trap)
+            values.append(y)
             ses.append(se)
-    return {channel: SignalTrace(axis_kind, starts if sweep is None else points, values,
-                                 _CHANNEL_UNITS[channel], {**meta, "y_stderr": tuple(ses)})
-            for channel, (starts, values, ses) in sorted(columns.items())}
+    return {channel: SignalTrace(axis_kind, xs, values, _CHANNEL_UNITS[channel],
+                                 {**meta, "y_stderr": tuple(ses)})
+            for channel, (xs, values, ses) in sorted(columns.items())}

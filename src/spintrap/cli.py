@@ -4,7 +4,7 @@ Subcommands::
 
     spintrap spectrum   synthesize a field-swept spectrum
     spintrap transient  single-pulse photocurrent transient
-    spintrap run        parse, compile, and run a .seq pulse program
+    spintrap run        parse and run a .seq pulse program
     spintrap nutation   mz versus pulse duration (Rabi oscillations)
     spintrap fit        fit a trace CSV and emit a JSON report
 
@@ -62,12 +62,12 @@ EXIT_SEQUENCE = 3
 EXIT_DATA = 4
 
 # Largest `run`: sweep points times trajectories per point, with each point
-# counted as at least MIN_POINT_WORK trajectories.  Compiling a point,
-# running its own events and building its trace take about 0.25 ms, as
-# much as propagating about 650 trajectories through it (a swept Hahn echo
-# on 2 vCPU, at about 0.4 us per trajectory and point).  1e8 is under a
-# minute of engine time on one core; anything larger exits 3 before the
-# sweep grid or any ensemble is allocated.
+# counted as at least MIN_POINT_WORK trajectories.  Walking a point's own
+# statements and converting its values take about 0.25 ms, as much as
+# propagating about 500 trajectories through it (a swept Hahn echo on 2
+# vCPU, at about 0.5 us per trajectory and point).  1e8 is under a minute
+# of engine time on one core; anything larger exits 3 before the sweep
+# grid or any ensemble is allocated.
 MAX_SWEEP_WORK = 10**8
 MIN_POINT_WORK = 1024
 

@@ -19,8 +19,9 @@ class ConfigError(ValueError):
 
 
 class SequenceError(ValueError):
-    """Parse or compile failure (:mod:`spintrap.seqlang`), annotated with
-    source line (and column)."""
+    """A pulse program that cannot be parsed (:mod:`spintrap.seqlang`) or run
+    (:func:`spintrap.blochsim.run_program`), annotated with the source line
+    (and column) where there is one."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line

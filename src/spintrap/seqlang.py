@@ -1,4 +1,4 @@
-"""Line-oriented pulse-sequence language: parser, canonical printer, compiler.
+"""Line-oriented pulse-sequence language: parser, canonical printer, statement durations.
 
 Grammar (one statement per line, ``#`` starts a comment)::
 
@@ -9,9 +9,10 @@ Grammar (one statement per line, ``#`` starts a comment)::
 
 Time literals take a mandatory unit suffix (``ns``/``us``/``ms``/``s``); plain
 and scientific notation numbers are accepted.  ``<name>`` references the one
-allowed sweep variable.  A pulse without ``dur=`` resolves its duration from
-the drive strength at compile time (``angle / (2 pi f_rabi)``), so the same
-script runs under different Rabi frequencies.
+allowed sweep variable, which may not be named ``auto``.  A pulse without
+``dur=`` takes its duration from the drive strength (``angle / (2 pi
+f_rabi)``, see :func:`statement_duration`), so the same script runs under
+different Rabi frequencies.
 
 :func:`unparse` emits a canonical form (lowercase keywords, durations printed
 as an integer count of the largest exact unit) with ``parse(unparse(ast))``
@@ -37,12 +38,9 @@ __all__ = [
     "AcquireStmt",
     "SweepDecl",
     "SequenceAst",
-    "PulseEvent",
-    "FreeEvolutionEvent",
-    "AcquireEvent",
     "parse",
     "unparse",
-    "compile_timeline",
+    "statement_duration",
     "sweep_values",
 ]
 
@@ -102,26 +100,6 @@ class SequenceAst:
     @property
     def acquire_channels(self) -> tuple[str, ...]:
         return tuple(s.channel for s in self.statements if isinstance(s, AcquireStmt))
-
-
-@dataclass(frozen=True)
-class PulseEvent:
-    start: float
-    duration: float  # rotates by 2 pi f_rabi * duration at resonance
-    phase: str
-
-
-@dataclass(frozen=True)
-class FreeEvolutionEvent:
-    start: float
-    duration: float
-
-
-@dataclass(frozen=True)
-class AcquireEvent:
-    start: float
-    duration: float  # the window; 0 when none is given
-    channel: str
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
@@ -223,6 +201,8 @@ def _parse_sweep(tokens, lineno) -> SweepDecl:
     name, col = tokens[1]
     if not _NAME_RE.match(name):
         raise SequenceError(f"invalid sweep variable name {name!r}", lineno, col)
+    if name == AUTO:  # `dur=auto` already means the drive-strength duration
+        raise SequenceError(f"a sweep variable cannot be named {AUTO!r}", lineno, col)
     start = _parse_time(tokens[2][0], lineno, tokens[2][1], "sweep start")
     stop = _parse_time(tokens[3][0], lineno, tokens[3][1], "sweep stop")
     steps_tok, steps_col = tokens[4]
@@ -354,64 +334,19 @@ def sweep_values(decl: SweepDecl) -> np.ndarray:
     )
 
 
-def _resolve_duration(
-    duration: float | str, sweep: SweepDecl | None, sweep_value: float | None
-) -> float:
-    if isinstance(duration, str):
-        if sweep is None or duration != sweep.name:
-            raise SequenceError(f"unresolved sweep variable {duration!r}")
-        assert sweep_value is not None
-        value = float(sweep_value)
-    else:
-        value = duration
-    if value <= 0:
-        raise SequenceError(f"duration must be strictly positive after substitution, got {value}")
-    return value
+def statement_duration(stmt, env: Environment, sweep_value: float | None = None) -> float:
+    """Seconds a pulse, delay or acquire statement occupies at one sweep point.
 
-
-def compile_timeline(
-    ast: SequenceAst,
-    env: Environment,
-    sweep_value: float | None = None,
-) -> tuple:
-    """Compile an AST into its timeline: the absolute-time, gap-free tuple of events.
-
-    ``sweep_value`` must be given exactly when the AST declares a sweep.
-    Pulse durations left as "auto" resolve to ``angle / (2 pi f_rabi)``; a
-    pulse's effective rotation angle is always ``2 pi f_rabi * duration``.
-    Acquisition occupies its window (zero duration when no window is given),
-    and one channel cannot be acquired twice at the same instant: its samples
-    form a trace over strictly increasing times.
+    A pulse left at "auto" lasts ``angle / (2 pi f_rabi)``, so its rotation
+    angle at resonance, ``2 pi f_rabi * duration``, is the one written; a
+    duration that names the sweep variable is ``sweep_value``; an acquire
+    occupies its window, or no time when it has none.  Statements run back to
+    back, so a statement starts at the sum of the durations before it.
     """
-    sweep = ast.sweep
-    if sweep is not None and sweep_value is None:
-        raise SequenceError(f"sequence declares sweep {sweep.name!r}; a sweep value is required")
-    if sweep is None and sweep_value is not None:
-        raise SequenceError("sweep value given but the sequence declares no sweep")
-
-    f_rabi = env.rabi_frequency
-    events = []
-    t = 0.0
-    for stmt in ast.statements:
-        if isinstance(stmt, SweepDecl):
-            continue
-        if isinstance(stmt, PulseStmt):
-            angle_rad = math.radians(stmt.angle_deg)
-            if stmt.duration == AUTO:
-                duration = angle_rad / (2.0 * math.pi * f_rabi)
-            else:
-                duration = _resolve_duration(stmt.duration, sweep, sweep_value)
-            events.append(PulseEvent(start=t, duration=duration, phase=stmt.phase))
-            t += duration
-        elif isinstance(stmt, DelayStmt):
-            duration = _resolve_duration(stmt.duration, sweep, sweep_value)
-            events.append(FreeEvolutionEvent(start=t, duration=duration))
-            t += duration
-        elif isinstance(stmt, AcquireStmt):
-            if any(isinstance(e, AcquireEvent) and e.channel == stmt.channel and e.start == t
-                   for e in events):
-                raise SequenceError(f"channel {stmt.channel!r} is acquired twice at t = {t!r} s")
-            duration = stmt.window if stmt.window is not None else 0.0
-            events.append(AcquireEvent(start=t, duration=duration, channel=stmt.channel))
-            t += duration
-    return tuple(events)
+    if isinstance(stmt, AcquireStmt):
+        return stmt.window if stmt.window is not None else 0.0
+    if stmt.duration == AUTO:
+        return math.radians(stmt.angle_deg) / (2.0 * math.pi * env.rabi_frequency)
+    if isinstance(stmt.duration, str):  # the parser admits no name but the sweep variable
+        return sweep_value
+    return stmt.duration

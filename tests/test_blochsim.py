@@ -22,7 +22,7 @@ from spintrap.blochsim import (
     run_program,
 )
 from spintrap.config import load_config
-from spintrap.seqlang import AcquireEvent, SequenceError, compile_timeline, parse, sweep_values
+from spintrap.seqlang import SequenceError, parse, sweep_values
 from spintrap.spincore import (Environment, SpinSpecies, detuning, manifold_labels, manifold_weight,
                                resonance_field)
 from spintrap.trapdyn import TrapParams
@@ -302,10 +302,11 @@ class TestRunTimeline:
         assert tr.y[0] == pytest.approx(-tr.meta["equilibrium_mz"], abs=1e-9)
 
 
-def _sweep_timelines(source, env):
-    ast = parse(source)
-    values = sweep_values(ast.sweep) if ast.sweep is not None else [None]
-    return [compile_timeline(ast, env, sweep_value=v) for v in values]
+def _point_source(source, value):
+    """The unswept program of one sweep point: the sweep line (the first)
+    dropped and the sweep variable written as the literal ``value``."""
+    name = parse(source).sweep.name
+    return re.sub(rf"\b{name}\b", f"{value!r}s", source.split("\n", 1)[1])
 
 
 _MICROSECONDS = hs.integers(min_value=1, max_value=300).map(lambda n: f"{n}us")
@@ -328,23 +329,27 @@ class TestSweepEngine:
 
     CONFIG = load_config({})
 
-    def _assert_sweep_equals_points(self, timelines, ensemble, chunk=blochsim._SWEEP_CHUNK):
+    def _check_sweep(self, source, ensemble):
+        """Assert that one engine pass over the sweep of ``source`` gives each
+        point's rows as its unswept program does; return how many statements
+        the pass propagated once for all points."""
         cfg = self.CONFIG
-        args = (cfg.environment, cfg.species, cfg.relaxation, ensemble, cfg.trap)
-        with mock.patch.object(blochsim, "_SWEEP_CHUNK", chunk):
-            swept = list(blochsim._run_points(timelines, *args))
-        alone = [value for t in timelines for value in blochsim._run_points([t], *args)]
-        assert repr(swept) == repr(alone)  # repr shows every float exactly
+        args = (cfg.environment, cfg.species, cfg.relaxation, ensemble)
+        ast = parse(source)
+        values = [float(v) for v in sweep_values(ast.sweep)]
+        with mock.patch.object(blochsim, "_walk", wraps=blochsim._walk) as walk:
+            m0, swept = blochsim._run_engine(ast, values, *args)
+        alone = [blochsim._run_engine(parse(_point_source(source, v)), [None], *args) for v in values]
+        assert {m for m, _ in alone} == {m0}
+        # repr shows every float exactly
+        assert repr(swept.tolist()) == repr([stats[0].tolist() for _, stats in alone])
+        return len(walk.call_args_list[0].args[0])
 
     @given(source=_swept_programs(), n_static=hs.integers(1, 4), n_noise=hs.integers(1, 4),
-           seed=hs.integers(0, 2**32), chunk=hs.sampled_from([1, 3, blochsim._SWEEP_CHUNK]))
+           seed=hs.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
-    def test_matches_each_point(self, source, n_static, n_noise, seed, chunk):
-        try:
-            timelines = _sweep_timelines(source, self.CONFIG.environment)
-        except SequenceError:  # one channel acquired twice at the same instant
-            reject()
-        self._assert_sweep_equals_points(timelines, EnsembleSpec(n_static, n_noise, seed), chunk)
+    def test_matches_each_point(self, source, n_static, n_noise, seed):
+        self._check_sweep(source, EnsembleSpec(n_static, n_noise, seed))
 
     @pytest.mark.parametrize("source, n_shared, ensemble", [
         pytest.param("sweep tau 100ns 900ns 5\npulse 90deg +x dur=tau\ndelay 20us\nacquire echo",
@@ -360,10 +365,7 @@ class TestSweepEngine:
                      3, EnsembleSpec(300, 30, 4), id="two-blocks"),
     ])
     def test_explicit_cases(self, source, n_shared, ensemble):
-        timelines = _sweep_timelines(source, self.CONFIG.environment)
-        ends = [max(i for i, e in enumerate(t) if isinstance(e, AcquireEvent)) for t in timelines]
-        assert blochsim._shared_prefix(timelines, min(ends)) == n_shared
-        self._assert_sweep_equals_points(timelines, ensemble)
+        assert self._check_sweep(source, ensemble) == n_shared
 
     @pytest.mark.parametrize("n_static, n_noise", [(300, 30), (3, 4000), (20000, 1), (1, 9000), (4, 8192)])
     def test_block_offsets_equal_one_full_draw(self, n_static, n_noise):
@@ -404,11 +406,10 @@ class TestRunProgram:
             swept = self._run(source, ensemble)
         except SequenceError:  # a channel acquired twice
             reject()
-        body = source.split("\n", 1)[1]  # the program without its sweep line
         values = [float(v) for v in sweep_values(parse(source).sweep)]
         assert all(trace.x == tuple(values) for trace in swept.values())
         for i, v in enumerate(values):
-            alone = self._run(re.sub(r"\btau\b", f"{v!r}s", body), ensemble)
+            alone = self._run(_point_source(source, v), ensemble)
             assert alone.keys() == swept.keys()
             for channel, trace in alone.items():
                 # repr shows every float exactly
@@ -421,13 +422,15 @@ class TestRunProgram:
         ("sweep tp 100ns 300ns 3\npulse 90deg +x dur=tp\ndelay 2us\nacquire mz\nacquire charge",
          "pulse_duration", (100e-9, 200e-9, 300e-9)),
         ("pulse pi/2 +x dur=500ns\ndelay 10us\nacquire echo window=5us\nacquire echo\nacquire mz",
-         "time", (10.5e-6, 15.5e-6)),
+         "time", (500 * 1e-9 + 10 * 1e-6, 500 * 1e-9 + 10 * 1e-6 + 5 * 1e-6)),
     ], ids=["tau", "pulse_duration", "time"])
     def test_axis_kind_and_meta(self, source, axis_kind, xs):
         swept = parse(source).sweep is not None
         traces = self._run(source)
         assert sorted(traces) == sorted(set(parse(source).acquire_channels))
-        assert traces["echo" if "echo" in traces else "mz"].x == pytest.approx(xs, rel=1e-12)
+        x = traces["echo" if "echo" in traces else "mz"].x
+        # an acquire's time is exactly the running float sum of the durations before it
+        assert x == (pytest.approx(xs, rel=1e-12) if swept else xs)
         keys = {"rng_seed", "n_static", "n_noise", "equilibrium_mz", "y_stderr"}
         for trace in traces.values():
             assert trace.axis_kind == axis_kind

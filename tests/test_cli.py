@@ -369,8 +369,9 @@ class TestRunCommand:
         "pulse pi +x\nacquire mz\nacquire mz\n",
         "sweep tau 1us 1e400s 3\npulse pi/2 +x\ndelay tau\nacquire echo\n",
         "sweep tau 5e-324s 1e-323s 3\npulse pi/2 +x\ndelay tau\nacquire echo\n",
+        "delay 1s\nacquire mz\ndelay 1e-20s\nacquire mz\n",  # 1.0 + 1e-20 == 1.0
     ], ids=["descending-sweep", "zero-span-sweep", "same-instant-acquire", "infinite-stop-sweep",
-            "subnormal-steps-sweep"])
+            "subnormal-steps-sweep", "same-float-instant-acquire"])
     def test_sequence_without_increasing_axis_exit_3(self, tmp_path, capsys, source):
         seq = tmp_path / "bad.seq"
         seq.write_text(source)

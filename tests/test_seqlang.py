@@ -5,14 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from spintrap.seqlang import (
-    AcquireEvent,
     AcquireStmt,
     DelayStmt,
-    PulseEvent,
     PulseStmt,
     SequenceError,
-    compile_timeline,
     parse,
+    statement_duration,
     sweep_values,
     unparse,
 )
@@ -197,6 +195,8 @@ class TestRoundTripProperty:
 
 
 class TestCompile:
+    """``statement_duration``: the seconds each statement occupies at a sweep point."""
+
     def test_inversion_recovery_total_duration(self):
         src = (
             "pulse pi +x dur=600ns\n"
@@ -207,58 +207,37 @@ class TestCompile:
             "delay 1us\n"
             "acquire echo\n"
         )
-        tl = compile_timeline(parse(src), Environment())
+        total = sum(statement_duration(s, Environment()) for s in parse(src).statements)
         expected = 600e-9 + 1e-4 + 300e-9 + 1e-6 + 600e-9 + 1e-6
-        assert tl[-1].start + tl[-1].duration == pytest.approx(expected, rel=1e-12)
+        assert total == pytest.approx(expected, rel=1e-12)
 
     def test_single_pulse_and_acquire(self):
-        tl = compile_timeline(parse("pulse pi +x dur=480ns\nacquire mz"), Environment())
-        assert len(tl) == 2
-        assert isinstance(tl[0], PulseEvent)
-        assert tl[0].duration == pytest.approx(480e-9, rel=1e-12)
-        assert isinstance(tl[1], AcquireEvent)
+        ast = parse("pulse pi +x dur=480ns\nacquire mz")
+        # an explicit duration is its literal times its unit, exactly
+        assert [statement_duration(s, Environment()) for s in ast.statements] == [480 * 1e-9, 0.0]
 
     def test_auto_duration_from_rabi(self):
         env = Environment(rabi_frequency=1.0 / (2 * 480e-9))
-        tl = compile_timeline(parse("pulse pi +x\nacquire mz"), env)
-        assert tl[0].duration == pytest.approx(480e-9, rel=1e-12)
-        assert 2 * math.pi * env.rabi_frequency * tl[0].duration == pytest.approx(math.pi, rel=1e-12)
+        duration = statement_duration(parse("pulse pi +x\nacquire mz").statements[0], env)
+        assert duration == math.radians(180.0) / (2.0 * math.pi * env.rabi_frequency)
+        assert duration == pytest.approx(480e-9, rel=1e-12)
+        assert 2 * math.pi * env.rabi_frequency * duration == pytest.approx(math.pi, rel=1e-12)
 
     def test_sweep_grid_values(self):
         decl = parse("sweep tau 10us 30us 3\ndelay tau\nacquire mz").sweep
         values = sweep_values(decl)
         assert values == pytest.approx([10e-6, 20e-6, 30e-6], rel=1e-12)
 
-    def test_sweep_value_required_iff_declared(self):
-        ast = parse("sweep tau 10us 30us 3\ndelay tau\nacquire mz")
-        with pytest.raises(SequenceError, match="sweep value"):
-            compile_timeline(ast, Environment())
-        plain = parse("acquire mz")
-        with pytest.raises(SequenceError, match="no sweep"):
-            compile_timeline(plain, Environment(), sweep_value=1e-6)
-
-    def test_gap_free_and_strictly_increasing(self):
-        ast = parse(
-            "sweep tau 5us 50us 4\npulse pi/2 +x\ndelay tau\npulse pi +x\ndelay tau\nacquire echo"
-        )
+    def test_sweep_variable_takes_the_point_value(self):
+        ast = parse("sweep tau 5us 50us 4\npulse pi/2 +x dur=2us\ndelay tau\npulse pi +x dur=tau\n"
+                    "acquire echo")
         for value in sweep_values(ast.sweep):
-            tl = compile_timeline(ast, Environment(), sweep_value=float(value))
-            t = 0.0
-            for event in tl:
-                assert event.start == t  # exact: starts are cumulative sums
-                t = event.start + event.duration
-            starts = [e.start for e in tl]
-            assert all(b > a for a, b in zip(starts, starts[1:]))
-
-    def test_deterministic(self):
-        ast = parse("sweep tau 5us 50us 4\ndelay tau\nacquire echo")
-        a = compile_timeline(ast, Environment(), sweep_value=1e-5)
-        b = compile_timeline(ast, Environment(), sweep_value=1e-5)
-        assert a == b
+            durations = [statement_duration(s, Environment(), float(value)) for s in ast.statements[1:]]
+            assert durations == [2e-6, value, value, 0.0]
 
     def test_acquire_window_occupies_time(self):
-        tl = compile_timeline(parse("acquire charge window=2ms"), Environment())
-        assert tl[-1].start + tl[-1].duration == pytest.approx(2e-3, rel=1e-12)
+        acquire = parse("acquire charge window=2ms").statements[0]
+        assert statement_duration(acquire, Environment()) == 2e-3
 
 
 class TestBadInputCorpus:
@@ -276,6 +255,7 @@ class TestBadInputCorpus:
         "pulse pi +x dur=0ns\nacquire mz",
         "acquire mz window=oops",
         "pulse pi +x extra stuff here\nacquire mz",
+        "sweep auto 20ns 4us 5\npulse pi +x dur=auto\nacquire mz",  # `dur=auto` means the Rabi duration
         "sweep tau 1us 2us \u00b2\nacquire mz",  # isdigit() passes it, int() does not
         pytest.param("sweep tau 1us 2us " + "9" * 5000 + "\nacquire mz",  # past int()'s digit limit
                      id="sweep tau 1us 2us <5000 nines>"),

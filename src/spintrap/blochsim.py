@@ -66,11 +66,10 @@ import math
 import numpy as np
 
 from . import trapdyn
-from .errors import SequenceError
+from .errors import CsvFormatError, SequenceError
 from .seqlang import (AcquireStmt, DelayStmt, PulseStmt, SequenceAst, SweepDecl, statement_duration,
                       sweep_values)
 from .spincore import (
-    BlochState,
     EnsembleSpec,
     Environment,
     RelaxationParams,
@@ -83,17 +82,7 @@ from .spincore import (
 from .spincore import detuning as line_detuning
 from .trace import SignalTrace
 
-__all__ = [
-    "BlochState",
-    "RelaxationParams",
-    "EnsembleSpec",
-    "apply_pulse",
-    "evolve_free",
-    "run_program",
-    "echo_envelope_analytic",
-    "nutation_curve",
-    "inversion_recovery_curve",
-]
+__all__ = ["pulse_flip_fraction", "nutation_curve", "run_program"]
 
 _PHASE_ANGLES = {"+x": 0.0, "+y": 0.5 * math.pi, "-x": math.pi, "-y": 1.5 * math.pi}
 
@@ -151,85 +140,6 @@ def _free_arrays(mx, my, mz, phase, duration, relax, m_eq):
     return mx, my, mz
 
 
-def apply_pulse(
-    state: BlochState,
-    angle_rate: float,
-    phase_axis: str,
-    duration: float,
-    detuning: float = 0.0,
-) -> BlochState:
-    """Rotate a Bloch vector by a finite-duration rotating-frame pulse.
-
-    ``angle_rate`` is the on-resonance angular rotation rate
-    ``2 pi * rabi_frequency``; the actual rotation happens about the tilted
-    axis ``(w1 cos phi, w1 sin phi, detuning)`` by ``|w_eff| * duration``.
-    Norm is preserved to machine precision; relaxation is not applied.
-    """
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
-    if phase_axis not in _PHASE_ANGLES:
-        raise ValueError(f"phase_axis must be one of {tuple(_PHASE_ANGLES)}, got {phase_axis!r}")
-    mx, my, mz = _pulse_arrays(
-        np.float64(state.mx),
-        np.float64(state.my),
-        np.float64(state.mz),
-        float(angle_rate),
-        phase_axis,
-        float(duration),
-        np.float64(detuning),
-    )
-    return BlochState(float(mx), float(my), float(mz))
-
-
-def evolve_free(
-    state: BlochState,
-    duration: float,
-    relax: RelaxationParams,
-    detuning: float = 0.0,
-    m_eq: float = 0.0,
-) -> BlochState:
-    """Free evolution: precession, transverse decay, longitudinal recovery."""
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
-    mx, my, mz = _free_arrays(
-        np.float64(state.mx),
-        np.float64(state.my),
-        np.float64(state.mz),
-        np.float64(detuning) * duration,
-        float(duration),
-        relax,
-        float(m_eq),
-    )
-    return BlochState(float(mx), float(my), float(mz))
-
-
-def echo_envelope_analytic(tau, relax: RelaxationParams):
-    """Hahn-echo amplitude ``exp(-2 tau/t2 - 8 tau^3/t_s^3)`` at delay tau.
-
-    With infinite ``t_s`` this is the pure exponential.  Accepts scalars or
-    arrays; tau must be non-negative.
-    """
-    t = np.asarray(tau, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("tau must be >= 0")
-    cubic = relax.diffusion_constant * t**3 / 3.0  # 8 tau^3 / t_s^3
-    out = np.exp(-2.0 * t / relax.t2 - cubic)
-    return float(out) if np.isscalar(tau) else out
-
-
-def inversion_recovery_curve(tau_grid, t1: float, m_eq: float) -> SignalTrace:
-    """Longitudinal recovery after perfect inversion: ``m_eq (1 - 2 e^{-tau/t1})``."""
-    tau = np.asarray(tau_grid, dtype=float)
-    if tau.size == 0:
-        raise ValueError("tau_grid must be non-empty")
-    if np.any(tau < 0):
-        raise ValueError("tau_grid must be non-negative")
-    if t1 <= 0:
-        raise ValueError(f"t1 must be > 0, got {t1}")
-    y = m_eq * (1.0 - 2.0 * np.exp(-tau / t1))
-    return SignalTrace(axis_kind="tau", x=tuple(tau), y=tuple(y), units="dimensionless")
-
-
 def _ensemble_setup(env: Environment, species: SpinSpecies):
     """``(m0, w1, sigma)``: equilibrium mz, on-resonance drive rate, and the
     standard deviation of the static detuning offsets (drawn from stream 0)."""
@@ -237,6 +147,36 @@ def _ensemble_setup(env: Environment, species: SpinSpecies):
     w1 = 2.0 * math.pi * env.rabi_frequency
     sigma = gyromagnetic_ratio(species.g_factor) * species.linewidth_field
     return m0, w1, sigma
+
+
+def _rabi_mz(m0, w1, det, duration):
+    """mz after one +x pulse of ``duration`` at detuning ``det`` from ``(0, 0, m0)``:
+    the generalized Rabi formula ``m0 (1 - 2 (w1/weff)^2 sin^2(weff t / 2))``
+    with ``weff = sqrt(w1^2 + det^2)``, which is what :func:`_pulse_arrays`
+    computes by rotation.  Broadcasts over ``det`` and ``duration``."""
+    weff2 = w1 * w1 + det * det
+    return m0 * (1.0 - 2.0 * (w1 * w1 / weff2) * np.sin(np.sqrt(weff2) * duration / 2.0) ** 2)
+
+
+def pulse_flip_fraction(angle_deg: float, field_offset: float, env: Environment,
+                        species: SpinSpecies) -> float:
+    """Fraction of the donors flipped by one +x pulse from thermal equilibrium.
+
+    The pulse lasts as long as an on-resonance pulse of ``angle_deg`` and
+    meets a static field ``field_offset`` tesla off resonance; the fraction is
+    :func:`trapdyn.flip_fraction_from_state` of the mz it leaves.  The
+    arithmetic is in numpy floats, so a drive so weak that the pulse never
+    ends, or an offset whose detuning overflows, gives a non-finite mz
+    (not a Python arithmetic error), which raises :class:`CsvFormatError`.
+    """
+    m0, w1, _ = _ensemble_setup(env, species)
+    w1 = np.float64(w1)
+    duration = np.radians(angle_deg) / w1
+    det = np.float64(gyromagnetic_ratio(species.g_factor)) * field_offset
+    mz = float(_rabi_mz(m0, w1, det, duration))
+    if not math.isfinite(mz):
+        raise CsvFormatError(f"refusing to write a transient: the pulse leaves mz={mz}")
+    return trapdyn.flip_fraction_from_state(mz, m0)
 
 
 # Elements of one (durations x offsets) chunk of `nutation_curve`: large
@@ -256,8 +196,8 @@ def nutation_curve(
 
     The oscillation frequency equals the Rabi frequency; static detuning
     inhomogeneity (the species linewidth) damps the oscillations.  Relaxation
-    is suspended during pulses, so the curve is closed-form per trajectory and
-    needs no stochastic sampling.
+    is suspended during pulses, so the curve is closed-form per trajectory
+    (:func:`_rabi_mz`) and needs no stochastic sampling.
     """
     durations = np.asarray(pulse_durations, dtype=float)
     if np.any(durations < 0):
@@ -270,12 +210,8 @@ def nutation_curve(
     for m_i in manifold_labels(species):
         weight = manifold_weight(species, m_i)
         det = line_detuning(species, env, m_i) + offsets
-        weff2 = w1 * w1 + det * det
-        weff = np.sqrt(weff2)
-        frac = w1 * w1 / weff2  # depth of the generalized-Rabi dip per spin
         for lo in range(0, durations.size, rows):
-            tp = durations[lo:lo + rows, None]
-            mz = m0 * (1.0 - 2.0 * frac * np.sin(weff * tp / 2.0) ** 2)
+            mz = _rabi_mz(m0, w1, det, durations[lo:lo + rows, None])
             y[lo:lo + rows] += weight * mz.mean(axis=1)
     return SignalTrace(
         axis_kind="pulse_duration",

@@ -149,23 +149,15 @@ def cmd_transient(args) -> int:
         raise ConfigError(f"--pulse-angle-deg must be >= 0, got {args.pulse_angle_deg}")
     config = _load_config_file(args)
     from . import blochsim, trapdyn
-    from .spincore import equilibrium_state, gyromagnetic_ratio
 
-    env, species, trap = config.environment, config.species, config.trap
     if args.flip_fraction is not None:
         fraction = args.flip_fraction
         if not 0.0 <= fraction <= 1.0:
             raise ConfigError(f"--flip-fraction must lie in [0, 1], got {fraction}")
     else:
-        eq = equilibrium_state(env, species)
-        w1 = 2.0 * math.pi * env.rabi_frequency
-        duration = math.radians(args.pulse_angle_deg) / w1
-        det = gyromagnetic_ratio(species.g_factor) * args.field_offset_tesla
-        final = blochsim.apply_pulse(eq, w1, "+x", duration, det)
-        if not math.isfinite(final.mz):  # a drive so weak the pulse never ends
-            raise CsvFormatError(f"refusing to write a transient: the pulse leaves mz={final.mz}")
-        fraction = trapdyn.flip_fraction_from_state(final.mz, eq.mz)
-    trace = trapdyn.transient_response(fraction, trap, grid)
+        fraction = blochsim.pulse_flip_fraction(args.pulse_angle_deg, args.field_offset_tesla,
+                                                config.environment, config.species)
+    trace = trapdyn.transient_response(fraction, config.trap, grid)
     _write_output(trace, config, args.out, {"command": "transient", "flip_fraction": fraction})
     return EXIT_OK
 

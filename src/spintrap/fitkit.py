@@ -57,7 +57,6 @@ __all__ = [
     "MODEL_IDS",
     "fit",
     "compare_models",
-    "model_predict",
 ]
 
 
@@ -188,13 +187,6 @@ def _exp(v: float) -> float:
     except OverflowError:
         return math.nan
     return value if 0.0 < value < math.inf else math.nan
-
-
-def model_predict(model_id: str, x, params: dict) -> np.ndarray:
-    """Evaluate a model curve from a fitted (or constructed) parameter dict."""
-    model = _get_model(model_id)
-    a, *q = (params[name] for name in model.param_names)
-    return a * model.shape(np.asarray(x, dtype=float), tuple(q))[0]
 
 
 def _get_model(model_id: str) -> _ModelDef:

@@ -17,7 +17,7 @@ import numpy as np
 from .spincore import Environment, SpinSpecies, manifold_labels, manifold_weight, resonance_field
 from .trace import SignalTrace
 
-__all__ = ["SweepSpec", "simulate_field_sweep", "find_peaks"]
+__all__ = ["SweepSpec", "simulate_field_sweep"]
 
 LINESHAPES = ("gaussian", "lorentzian")
 
@@ -77,45 +77,3 @@ def simulate_field_sweep(
         units="A",
         meta={"lineshape": sweep.lineshape, "mw_frequency": env.mw_frequency},
     )
-
-
-def _local_maxima(y: np.ndarray) -> np.ndarray:
-    """Indices of the local maxima of ``y``: runs of equal values with a lower
-    neighbour on both sides, at the run's middle sample (the left one of two).
-    A run that touches either end of the array is not a maximum."""
-    run_starts = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
-    run_ends = np.append(run_starts[1:], len(y)) - 1
-    level = y[run_starts]
-    inner = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
-    return (run_starts[inner] + run_ends[inner]) // 2
-
-
-def _prominence(y: np.ndarray, peak: int) -> float:
-    """Height of ``y[peak]`` above the higher of its two bases: the lowest
-    points between it and the nearest strictly higher sample on each side
-    (or the array end)."""
-    higher = np.flatnonzero(y > y[peak])
-    left = higher[higher < peak]
-    right = higher[higher > peak]
-    left_base = y[(left[-1] + 1 if left.size else 0):peak + 1].min()
-    right_base = y[peak:(right[0] if right.size else len(y))].min()
-    return float(y[peak] - max(left_base, right_base))
-
-
-def find_peaks(trace: SignalTrace, min_prominence: float = 0.02) -> list[tuple[float, float]]:
-    """Locate resonance dips: local minima of dI(B), sorted by field.
-
-    ``min_prominence`` is a fraction of the deepest excursion; shallower
-    features are ignored.  Returns ``(field, depth)`` pairs with positive
-    depth ``|dI|``.  The dips and their prominences follow the definitions
-    of ``scipy.signal.find_peaks`` (a flat dip counts once, at its middle).
-    """
-    if not 0.0 <= min_prominence <= 1.0:
-        raise ValueError(f"min_prominence must lie in [0, 1], got {min_prominence}")
-    y = -trace.y_array()
-    span = float(np.max(y) - np.min(y))
-    if span == 0.0:
-        return []
-    fields = trace.x_array()
-    return [(float(fields[i]), float(y[i])) for i in _local_maxima(y)
-            if _prominence(y, i) >= min_prominence * span]

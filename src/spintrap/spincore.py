@@ -36,14 +36,12 @@ __all__ = [
     "Environment",
     "RelaxationParams",
     "EnsembleSpec",
-    "BlochState",
     "PHOSPHORUS",
     "DANGLING_BOND",
     "thermal_polarization",
     "resonance_field",
     "detuning",
     "gyromagnetic_ratio",
-    "equilibrium_state",
     "manifold_labels",
     "manifold_weight",
 ]
@@ -173,18 +171,6 @@ class EnsembleSpec:
         return self.n_static * self.n_noise
 
 
-@dataclass(frozen=True)
-class BlochState:
-    """Classical magnetization 3-vector of a spin-1/2 sub-ensemble."""
-
-    mx: float
-    my: float
-    mz: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.mx**2 + self.my**2 + self.mz**2)
-
-
 # Built-in species.  The g-factors are inverted from the nominal line
 # positions at 240 GHz (P doublet centered at 8.58 T, dangling bonds at
 # 8.57 T) and carry that precision only.  Linewidths and the nuclear
@@ -270,12 +256,6 @@ def detuning(species: SpinSpecies, env: Environment, m_i: float | None = None) -
     """
     b_res = resonance_field(species, env.mw_frequency, m_i)
     return gyromagnetic_ratio(species.g_factor) * (env.static_field_b0 - b_res)
-
-
-def equilibrium_state(env: Environment, species: SpinSpecies) -> BlochState:
-    """Thermal starting state: purely longitudinal, magnitude from Boltzmann."""
-    mz = thermal_polarization(species.g_factor, env.static_field_b0, env.temperature)
-    return BlochState(0.0, 0.0, mz)
 
 
 def manifold_labels(species: SpinSpecies) -> tuple[float | None, ...]:

@@ -86,9 +86,15 @@ def write_trace_csv(trace: SignalTrace, path: str) -> None:
     Metadata keys are emitted sorted so the data section is deterministic;
     the volatile timestamp is confined to the single ``created=`` line.  A
     trace with a non-finite x or y raises :class:`CsvFormatError` and no file
-    is written, as :func:`read_trace_csv` refuses one on input.
+    is written, as :func:`read_trace_csv` refuses one on input; so does a
+    metadata key or value with a line break, which would end its ``#`` line
+    and make the rest a data row.
     """
     require_finite(trace)
+    for key, value in trace.meta.items():
+        line = f"{key}={value}"
+        if "\n" in line or "\r" in line:
+            raise CsvFormatError(f"refusing to write metadata with a line break: {line!r}")
     lines = []
     meta = dict(trace.meta)
     created = meta.pop("created", None)

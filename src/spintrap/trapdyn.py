@@ -36,9 +36,7 @@ __all__ = [
     "transient_response",
     "trapped_fraction",
     "flip_fraction_from_state",
-    "charge_signal",
     "boxcar_charge",
-    "spin_recovery_curve",
 ]
 
 
@@ -126,36 +124,14 @@ def flip_fraction_from_state(final_mz: float, equilibrium_mz: float) -> float:
     return float(np.clip((equilibrium_mz - final_mz) / 2.0, 0.0, 1.0))
 
 
-def charge_signal(trace: SignalTrace, window_start: float, window_stop: float) -> float:
-    """Boxcar charge: trapezoidal integral of the current change over a window.
-
-    The window must overlap the trace span; endpoints inside the span are
-    interpolated so the integral is exact on the sampled polyline.
-    """
-    if window_stop <= window_start:
-        raise ValueError(f"empty window [{window_start}, {window_stop}]")
-    t = trace.x_array()
-    y = trace.y_array()
-    if window_start < t[0] - 1e-15 or window_stop > t[-1] + 1e-15:
-        raise ValueError(
-            f"window [{window_start}, {window_stop}] outside trace span [{t[0]}, {t[-1]}]"
-        )
-    lo = max(window_start, t[0])
-    hi = min(window_stop, t[-1])
-    inside = (t > lo) & (t < hi)
-    ts = np.concatenate([[lo], t[inside], [hi]])
-    ys = np.interp(ts, t, y)
-    return float(np.trapezoid(ys, ts))
-
-
 def boxcar_charge(flip_fraction: float, params: TrapParams, window: float) -> float:
     """Closed-form boxcar charge ``integral_0^window dI dt`` after a flip at t=0.
 
     The exact integral of :func:`transient_response` over ``[0, window]``:
     ``-coupling f k_c/(k_c - k_e) [(1 - e^{-k_e W})/k_e - (1 - e^{-k_c W})/k_c]``,
     or ``-coupling f [1 - e^{-kW}(1 + kW)]/k`` in the confluent case
-    ``k_c = k_e``.  :func:`charge_signal` on a sampled transient is the
-    numerical reference.
+    ``k_c = k_e``.  The trapezoidal integral of a transient sampled across
+    the window is the numerical reference.
     """
     if not 0.0 <= flip_fraction <= 1.0:
         raise ValueError(f"flip_fraction must lie in [0, 1], got {flip_fraction}")
@@ -171,32 +147,3 @@ def boxcar_charge(flip_fraction: float, params: TrapParams, window: float) -> fl
     area_e = -math.expm1(-k_e * window) / k_e
     area_c = -math.expm1(-k_c * window) / k_c
     return scale * k_c / (k_c - k_e) * (area_e - area_c)
-
-
-def spin_recovery_curve(params: TrapParams, t_grid, flip_fraction: float = 1.0) -> SignalTrace:
-    """Donor mz recovery driven by repeated capture/reemission cycles.
-
-    Flipped donors are captured at ``k_c``; completed releases return donors
-    aligned with the conduction bath at the net rate ``k_e`` (see module
-    docstring for why the anti-aligned reemission branch folds into ``k_e``
-    when ``k_c >> k_e``).  Trapped donors are spin-silent singlets.  The
-    recovery tail therefore carries the time constant ``1/k_e`` -- the same
-    constant as the current transient.
-    """
-    if not 0.0 <= flip_fraction <= 1.0:
-        raise ValueError(f"flip_fraction must lie in [0, 1], got {flip_fraction}")
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(t < 0) or np.any(np.diff(t) <= 0):
-        raise ValueError("t_grid must be sorted, non-negative, strictly increasing")
-    k_c = params.capture_rate_k0
-    flipped = flip_fraction * np.exp(-k_c * t)
-    trapped = trapped_fraction(flip_fraction, params, t)
-    aligned = 1.0 - flipped - trapped
-    mz = aligned - flipped  # trapped singlets contribute zero
-    return SignalTrace(
-        axis_kind="time",
-        x=tuple(t),
-        y=tuple(mz),
-        units="dimensionless",
-        meta={"flip_fraction": flip_fraction},
-    )

@@ -9,22 +9,13 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as hs
 from scipy.linalg import expm
 
+from reference import echo_envelope_analytic, inversion_recovery_curve
 from spintrap import blochsim
-from spintrap.blochsim import (
-    BlochState,
-    EnsembleSpec,
-    RelaxationParams,
-    apply_pulse,
-    echo_envelope_analytic,
-    evolve_free,
-    inversion_recovery_curve,
-    nutation_curve,
-    run_program,
-)
+from spintrap.blochsim import nutation_curve, run_program
 from spintrap.config import load_config
 from spintrap.seqlang import SequenceError, parse, sweep_values
-from spintrap.spincore import (Environment, SpinSpecies, detuning, manifold_labels, manifold_weight,
-                               resonance_field)
+from spintrap.spincore import (EnsembleSpec, Environment, RelaxationParams, SpinSpecies, detuning,
+                               manifold_labels, manifold_weight, resonance_field)
 from spintrap.trapdyn import TrapParams
 from test_seqlang import acquire_statements, delay_statements, pulse_statements
 
@@ -38,11 +29,23 @@ def rotation_oracle(state, w1, phase_angle, duration, det):
     axis = np.array([w1 * math.cos(phase_angle), w1 * math.sin(phase_angle), det])
     speed = np.linalg.norm(axis)
     if speed == 0 or duration == 0:
-        return np.array([state.mx, state.my, state.mz])
+        return np.array(state)
     n = axis / speed
     generator = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
     rot = expm(generator * speed * duration)
-    return rot @ np.array([state.mx, state.my, state.mz])
+    return rot @ np.array(state)
+
+
+def pulse(state, w1, phase, duration, det):
+    """The engine's pulse kernel on one Bloch vector ``state = (mx, my, mz)``."""
+    mx, my, mz = (np.float64(v) for v in state)
+    return np.array(blochsim._pulse_arrays(mx, my, mz, w1, phase, float(duration), np.float64(det)))
+
+
+def free(state, duration, relax, det, m_eq):
+    """The engine's free-evolution kernel on one Bloch vector, precessing at ``det``."""
+    mx, my, mz = (np.float64(v) for v in state)
+    return np.array(blochsim._free_arrays(mx, my, mz, np.float64(det) * duration, duration, relax, m_eq))
 
 
 def _narrow_species():
@@ -54,48 +57,59 @@ def _resonant_env(species, **kwargs):
 
 
 class TestApplyPulse:
+    """The engine's pulse kernel, ``blochsim._pulse_arrays``."""
+
     def test_resonant_pi_inverts(self):
-        out = apply_pulse(BlochState(0, 0, 1), W1, "+x", 480e-9, 0.0)
-        assert abs(out.mx) < 1e-9 and abs(out.my) < 1e-9
-        assert out.mz == pytest.approx(-1.0, abs=1e-9)
+        mx, my, mz = pulse((0, 0, 1), W1, "+x", 480e-9, 0.0)
+        assert abs(mx) < 1e-9 and abs(my) < 1e-9
+        assert mz == pytest.approx(-1.0, abs=1e-9)
 
     def test_resonant_half_pulse_to_minus_y(self):
-        out = apply_pulse(BlochState(0, 0, 1), W1, "+x", 240e-9, 0.0)
-        assert out.my == pytest.approx(-1.0, abs=1e-9)
-        assert abs(out.mx) < 1e-9 and abs(out.mz) < 1e-9
+        mx, my, mz = pulse((0, 0, 1), W1, "+x", 240e-9, 0.0)
+        assert my == pytest.approx(-1.0, abs=1e-9)
+        assert abs(mx) < 1e-9 and abs(mz) < 1e-9
 
     def test_generalized_rabi_formula_and_oracle(self):
         # detuning equal to w1: mz = 1 - 2 (w1^2/weff^2) sin^2(weff t / 2)
         det = W1
         t = 480e-9
-        out = apply_pulse(BlochState(0, 0, 1), W1, "+x", t, det)
+        mz = pulse((0, 0, 1), W1, "+x", t, det)[2]
         weff = math.sqrt(2) * W1
         expected = 1 - 2 * (W1**2 / weff**2) * math.sin(weff * t / 2) ** 2
-        assert out.mz == pytest.approx(expected, abs=1e-12)
-        oracle = rotation_oracle(BlochState(0, 0, 1), W1, 0.0, t, det)
-        assert out.mz == pytest.approx(oracle[2], abs=1e-10)
+        assert mz == pytest.approx(expected, abs=1e-12)
+        oracle = rotation_oracle((0, 0, 1), W1, 0.0, t, det)
+        assert mz == pytest.approx(oracle[2], abs=1e-10)
+        # the closed form that `transient` and `nutation` use is the kernel's mz
+        # from equilibrium, at any angle, detuning and polarization
+        rng = np.random.default_rng(2026)
+        n = 200
+        m0 = 1.0 - rng.uniform(0.0, 1.0, n)  # (0, 1]
+        det = rng.uniform(-10.0, 10.0, n) * W1
+        duration = rng.uniform(0.0, 4.0 * math.pi, n) / W1
+        closed = blochsim._rabi_mz(m0, W1, det, duration)
+        kernel = [pulse((0, 0, m0[i]), W1, "+x", duration[i], det[i])[2] for i in range(n)]
+        assert np.max(np.abs(closed - kernel)) <= 1e-12
 
     def test_against_matrix_exponential_on_random_inputs(self):
         rng = np.random.default_rng(1234)
         for _ in range(50):
             v = rng.normal(size=3)
             v /= max(np.linalg.norm(v), 1.0)
-            state = BlochState(*v)
             det = rng.normal() * W1
             dur = rng.uniform(0, 2e-6)
             phase = rng.choice(["+x", "+y", "-x", "-y"])
             phase_angle = {"+x": 0, "+y": math.pi / 2, "-x": math.pi, "-y": 1.5 * math.pi}[phase]
-            got = apply_pulse(state, W1, phase, dur, det)
-            want = rotation_oracle(state, W1, phase_angle, dur, det)
-            assert np.allclose([got.mx, got.my, got.mz], want, atol=1e-10)
+            got = pulse(v, W1, phase, dur, det)
+            want = rotation_oracle(v, W1, phase_angle, dur, det)
+            assert np.allclose(got, want, atol=1e-10)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(99)
         for _ in range(200):
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
-            out = apply_pulse(BlochState(*v), W1, "+y", rng.uniform(0, 1e-5), rng.normal() * 1e7)
-            assert out.norm() == pytest.approx(1.0, rel=1e-12)
+            out = pulse(v, W1, "+y", rng.uniform(0, 1e-5), rng.normal() * 1e7)
+            assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-12)
 
     def test_composition_property(self):
         # two half-duration pulses equal one full pulse about the same axis
@@ -104,45 +118,38 @@ class TestApplyPulse:
             v = rng.normal(size=3)
             v /= max(np.linalg.norm(v), 1.0)
             det = rng.normal() * 5e6
-            half = apply_pulse(apply_pulse(BlochState(*v), W1, "+x", 240e-9, det), W1, "+x", 240e-9, det)
-            full = apply_pulse(BlochState(*v), W1, "+x", 480e-9, det)
-            assert np.allclose(
-                [half.mx, half.my, half.mz], [full.mx, full.my, full.mz], atol=1e-12
-            )
-
-    def test_phase_validation(self):
-        with pytest.raises(ValueError):
-            apply_pulse(BlochState(0, 0, 1), W1, "+z", 1e-9)
-        with pytest.raises(ValueError):
-            apply_pulse(BlochState(0, 0, 1), W1, "+x", -1e-9)
+            half = pulse(pulse(v, W1, "+x", 240e-9, det), W1, "+x", 240e-9, det)
+            full = pulse(v, W1, "+x", 480e-9, det)
+            assert np.allclose(half, full, atol=1e-12)
 
 
 class TestEvolveFree:
+    """The engine's free-evolution kernel, ``blochsim._free_arrays``."""
+
     def test_half_recovery_point(self):
-        out = evolve_free(BlochState(0, 0, -1), RELAX.t1 * math.log(2), RELAX, 0.0, m_eq=1.0)
-        assert out.mz == pytest.approx(0.0, abs=1e-12)
+        mz = free((0, 0, -1), RELAX.t1 * math.log(2), RELAX, 0.0, m_eq=1.0)[2]
+        assert mz == pytest.approx(0.0, abs=1e-12)
 
     def test_one_t2_of_transverse_decay(self):
-        out = evolve_free(BlochState(1, 0, 0), RELAX.t2, RELAX, 0.0, m_eq=1.0)
-        assert out.mx == pytest.approx(math.exp(-1), abs=1e-12)
-        assert out.my == pytest.approx(0.0, abs=1e-12)
+        mx, my, _ = free((1, 0, 0), RELAX.t2, RELAX, 0.0, m_eq=1.0)
+        assert mx == pytest.approx(math.exp(-1), abs=1e-12)
+        assert my == pytest.approx(0.0, abs=1e-12)
 
     def test_quarter_turn_precession(self):
         relax = RelaxationParams(t1=1e30, t2=1e30)  # effectively no decay
         det = 2 * math.pi * 1e6
         duration = (math.pi / 2) / det
-        out = evolve_free(BlochState(1, 0, 0), duration, relax, det, m_eq=0.0)
-        assert out.my == pytest.approx(1.0, abs=1e-9)  # +x precesses to +y
-        assert abs(out.mx) < 1e-9
+        mx, my, _ = free((1, 0, 0), duration, relax, det, m_eq=0.0)
+        assert my == pytest.approx(1.0, abs=1e-9)  # +x precesses to +y
+        assert abs(mx) < 1e-9
 
     def test_norm_non_increasing(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
-            state = BlochState(*v)
-            out = evolve_free(state, rng.uniform(0, 1e-3), RELAX, rng.normal() * 1e6, m_eq=0.5)
-            assert out.norm() <= state.norm() + 1e-9
+            out = free(v, rng.uniform(0, 1e-3), RELAX, rng.normal() * 1e6, m_eq=0.5)
+            assert np.linalg.norm(out) <= np.linalg.norm(v) + 1e-9
 
 
 class TestEnvelopes:

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as hs
 
+from reference import find_dips
 from spintrap import cli, config, fitkit
 from spintrap.cli import main
-from spintrap.spectrum import find_peaks
 from spintrap.trace import read_trace_csv
 from test_seqlang import EXTREME_ANGLES, EXTREME_STEPS, EXTREME_TIMES, source_programs
 
@@ -45,14 +45,14 @@ class TestSpectrumCommand:
         out = tmp_path / "spec.csv"
         assert main(["spectrum", "--out", str(out)]) == 0
         trace = read_trace_csv(str(out))
-        peaks = find_peaks(trace, 0.02)
+        peaks = find_dips(trace, 0.02)
         assert len(peaks) == 3
         assert peaks[2][0] - peaks[1][0] == pytest.approx(4.2e-3, abs=2e-5)
 
     def test_zero_nuclear_polarization_symmetric(self, tmp_path):
         out = tmp_path / "spec.csv"
         assert main(["spectrum", "--out", str(out), "--nuclear-polarization", "0"]) == 0
-        peaks = find_peaks(read_trace_csv(str(out)), 0.05)
+        peaks = find_dips(read_trace_csv(str(out)), 0.05)
         doublet = [p for p in peaks if p[0] > 8.574]
         assert doublet[0][1] == pytest.approx(doublet[1][1], rel=1e-9)
 
@@ -225,17 +225,21 @@ class TestFileErrors:
         ("fit {dir} --model exp_decay", 4),
         ("fit {undecodable} --model exp_decay", 4),
         ("fit {csv} --model exp_decay --out {dir}", 4),
+        ("run {line_break} --out {out}", 4),
     ], ids=["run-directory", "run-undecodable", "fit-directory", "fit-undecodable",
-            "fit-out-directory"])
+            "fit-out-directory", "run-line-break-in-path"])
     def test_unreadable_file_exit_3_or_4(self, tmp_path, capsys, argv, code):
         paths = {
             "dir": tmp_path / "dir",
             "undecodable": tmp_path / "undecodable",
             "csv": tmp_path / "ok.csv",
             "out": tmp_path / "x.csv",
+            # a path the output's "# sequence_file=" line cannot hold
+            "line_break": tmp_path / "a\nb,c.seq",
         }
         paths["dir"].mkdir()
         paths["undecodable"].write_bytes(b"\xffx,y\npulse pi +x\nacquire mz\n")
+        paths["line_break"].write_text("pulse pi +x\nacquire mz\n")
         paths["csv"].write_text("x,y\n1e-5,1.0\n2e-5,0.8\n3e-5,0.6\n4e-5,0.5\n5e-5,0.4\n")
         assert main([arg.format(**paths) for arg in argv.split()]) == code
         assert _single_error_line(capsys).out == ""

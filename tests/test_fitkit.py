@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from reference import model_predict
 from spintrap import fitkit
 from spintrap.fitkit import (
     DegenerateDataError,
     compare_models,
     fit,
-    model_predict,
 )
 from spintrap.trace import SignalTrace
 

@@ -13,7 +13,6 @@ from spintrap.spincore import (
     Environment,
     SpinSpecies,
     detuning,
-    equilibrium_state,
     gyromagnetic_ratio,
     manifold_labels,
     manifold_weight,
@@ -113,20 +112,21 @@ class TestDetuning:
 
 
 class TestEquilibriumState:
+    """The thermal polarization at an environment's field and temperature."""
+
+    @staticmethod
+    def _polarization(env):
+        return thermal_polarization(PHOSPHORUS.g_factor, env.static_field_b0, env.temperature)
+
     def test_default_preset(self):
-        state = equilibrium_state(Environment(), PHOSPHORUS)
-        assert state.mx == 0.0 and state.my == 0.0
-        assert state.mz == pytest.approx(0.968, abs=1e-3)
+        assert self._polarization(Environment()) == pytest.approx(0.968, abs=1e-3)
 
     def test_high_temperature(self):
-        env = Environment(temperature=1e9)
-        state = equilibrium_state(env, PHOSPHORUS)
-        assert abs(state.mz) < 1e-8
+        assert abs(self._polarization(Environment(temperature=1e9))) < 1e-8
 
     def test_norm_bounded(self):
         for t in (0.5, 2.8, 30.0, 1e4):
-            state = equilibrium_state(Environment(temperature=t), PHOSPHORUS)
-            assert state.norm() <= 1.0
+            assert 0.0 <= self._polarization(Environment(temperature=t)) <= 1.0
 
 
 class TestSpeciesValidation:

@@ -75,11 +75,9 @@ from .spincore import (
     RelaxationParams,
     SpinSpecies,
     gyromagnetic_ratio,
-    manifold_labels,
-    manifold_weight,
+    resonance_lines,
     thermal_polarization,
 )
-from .spincore import detuning as line_detuning
 from .trace import SignalTrace
 
 __all__ = ["pulse_flip_fraction", "nutation_curve", "run_program"]
@@ -141,21 +139,33 @@ def _free_arrays(mx, my, mz, phase, duration, relax, m_eq):
 
 
 def _ensemble_setup(env: Environment, species: SpinSpecies):
-    """``(m0, w1, sigma)``: equilibrium mz, on-resonance drive rate, and the
-    standard deviation of the static detuning offsets (drawn from stream 0)."""
+    """``(m0, w1, sigma, lines)``: equilibrium mz, on-resonance drive rate, the
+    standard deviation of the static detuning offsets (drawn from stream 0),
+    and each resonance line's ``(weight, detuning)``, the detuning (rad/s)
+    positive when the static field sits above the line."""
     m0 = thermal_polarization(species.g_factor, env.static_field_b0, env.temperature)
     w1 = 2.0 * math.pi * env.rabi_frequency
-    sigma = gyromagnetic_ratio(species.g_factor) * species.linewidth_field
-    return m0, w1, sigma
+    gamma = gyromagnetic_ratio(species.g_factor)
+    sigma = gamma * species.linewidth_field
+    lines = [(weight, gamma * (env.static_field_b0 - b_res))
+             for b_res, weight in resonance_lines(species, env.mw_frequency)]
+    return m0, w1, sigma, lines
+
+
+def _rabi_flip(w1, det, duration):
+    """``(w1/weff)^2 sin^2(weff t / 2)`` with ``weff = sqrt(w1^2 + det^2)``: the
+    share of the polarization one +x pulse of ``duration`` at detuning ``det``
+    turns over, by the generalized Rabi formula.  Broadcasts over ``det`` and
+    ``duration``."""
+    weff2 = w1 * w1 + det * det
+    return (w1 * w1 / weff2) * np.sin(np.sqrt(weff2) * duration / 2.0) ** 2
 
 
 def _rabi_mz(m0, w1, det, duration):
-    """mz after one +x pulse of ``duration`` at detuning ``det`` from ``(0, 0, m0)``:
-    the generalized Rabi formula ``m0 (1 - 2 (w1/weff)^2 sin^2(weff t / 2))``
-    with ``weff = sqrt(w1^2 + det^2)``, which is what :func:`_pulse_arrays`
-    computes by rotation.  Broadcasts over ``det`` and ``duration``."""
-    weff2 = w1 * w1 + det * det
-    return m0 * (1.0 - 2.0 * (w1 * w1 / weff2) * np.sin(np.sqrt(weff2) * duration / 2.0) ** 2)
+    """mz ``m0 (1 - 2 flip)`` after one +x pulse from ``(0, 0, m0)``, with
+    ``flip`` from :func:`_rabi_flip`; :func:`_pulse_arrays` computes the same
+    by rotation."""
+    return m0 * (1.0 - 2.0 * _rabi_flip(w1, det, duration))
 
 
 def pulse_flip_fraction(angle_deg: float, field_offset: float, env: Environment,
@@ -163,20 +173,21 @@ def pulse_flip_fraction(angle_deg: float, field_offset: float, env: Environment,
     """Fraction of the donors flipped by one +x pulse from thermal equilibrium.
 
     The pulse lasts as long as an on-resonance pulse of ``angle_deg`` and
-    meets a static field ``field_offset`` tesla off resonance; the fraction is
-    :func:`trapdyn.flip_fraction_from_state` of the mz it leaves.  The
+    meets a static field ``field_offset`` tesla off resonance.  The fraction
+    is ``m0`` times :func:`_rabi_flip`, clipped to [0, 1]; formed without the
+    difference ``(m0 - mz)/2``, it keeps its digits for a small flip.  The
     arithmetic is in numpy floats, so a drive so weak that the pulse never
-    ends, or an offset whose detuning overflows, gives a non-finite mz
+    ends, or an offset whose detuning overflows, gives a non-finite fraction
     (not a Python arithmetic error), which raises :class:`CsvFormatError`.
     """
-    m0, w1, _ = _ensemble_setup(env, species)
+    m0, w1, _, _ = _ensemble_setup(env, species)
     w1 = np.float64(w1)
     duration = np.radians(angle_deg) / w1
     det = np.float64(gyromagnetic_ratio(species.g_factor)) * field_offset
-    mz = float(_rabi_mz(m0, w1, det, duration))
-    if not math.isfinite(mz):
-        raise CsvFormatError(f"refusing to write a transient: the pulse leaves mz={mz}")
-    return trapdyn.flip_fraction_from_state(mz, m0)
+    fraction = m0 * _rabi_flip(w1, det, duration)
+    if not math.isfinite(fraction):
+        raise CsvFormatError(f"refusing to write a transient: the pulse flips a fraction {fraction}")
+    return float(np.clip(fraction, 0.0, 1.0))
 
 
 # Elements of one (durations x offsets) chunk of `nutation_curve`: large
@@ -202,14 +213,13 @@ def nutation_curve(
     durations = np.asarray(pulse_durations, dtype=float)
     if np.any(durations < 0):
         raise ValueError("pulse durations must be >= 0")
-    m0, w1, sigma = _ensemble_setup(env, species)
+    m0, w1, sigma, lines = _ensemble_setup(env, species)
     offsets = _philox(ensemble.rng_seed, _STATIC_STREAM).standard_normal(ensemble.n_static) * sigma
 
     rows = max(1, _NUTATION_CHUNK // ensemble.n_static)  # durations per chunk
     y = np.zeros_like(durations)
-    for m_i in manifold_labels(species):
-        weight = manifold_weight(species, m_i)
-        det = line_detuning(species, env, m_i) + offsets
+    for weight, line_det in lines:
+        det = line_det + offsets
         for lo in range(0, durations.size, rows):
             mz = _rabi_mz(m0, w1, det, durations[lo:lo + rows, None])
             y[lo:lo + rows] += weight * mz.mean(axis=1)
@@ -313,23 +323,20 @@ def _run_engine(ast, values, env, species, relax, ensemble):
     n_free = sum(map(_evolves_freely, statements[:end]))
     n_acquire = len(ast.acquire_channels)
 
-    m0, w1, sigma = _ensemble_setup(env, species)
-    labels = manifold_labels(species)
-    weights = [manifold_weight(species, m_i) for m_i in labels]
-    base_dets = [line_detuning(species, env, m_i) for m_i in labels]
+    m0, w1, sigma, lines = _ensemble_setup(env, species)
     n_traj = ensemble.n_trajectories
 
-    # Both manifolds and every point share each block's draws; partial sums
-    # are added in block order.
-    sums = np.zeros((len(labels), len(values), n_acquire, _ACC_FIELDS))
+    # Both lines and every point share each block's draws; partial sums are
+    # added in block order.
+    sums = np.zeros((len(lines), len(values), n_acquire, _ACC_FIELDS))
     for b, static in enumerate(_block_offsets(ensemble, sigma)):
         draws = None
         if relax.diffusion_constant > 0.0:
             stream = _philox(ensemble.rng_seed, _NOISE_STREAM_BASE + b)
             draws = stream.standard_normal((2 * n_free, static.size))
         n = static.size
-        for mf, base_det in enumerate(base_dets):
-            det = base_det + static
+        for mf, (_, line_det) in enumerate(lines):
+            det = line_det + static
             start = (np.zeros(n), np.zeros(n), np.full(n, m0), np.zeros(n),
                      np.zeros((n_acquire, _ACC_FIELDS)), 0, 0)
             mx, my, mz, walk, acc, j, k = _walk(statements[:n_shared], None, start, env, det, m0, w1,
@@ -342,7 +349,7 @@ def _run_engine(ast, values, env, species, relax, ensemble):
                 sums[mf, i] += point_acc
 
     stats = np.zeros((len(values), n_acquire, _ACC_FIELDS))
-    for weight, acc in zip(weights, sums):
+    for (weight, _), acc in zip(lines, sums):
         mean = acc[..., :3] / n_traj
         mx, my, mz = np.moveaxis(mean, -1, 0)
         stats[..., :3] += weight * mean
@@ -396,8 +403,7 @@ def run_program(ast: SequenceAst, env: Environment, species: SpinSpecies, relax:
     """
     if trap is None and "charge" in ast.acquire_channels:
         raise ValueError("program acquires the charge channel but no trap parameters were given")
-    meta = {"rng_seed": ensemble.rng_seed, "n_static": ensemble.n_static, "n_noise": ensemble.n_noise,
-            "equilibrium_mz": _ensemble_setup(env, species)[0]}
+    meta = {"rng_seed": ensemble.rng_seed, "n_static": ensemble.n_static, "n_noise": ensemble.n_noise}
     sweep, points, axis_kind = ast.sweep, [None], "time"  # an unswept program is the single point None
     if sweep is not None:
         # a swept trace holds one value per point, so a second acquire on the
@@ -421,6 +427,7 @@ def run_program(ast: SequenceAst, env: Environment, species: SpinSpecies, relax:
 
     acquires = [s for s in ast.statements if isinstance(s, AcquireStmt)]
     m0, stats = _run_engine(ast, points, env, species, relax, ensemble)
+    meta["equilibrium_mz"] = m0
     columns: dict[str, tuple[list, list, list]] = {}  # per channel: x values, values, stderrs
     for value, point_stats in zip(points, stats):
         for k, (acquire, stat) in enumerate(zip(acquires, point_stats)):

@@ -119,22 +119,34 @@ def _write_output(trace: SignalTrace, config: RunConfig, path: str, extra_meta=N
     print(f"wrote {path} ({len(out)} points)")
 
 
+def _require_distinct(grid: np.ndarray, what: str) -> np.ndarray:
+    """``grid``, whose points become the x axis of a trace, which must
+    strictly increase; a grid too fine for floats to tell apart exits 2."""
+    if not (np.diff(grid) > 0).all():
+        raise ConfigError(f"{what} are too close for floats to tell apart")
+    return grid
+
+
 def _time_grid(args) -> np.ndarray:
     """``--n-points`` evenly spaced times from 0 to ``--t-max``."""
     if not (math.isfinite(args.t_max) and args.t_max > 0):
         raise ConfigError(f"--t-max must be finite and > 0, got {args.t_max}")
     if not 1 <= args.n_points <= MAX_POINTS:
         raise ConfigError(f"--n-points must lie in [1, {MAX_POINTS}], got {args.n_points}")
-    return np.linspace(0.0, args.t_max, args.n_points)
+    return _require_distinct(np.linspace(0.0, args.t_max, args.n_points),
+                             f"{args.n_points} times from 0 to --t-max {args.t_max!r} s")
 
 
 def cmd_spectrum(args) -> int:
     config = _load_config_file(args)
     from . import spectrum
 
-    if config.spectrum.n_points > MAX_POINTS:
-        raise ConfigError(f"spectrum.n_points must be <= {MAX_POINTS}, got {config.spectrum.n_points}")
-    trace = spectrum.simulate_field_sweep(config.species_amplitudes(), config.environment, config.spectrum)
+    sweep = config.spectrum
+    if sweep.n_points > MAX_POINTS:
+        raise ConfigError(f"spectrum.n_points must be <= {MAX_POINTS}, got {sweep.n_points}")
+    _require_distinct(sweep.field_axis(),
+                      f"{sweep.n_points} fields from {sweep.b_start!r} to {sweep.b_stop!r} T")
+    trace = spectrum.simulate_field_sweep(config.species_amplitudes(), config.environment, sweep)
     _write_output(trace, config, args.out, {"command": "spectrum"})
     return EXIT_OK
 

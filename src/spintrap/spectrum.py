@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spincore import Environment, SpinSpecies, manifold_labels, manifold_weight, resonance_field
+from .spincore import Environment, SpinSpecies, resonance_lines
 from .trace import SignalTrace
 
 __all__ = ["SweepSpec", "simulate_field_sweep"]
@@ -58,17 +58,15 @@ def simulate_field_sweep(
 
     ``species_amplitudes`` pairs each species with its total line depth in
     amperes.  A hyperfine pair splits that depth by the nuclear-manifold
-    populations: the ``m_i = +1/2`` (low-field) line carries ``(1 + p)/2``
-    for nuclear polarization ``p``.  dI <= 0 everywhere.
+    populations: the low-field line carries ``(1 + p)/2`` for nuclear
+    polarization ``p`` (:func:`spincore.resonance_lines`).  dI <= 0 everywhere.
     """
     b = sweep.field_axis()
     di = np.zeros_like(b)
     for species, amplitude in species_amplitudes:
         if amplitude < 0:
             raise ValueError(f"line amplitude must be >= 0, got {amplitude} for {species.label!r}")
-        for m_i in manifold_labels(species):
-            center = resonance_field(species, env.mw_frequency, m_i)
-            weight = manifold_weight(species, m_i)
+        for center, weight in resonance_lines(species, env.mw_frequency):
             di -= amplitude * weight * _unit_peak_line(b, center, species.linewidth_field, sweep.lineshape)
     return SignalTrace(
         axis_kind="field",

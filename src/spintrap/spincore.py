@@ -3,7 +3,7 @@
 Everything downstream (pulse simulation, spectra, trap dynamics) builds on the
 quantities defined here: physical constants, the two built-in spin species of a
 Si:P sample (the phosphorus donor doublet and the broad dangling-bond line),
-thermal electron polarization, resonance fields, and rotating-frame detunings.
+thermal electron polarization, and the resonance lines of a species.
 The relaxation times and the Monte Carlo ensemble layout that
 :mod:`spintrap.blochsim` runs with are defined here too, so a configuration
 can be built without importing the engine.
@@ -12,7 +12,7 @@ Conventions
 -----------
 * All internal units are SI: Tesla, seconds, Hz, rad/s.  Unit suffixes appear
   only in I/O key names (see :mod:`spintrap.config`).
-* ``m_i = +1/2`` labels the lower-field hyperfine line; the line separation is
+* A split species' lines come lower field first; the line separation is
   exactly ``hyperfine_splitting_field``.
 * Hyperfine structure is treated to first order: lines sit at
   ``B_center -/+ A/2``.  Second-order (Breit-Rabi) corrections are negligible
@@ -39,11 +39,8 @@ __all__ = [
     "PHOSPHORUS",
     "DANGLING_BOND",
     "thermal_polarization",
-    "resonance_field",
-    "detuning",
     "gyromagnetic_ratio",
-    "manifold_labels",
-    "manifold_weight",
+    "resonance_lines",
 ]
 
 
@@ -97,10 +94,6 @@ class SpinSpecies:
         if self.linewidth_field <= 0:
             raise ValueError(f"linewidth_field must be > 0, got {self.linewidth_field}")
 
-    @property
-    def has_hyperfine(self) -> bool:
-        return self.hyperfine_splitting_field > 0.0
-
 
 @dataclass(frozen=True)
 class Environment:
@@ -153,7 +146,7 @@ class EnsembleSpec:
     ``n_static`` static-detuning samples (Gaussian, sigma from the species
     linewidth) times ``n_noise`` stochastic trajectories each.  Each
     hyperfine manifold is weighted by its nuclear-polarization population
-    (:func:`manifold_weight`).
+    (:func:`resonance_lines`).
     """
 
     n_static: int = 128
@@ -215,64 +208,22 @@ def thermal_polarization(g: float, b: float, t: float) -> float:
     return math.tanh(g * BOHR_MAGNETON * b / (2.0 * BOLTZMANN_K * t))
 
 
-def _m_i_sign(species: SpinSpecies, m_i: float | None) -> float:
-    if species.has_hyperfine:
-        if m_i is None:
-            raise ValueError(
-                f"species {species.label!r} has hyperfine structure; m_i is required"
-            )
-        if m_i not in (+0.5, -0.5):
-            raise ValueError(f"m_i must be +0.5 or -0.5, got {m_i}")
-        return 1.0 if m_i > 0 else -1.0
-    if m_i is not None:
-        raise ValueError(
-            f"species {species.label!r} has no hyperfine splitting; m_i must be None"
-        )
-    return 0.0
-
-
-def resonance_field(species: SpinSpecies, f_mw: float, m_i: float | None = None) -> float:
-    """Field at which the given hyperfine line is resonant with ``f_mw``.
-
-    ``m_i = +0.5`` gives the lower-field line, ``m_i = -0.5`` the higher one;
-    pass ``None`` for species without hyperfine splitting.
-    """
-    if f_mw <= 0:
-        raise ValueError(f"mw frequency must be > 0, got {f_mw}")
-    sign = _m_i_sign(species, m_i)
-    center = PLANCK_H * f_mw / (species.g_factor * BOHR_MAGNETON)
-    return center - sign * species.hyperfine_splitting_field / 2.0
-
-
 def gyromagnetic_ratio(g: float) -> float:
     """g mu_B / hbar, in rad/s per Tesla."""
     return g * BOHR_MAGNETON / HBAR
 
 
-def detuning(species: SpinSpecies, env: Environment, m_i: float | None = None) -> float:
-    """Rotating-frame offset (rad/s) of one line at the static field.
+def resonance_lines(species: SpinSpecies, f_mw: float) -> tuple[tuple[float, float], ...]:
+    """``(resonance field, population weight)`` of each line resonant with ``f_mw``.
 
-    Positive when the static field sits above the line's resonance field.
+    A species with hyperfine splitting ``A`` has two lines, the lower-field
+    one first: ``center - A/2`` with weight ``(1 + p)/2`` for nuclear
+    polarization ``p``, then ``center + A/2`` with ``(1 - p)/2``, so ``p < 0``
+    puts the larger weight on the high-field line.  An unsplit species has
+    the single line ``(center, 1.0)``.
     """
-    b_res = resonance_field(species, env.mw_frequency, m_i)
-    return gyromagnetic_ratio(species.g_factor) * (env.static_field_b0 - b_res)
-
-
-def manifold_labels(species: SpinSpecies) -> tuple[float | None, ...]:
-    """The m_i values of the species' hyperfine manifolds (``(None,)`` if unsplit)."""
-    if species.has_hyperfine:
-        return (+0.5, -0.5)
-    return (None,)
-
-
-def manifold_weight(species: SpinSpecies, m_i: float | None) -> float:
-    """Relative population of one nuclear manifold.
-
-    ``m_i = +1/2`` (the lower-field line) carries ``(1 + p)/2`` of the
-    population for nuclear polarization ``p``, so ``p < 0`` puts the larger
-    weight on the high-field line.
-    """
-    sign = _m_i_sign(species, m_i)
-    if sign == 0.0:
-        return 1.0
-    return (1.0 + sign * species.nuclear_polarization) / 2.0
+    center = PLANCK_H * f_mw / (species.g_factor * BOHR_MAGNETON)
+    if species.hyperfine_splitting_field == 0.0:
+        return ((center, 1.0),)
+    half, p = species.hyperfine_splitting_field / 2.0, species.nuclear_polarization
+    return ((center - half, (1.0 + p) / 2.0), (center + half, (1.0 - p) / 2.0))

@@ -32,7 +32,7 @@ from spintrap.spincore import (
     Environment,
     RelaxationParams,
     SpinSpecies,
-    resonance_field,
+    resonance_lines,
     thermal_polarization,
 )
 from spintrap.trace import SignalTrace
@@ -52,7 +52,8 @@ def _narrow_species():
 
 
 def _resonant_env(species):
-    return Environment(static_field_b0=resonance_field(species, 240e9))
+    (b_res, _), = resonance_lines(species, 240e9)
+    return Environment(static_field_b0=b_res)
 
 
 def _hahn(tau):

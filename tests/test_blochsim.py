@@ -14,8 +14,8 @@ from spintrap import blochsim
 from spintrap.blochsim import nutation_curve, run_program
 from spintrap.config import load_config
 from spintrap.seqlang import SequenceError, parse, sweep_values
-from spintrap.spincore import (EnsembleSpec, Environment, RelaxationParams, SpinSpecies, detuning,
-                               manifold_labels, manifold_weight, resonance_field)
+from spintrap.spincore import (PHOSPHORUS, EnsembleSpec, Environment, RelaxationParams, SpinSpecies,
+                               gyromagnetic_ratio, resonance_lines, thermal_polarization)
 from spintrap.trapdyn import TrapParams
 from test_seqlang import acquire_statements, delay_statements, pulse_statements
 
@@ -53,7 +53,8 @@ def _narrow_species():
 
 
 def _resonant_env(species, **kwargs):
-    return Environment(static_field_b0=resonance_field(species, 240e9), **kwargs)
+    (b_res, _), = resonance_lines(species, 240e9)
+    return Environment(static_field_b0=b_res, **kwargs)
 
 
 class TestApplyPulse:
@@ -89,6 +90,16 @@ class TestApplyPulse:
         closed = blochsim._rabi_mz(m0, W1, det, duration)
         kernel = [pulse((0, 0, m0[i]), W1, "+x", duration[i], det[i])[2] for i in range(n)]
         assert np.max(np.abs(closed - kernel)) <= 1e-12
+
+    def test_small_flip_keeps_its_digits(self):
+        # on resonance the flipped fraction is m0 sin^2(theta/2); formed as
+        # (m0 - mz)/2 it kept only about 6 digits at 1e-3 degrees
+        env = Environment()
+        m0 = thermal_polarization(PHOSPHORUS.g_factor, env.static_field_b0, env.temperature)
+        for angle_deg in (1e-3, 1e-6, 90.0, 180.0):
+            expected = m0 * math.sin(math.radians(angle_deg) / 2) ** 2
+            fraction = blochsim.pulse_flip_fraction(angle_deg, 0.0, env, PHOSPHORUS)
+            assert fraction == pytest.approx(expected, rel=1e-14)
 
     def test_against_matrix_exponential_on_random_inputs(self):
         rng = np.random.default_rng(1234)
@@ -219,15 +230,15 @@ class TestNutation:
         env = _resonant_env(species)
         durations = np.linspace(0, 6e-6, 200)
         ensemble = EnsembleSpec(1000, 1, 9)
-        m0, w1, sigma = blochsim._ensemble_setup(env, species)
+        m0, w1, sigma, _ = blochsim._ensemble_setup(env, species)
         offsets = blochsim._philox(9, blochsim._STATIC_STREAM).standard_normal(1000) * sigma
         expected = np.zeros_like(durations)
-        for m_i in manifold_labels(species):
-            det = detuning(species, env, m_i) + offsets
+        for b_res, weight in resonance_lines(species, env.mw_frequency):
+            det = gyromagnetic_ratio(species.g_factor) * (env.static_field_b0 - b_res) + offsets
             weff2 = w1 * w1 + det * det
             for k, tp in enumerate(durations):
                 mz = m0 * (1.0 - 2.0 * (w1 * w1 / weff2) * np.sin(np.sqrt(weff2) * tp / 2.0) ** 2)
-                expected[k] += manifold_weight(species, m_i) * float(np.mean(mz))
+                expected[k] += weight * float(np.mean(mz))
         trace = nutation_curve(durations, env, species, RELAX, ensemble)
         assert trace.y == tuple(expected)
 

@@ -141,6 +141,18 @@ class TestInputValidation:
         assert str(cli.MAX_POINTS) in _single_error_line(capsys).err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("spectrum", ["--b-start", "8.58", "--b-stop", "8.580000000000001", "--n-points", "1000"]),
+        ("transient", ["--t-max", "1e-320", "--n-points", "5000"]),
+        ("nutation", ["--t-max", "1e-320", "--n-points", "5000"]),
+    ], ids=["spectrum", "transient", "nutation"])
+    def test_grid_too_fine_for_floats_exit_2(self, tmp_path, capsys, command, flags):
+        # the grid becomes the trace's x axis, which must strictly increase
+        out = tmp_path / "x.csv"
+        assert main([command, "--out", str(out)] + flags) == 2
+        assert "tell apart" in _single_error_line(capsys).err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("command, config, flags, code", [
         ("spectrum", {"species": {"linewidth_tesla": 1e300}}, [], 0),
@@ -752,10 +764,11 @@ _JSON_VALUES = hs.one_of(
 )
 _FLOAT_ARGS = hs.one_of(
     hs.floats(allow_nan=True, allow_infinity=True),
-    hs.sampled_from([0.0, -1.0, 1e-300, 1e300, 4e-6, 15e-3, 8.57, 8.59, 0.5, 1e6]),
+    hs.sampled_from([0.0, -1.0, 1e-300, 1e-320, 1e300, 4e-6, 15e-3, 8.57, 8.58, 8.580000000000001,
+                     8.59, 0.5, 1e6]),
 ).map(repr)
 _INT_ARGS = hs.one_of(hs.integers(min_value=-2, max_value=60),
-                      hs.sampled_from([10**5 + 1, 10**20])).map(str)
+                      hs.sampled_from([1000, 5000, 10**5 + 1, 10**20])).map(str)
 _FLAGS = {
     "spectrum": {"--b-start": _FLOAT_ARGS, "--b-stop": _FLOAT_ARGS, "--n-points": _INT_ARGS,
                  "--lineshape": hs.sampled_from(["gaussian", "lorentzian", "cauchy"]),

@@ -12,13 +12,21 @@ from spintrap.spincore import (
     PLANCK_H,
     Environment,
     SpinSpecies,
-    detuning,
     gyromagnetic_ratio,
-    manifold_labels,
-    manifold_weight,
-    resonance_field,
+    resonance_lines,
     thermal_polarization,
 )
+
+
+def _fields(species):
+    """Resonance fields of the species' lines at 240 GHz, lower first."""
+    return [b for b, _ in resonance_lines(species, 240e9)]
+
+
+def _detuning(species, b0):
+    """Rotating-frame offset (rad/s) of the lower-field line at static field
+    ``b0``, as the engine forms it."""
+    return gyromagnetic_ratio(species.g_factor) * (b0 - _fields(species)[0])
 
 
 class TestConstants:
@@ -66,47 +74,33 @@ class TestThermalPolarization:
 
 class TestResonanceField:
     def test_phosphorus_doublet_split(self):
-        lo = resonance_field(PHOSPHORUS, 240e9, +0.5)
-        hi = resonance_field(PHOSPHORUS, 240e9, -0.5)
+        lo, hi = _fields(PHOSPHORUS)
         assert hi - lo == pytest.approx(4.2e-3, abs=1e-15)
-        assert lo < hi  # +1/2 is the lower-field line
+        assert lo < hi  # the lower-field line comes first
 
     def test_phosphorus_center(self):
-        lo = resonance_field(PHOSPHORUS, 240e9, +0.5)
-        hi = resonance_field(PHOSPHORUS, 240e9, -0.5)
+        lo, hi = _fields(PHOSPHORUS)
         assert (lo + hi) / 2 == pytest.approx(8.580, abs=1e-3)
 
     def test_dangling_bond_position(self):
-        assert resonance_field(DANGLING_BOND, 240e9) == pytest.approx(8.570, abs=1e-3)
-
-    def test_m_i_validation(self):
-        with pytest.raises(ValueError):
-            resonance_field(DANGLING_BOND, 240e9, +0.5)
-        with pytest.raises(ValueError):
-            resonance_field(PHOSPHORUS, 240e9, None)
-        with pytest.raises(ValueError):
-            resonance_field(PHOSPHORUS, 240e9, 0.3)
-        with pytest.raises(ValueError):
-            resonance_field(PHOSPHORUS, 0.0, +0.5)
+        (b,) = _fields(DANGLING_BOND)
+        assert b == pytest.approx(8.570, abs=1e-3)
 
 
 class TestDetuning:
     def test_zero_on_resonance(self):
-        b_res = resonance_field(PHOSPHORUS, 240e9, +0.5)
-        env = Environment(static_field_b0=b_res)
-        assert abs(detuning(PHOSPHORUS, env, +0.5)) <= 1e-12 * gyromagnetic_ratio(1.9985) * b_res
+        b_res = _fields(PHOSPHORUS)[0]
+        assert abs(_detuning(PHOSPHORUS, b_res)) <= 1e-12 * gyromagnetic_ratio(1.9985) * b_res
 
     def test_offset_value(self):
         # g muB dB / hbar for dB = 1e-4 T, g = 1.9985: 1.7575e7 rad/s
-        b_res = resonance_field(PHOSPHORUS, 240e9, +0.5)
-        env = Environment(static_field_b0=b_res + 1e-4)
-        d = detuning(PHOSPHORUS, env, +0.5)
+        d = _detuning(PHOSPHORUS, _fields(PHOSPHORUS)[0] + 1e-4)
         assert d == pytest.approx(1.760e7, rel=5e-3)
 
     def test_antisymmetric_in_field_offset(self):
-        b_res = resonance_field(PHOSPHORUS, 240e9, +0.5)
-        up = detuning(PHOSPHORUS, Environment(static_field_b0=b_res + 2e-4), +0.5)
-        dn = detuning(PHOSPHORUS, Environment(static_field_b0=b_res - 2e-4), +0.5)
+        b_res = _fields(PHOSPHORUS)[0]
+        up = _detuning(PHOSPHORUS, b_res + 2e-4)
+        dn = _detuning(PHOSPHORUS, b_res - 2e-4)
         assert up == pytest.approx(-dn, rel=1e-9)
         assert up > 0
 
@@ -135,7 +129,7 @@ class TestSpeciesValidation:
         assert PHOSPHORUS.hyperfine_splitting_field == 4.2e-3
         assert PHOSPHORUS.nuclear_polarization < 0
         assert DANGLING_BOND.g_factor == 2.0009
-        assert not DANGLING_BOND.has_hyperfine
+        assert DANGLING_BOND.hyperfine_splitting_field == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -164,17 +158,32 @@ class TestSpeciesValidation:
             Environment(temperature=0.0)
         with pytest.raises(ValueError):
             Environment(static_field_b0=-8.58)
+        with pytest.raises(ValueError):
+            Environment(mw_frequency=0.0)
 
 
 class TestManifolds:
+    """The lines of :func:`resonance_lines`: position, order and population weight."""
+
     def test_labels(self):
-        assert manifold_labels(PHOSPHORUS) == (+0.5, -0.5)
-        assert manifold_labels(DANGLING_BOND) == (None,)
+        lines = resonance_lines(PHOSPHORUS, 240e9)
+        assert len(lines) == 2
+        (lo, w_lo), (hi, w_hi) = lines
+        center = PLANCK_H * 240e9 / (PHOSPHORUS.g_factor * BOHR_MAGNETON)
+        assert lo < hi  # lower field first
+        assert hi - lo == pytest.approx(PHOSPHORUS.hyperfine_splitting_field, rel=1e-12)
+        assert (lo + hi) / 2 == pytest.approx(center, rel=1e-15)
+        p = PHOSPHORUS.nuclear_polarization
+        assert (w_lo, w_hi) == ((1 + p) / 2, (1 - p) / 2)
+        center_db = PLANCK_H * 240e9 / (DANGLING_BOND.g_factor * BOHR_MAGNETON)
+        assert resonance_lines(DANGLING_BOND, 240e9) == ((center_db, 1.0),)
 
     def test_weights_sum_to_one(self):
-        w = [manifold_weight(PHOSPHORUS, m) for m in manifold_labels(PHOSPHORUS)]
-        assert sum(w) == pytest.approx(1.0, abs=1e-15)
+        for p in (-1.0, -0.3, 0.0, 0.7, 1.0):
+            species = SpinSpecies("x", 2.0, 4.2e-3, p, 1e-4)
+            weights = [w for _, w in resonance_lines(species, 240e9)]
+            assert sum(weights) == pytest.approx(1.0, abs=1e-15)
 
     def test_negative_polarization_favors_high_field_line(self):
-        # m_i = -1/2 is the high-field line
-        assert manifold_weight(PHOSPHORUS, -0.5) > manifold_weight(PHOSPHORUS, +0.5)
+        (_, w_lo), (_, w_hi) = resonance_lines(PHOSPHORUS, 240e9)
+        assert w_hi > w_lo

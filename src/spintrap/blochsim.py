@@ -211,8 +211,6 @@ def nutation_curve(
     (:func:`_rabi_mz`) and needs no stochastic sampling.
     """
     durations = np.asarray(pulse_durations, dtype=float)
-    if np.any(durations < 0):
-        raise ValueError("pulse durations must be >= 0")
     m0, w1, sigma, lines = _ensemble_setup(env, species)
     offsets = _philox(ensemble.rng_seed, _STATIC_STREAM).standard_normal(ensemble.n_static) * sigma
 
@@ -373,14 +371,10 @@ def _channel_value(acquire, stat, m0, trap):
             ux, uy = 1.0, 0.0
         se = math.sqrt(max(ux * ux * vx + 2 * ux * uy * cxy + uy * uy * vy, 0.0))
         return amp, se
-    if acquire.channel == "charge":
-        window = acquire.window or 6.0 / trap.emission_rate
-        # a non-finite mz stays non-finite, and the trace is refused where it is written
-        fraction = trapdyn.flip_fraction_from_state(mean[2], m0) if math.isfinite(mean[2]) else math.nan
-        unit_charge = trapdyn.boxcar_charge(1.0, trap, window)
-        se = abs(unit_charge) * math.sqrt(vz) / 2.0  # charge is linear in mz
-        return unit_charge * fraction, se
-    raise ValueError(f"unknown channel {acquire.channel!r}")  # pragma: no cover
+    # the charge channel; a NaN mz gives a NaN charge, refused where the trace is written
+    unit_charge = trapdyn.boxcar_charge(trap, acquire.window or 6.0 / trap.emission_rate)
+    se = abs(unit_charge) * math.sqrt(vz) / 2.0  # charge is linear in mz
+    return unit_charge * trapdyn.flip_fraction_from_state(mean[2], m0), se
 
 
 # Units of each acquire channel's values.

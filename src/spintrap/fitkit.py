@@ -29,11 +29,12 @@ internally, which makes the fit exactly scale-equivariant.  The solver is
 numpy alone; nothing here imports scipy.
 
 1-sigma uncertainties come from the Gauss-Newton covariance
-``(rss / dof) * pinv(J^T J)``, the one ``scipy.optimize.curve_fit`` reports,
+``(rss / dof) * (J^T J)^-1``, the one ``scipy.optimize.curve_fit`` reports,
 with ``J`` the analytic Jacobian of the model in ``(a, log q)`` at the
-optimum.  ``pinv`` gives a direction the data do not constrain (a singular
-value of ``J`` at most ``_RANK_RTOL`` times the largest) sigma 0; its
-dominant parameter gets sigma ``inf`` instead, and
+optimum.  It is formed from the singular value decomposition of ``J`` with
+one cutoff: a direction whose singular value is at most ``_RANK_RTOL``
+times the largest is one the data do not constrain.  It adds nothing to
+the covariance, its dominant parameter gets sigma ``inf``, and
 :meth:`FitResult.require_constrained` refuses such a fit.  Every other
 trace the models cannot fit raises :class:`DegenerateDataError` in
 :func:`fit`.
@@ -60,9 +61,10 @@ __all__ = [
 ]
 
 
-# J is analytic, so it carries only rounding error, but the covariance inverts
-# J^T J, whose condition number is J's squared: a singular value of J below
-# ~sqrt(eps) = 1.5e-8 of the largest is lost to rounding in J^T J.
+# A direction of J whose singular value is at most _RANK_RTOL of the largest
+# is one the data do not constrain: its sigma would be over 1e8 times that of
+# the best-constrained direction.  1e-8 is about sqrt(eps) = 1.5e-8, below
+# which J^T J, the matrix curve_fit inverts, loses the direction to rounding.
 _RANK_RTOL = 1e-8
 # Levenberg-Marquardt stops when every Jacobian column is orthogonal to the
 # residual to _GTOL (cosine), or when a step in log q is below _XTOL relative;
@@ -189,12 +191,6 @@ def _exp(v: float) -> float:
     return value if 0.0 < value < math.inf else math.nan
 
 
-def _get_model(model_id: str) -> _ModelDef:
-    if model_id not in _MODELS:
-        raise ValueError(f"unknown model {model_id!r}; expected one of {MODEL_IDS}")
-    return _MODELS[model_id]
-
-
 def _projection(model: _ModelDef, x: np.ndarray, y: np.ndarray, theta: np.ndarray):
     """Variable projection at ``q = exp(theta)``: ``(rss, a, r, J)`` with the
     closed-form amplitude ``a``, residual ``r = y - a g`` and the
@@ -259,10 +255,8 @@ def fit(model_id: str, trace: SignalTrace) -> FitResult:
         When the trace cannot be fitted: too few points, constant y, a
         largest x not well above 0, or a non-finite rss, parameter or
         uncertainty.
-    ValueError
-        For an unknown model.
     """
-    model = _get_model(model_id)
+    model = _MODELS[model_id]
     x = trace.x_array()
     y = trace.y_array()
     n = len(x)
@@ -291,13 +285,16 @@ def fit(model_id: str, trace: SignalTrace) -> FitResult:
         physical = model.normalize(physical)
     a, *q = physical
 
-    # Gauss-Newton covariance in (a, log q), as curve_fit reports it
+    # Gauss-Newton covariance in (a, log q), (rss/dof) V_k diag(1/s_k^2) V_k^T
+    # over the singular values s_k of J above the cutoff; only its diagonal,
+    # a sum of squares, is needed
     g, dg = model.shape(x, tuple(q))
     jac = np.column_stack((g, a * dg))
-    if not np.all(np.isfinite(jac)):  # pinv would turn an infinite column into sigma 0
+    if not np.all(np.isfinite(jac)):  # the SVD is undefined for a non-finite matrix
         raise DegenerateDataError(f"fit of {model_id!r} has a non-finite Jacobian at the optimum")
-    cov = rss_norm / (n - model.n_params) * np.linalg.pinv(jac.T @ jac)
-    sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
+    _, singular, vt = np.linalg.svd(jac, full_matrices=False)
+    kept = singular > _RANK_RTOL * singular[0]
+    sigmas = np.sqrt(rss_norm / (n - model.n_params) * ((vt[kept] / singular[kept, None]) ** 2).sum(axis=0))
 
     params = {model.param_names[0]: a * scale}
     uncertainties = {model.param_names[0]: sigmas[0] * scale}
@@ -307,8 +304,7 @@ def fit(model_id: str, trace: SignalTrace) -> FitResult:
     rss = rss_norm * scale * scale
     if not np.all(np.isfinite([rss, *params.values(), *uncertainties.values()])):
         raise DegenerateDataError(f"fit of {model_id!r} produced non-finite values")
-    _, singular, vt = np.linalg.svd(jac, full_matrices=False)
-    for direction in vt[singular <= _RANK_RTOL * singular[0]]:
+    for direction in vt[~kept]:
         uncertainties[model.param_names[int(np.argmax(np.abs(direction)))]] = math.inf
     return FitResult(
         model_id=model_id,

@@ -303,13 +303,11 @@ def unparse(ast: SequenceAst) -> str:
         elif isinstance(stmt, DelayStmt):
             dur = stmt.duration if isinstance(stmt.duration, str) else _format_time(stmt.duration)
             lines.append(f"delay {dur}")
-        elif isinstance(stmt, AcquireStmt):
+        else:  # an AcquireStmt, the last of the four statement types
             line = f"acquire {stmt.channel}"
             if stmt.window is not None:
                 line += f" window={_format_time(stmt.window)}"
             lines.append(line)
-        else:  # pragma: no cover - AST is closed
-            raise TypeError(f"unknown statement type {type(stmt).__name__}")
     return "\n".join(lines) + "\n"
 
 
@@ -320,8 +318,6 @@ def sweep_values(decl: SweepDecl) -> np.ndarray:
     finite stop, over values that differ in double precision: they become
     the strictly increasing x axis of the output trace.
     """
-    if decl.steps < 1:
-        raise SequenceError(f"sweep must have at least one step, got {decl.steps}")
     if decl.steps == 1:
         return np.asarray([decl.start])
     if decl.start < decl.stop < math.inf:

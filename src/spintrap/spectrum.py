@@ -64,8 +64,6 @@ def simulate_field_sweep(
     b = sweep.field_axis()
     di = np.zeros_like(b)
     for species, amplitude in species_amplitudes:
-        if amplitude < 0:
-            raise ValueError(f"line amplitude must be >= 0, got {amplitude} for {species.label!r}")
         for center, weight in resonance_lines(species, env.mw_frequency):
             di -= amplitude * weight * _unit_peak_line(b, center, species.linewidth_field, sweep.lineshape)
     return SignalTrace(

@@ -58,9 +58,6 @@ class SpinSpecies:
 
     Parameters
     ----------
-    label : str
-        Human-readable name, used in error messages.  It comes from the
-        preset and is not a configuration key.
     g_factor : float
         Electron g-factor, > 0.
     hyperfine_splitting_field : float
@@ -73,7 +70,6 @@ class SpinSpecies:
         Gaussian standard deviation of the inhomogeneous broadening in Tesla.
     """
 
-    label: str
     g_factor: float
     hyperfine_splitting_field: float
     nuclear_polarization: float
@@ -169,7 +165,6 @@ class EnsembleSpec:
 # 8.57 T) and carry that precision only.  Linewidths and the nuclear
 # polarization are display presets, not measured values.
 PHOSPHORUS = SpinSpecies(
-    label="phosphorus",
     g_factor=1.9985,
     hyperfine_splitting_field=4.2e-3,
     nuclear_polarization=-0.3,
@@ -177,7 +172,6 @@ PHOSPHORUS = SpinSpecies(
 )
 
 DANGLING_BOND = SpinSpecies(
-    label="dangling_bond",
     g_factor=2.0009,
     hyperfine_splitting_field=0.0,
     nuclear_polarization=0.0,
@@ -195,16 +189,7 @@ def thermal_polarization(g: float, b: float, t: float) -> float:
 
     Returns the net electron polarization in [0, 1) for b >= 0.  At the
     default operating point (8.6 T, 2.8 K) this evaluates to ~0.968.
-
-    Raises
-    ------
-    ValueError
-        If the temperature is not strictly positive.
     """
-    if t <= 0:
-        raise ValueError(f"temperature must be > 0, got {t}")
-    if b < 0:
-        raise ValueError(f"field must be >= 0, got {b}")
     return math.tanh(g * BOHR_MAGNETON * b / (2.0 * BOLTZMANN_K * t))
 
 

@@ -71,7 +71,7 @@ def spin_recovery_curve(params: TrapParams, t_grid, flip_fraction: float = 1.0) 
 
 def model_predict(model_id: str, x, params: dict) -> np.ndarray:
     """Evaluate a model curve from a fitted (or constructed) parameter dict."""
-    model = fitkit._get_model(model_id)
+    model = fitkit._MODELS[model_id]
     a, *q = (params[name] for name in model.param_names)
     return a * model.shape(np.asarray(x, dtype=float), tuple(q))[0]
 

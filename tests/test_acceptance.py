@@ -48,7 +48,7 @@ def _report(n, text):
 
 
 def _narrow_species():
-    return SpinSpecies("cal", 1.9985, 0.0, 0.0, 1e-30)
+    return SpinSpecies(1.9985, 0.0, 0.0, 1e-30)
 
 
 def _resonant_env(species):

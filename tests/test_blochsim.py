@@ -49,7 +49,7 @@ def free(state, duration, relax, det, m_eq):
 
 
 def _narrow_species():
-    return SpinSpecies("cal", 1.9985, 0.0, 0.0, 1e-30)
+    return SpinSpecies(1.9985, 0.0, 0.0, 1e-30)
 
 
 def _resonant_env(species, **kwargs):
@@ -212,7 +212,7 @@ class TestNutation:
         assert trace.y[0] == pytest.approx(0.9681, abs=1e-3)
 
     def test_zero_crossing_and_first_minimum(self):
-        species = SpinSpecies("packet", 1.9985, 0.0, 0.0, 1e-6)
+        species = SpinSpecies(1.9985, 0.0, 0.0, 1e-6)
         env = _resonant_env(species)
         durations = np.linspace(0, 1.2e-6, 601)  # 2 ns grid
         trace = nutation_curve(durations, env, species, RELAX, EnsembleSpec(256, 1, 3))
@@ -226,7 +226,7 @@ class TestNutation:
     def test_matches_per_duration_loop(self):
         # 1000 offsets make chunks of 65 durations, so 200 durations end in a
         # partial chunk; the per-duration loop is the reference, bit for bit
-        species = SpinSpecies("wide", 1.9985, 0.0, 0.0, 3e-5)
+        species = SpinSpecies(1.9985, 0.0, 0.0, 3e-5)
         env = _resonant_env(species)
         durations = np.linspace(0, 6e-6, 200)
         ensemble = EnsembleSpec(1000, 1, 9)
@@ -243,7 +243,7 @@ class TestNutation:
         assert trace.y == tuple(expected)
 
     def test_inhomogeneity_damps_oscillations(self):
-        species = SpinSpecies("wide", 1.9985, 0.0, 0.0, 3e-5)
+        species = SpinSpecies(1.9985, 0.0, 0.0, 3e-5)
         env = _resonant_env(species)
         durations = np.linspace(0, 6e-6, 301)
         trace = nutation_curve(durations, env, species, RELAX, EnsembleSpec(2048, 1, 3))
@@ -264,7 +264,7 @@ class TestRunTimeline:
         # amplitude must match exp(-2 tau/t2) regardless of the spread
         tau = 80e-6
         for width in (1e-5, 3e-4):
-            species = SpinSpecies("w", 1.9985, 0.0, 0.0, width)
+            species = SpinSpecies(1.9985, 0.0, 0.0, width)
             env = _resonant_env(species, rabi_frequency=5e8)  # near-ideal pulses
             tr = run_program(_hahn(tau), env, species, RELAX_NONOISE, EnsembleSpec(2000, 1, 11))["echo"]
             amp = tr.y[0] / tr.meta["equilibrium_mz"]

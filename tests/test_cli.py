@@ -157,6 +157,8 @@ class TestInputValidation:
     @pytest.mark.parametrize("command, config, flags, code", [
         ("spectrum", {"species": {"linewidth_tesla": 1e300}}, [], 0),
         ("spectrum", {"species": {"preset": ["phosphorus"]}}, [], 2),
+        ("spectrum", {"spectrum": {"phosphorus_amplitude_amperes": -1}}, [], 2),
+        ("spectrum", {"spectrum": {"db_amplitude_ratio": -0.5}}, [], 2),
         ("transient", {"trap": {"emission_rate_per_second": 5e-324}}, [], 2),
         ("transient", {}, ["--pulse-angle-deg", "-90"], 2),
         ("transient", {"environment": {"rabi_frequency_hz": 5e-324}}, [], 4),
@@ -167,9 +169,10 @@ class TestInputValidation:
         ("nutation", {"environment": {"temperature_kelvin": True}}, [], 2),
         ("nutation", {}, ["--seed", str(2**64 + 1)], 2),
         ("nutation", {}, ["--seed", "-1"], 2),
-    ], ids=["wide-line", "preset-array", "emission-underflow", "negative-angle", "vanishing-drive",
-            "vanishing-temperature", "charge-of-nan", "t_s-underflow", "t_s-overflow",
-            "boolean-temperature", "seed-past-64-bits", "negative-seed"])
+    ], ids=["wide-line", "preset-array", "negative-amplitude", "negative-db-ratio",
+            "emission-underflow", "negative-angle", "vanishing-drive", "vanishing-temperature",
+            "charge-of-nan", "t_s-underflow", "t_s-overflow", "boolean-temperature",
+            "seed-past-64-bits", "negative-seed"])
     def test_extreme_value_exit_code(self, tmp_path, capsys, command, config, flags, code):
         # a float formula that overflows ends in one error line, never a traceback
         out = tmp_path / "x.csv"
@@ -401,7 +404,9 @@ class TestRunCommand:
         (None, ["--rabi-frequency", "1e-300"]),  # the shipped hahn_echo.seq
         ("pulse pi/2 +x\ndelay 1e300s\npulse pi +x\ndelay 1us\nacquire echo\n", []),
         ("pulse pi +x\nacquire charge window=1e300s\nacquire echo\n", []),
-    ], ids=["infinite-angle", "vanishing-drive", "huge-delay", "huge-window-then-echo"])
+        ("sweep tau 1us 3us 3\npulse pi/2 +x\ndelay 1e400s\npulse pi/2 +x\ndelay tau\n"
+         "acquire charge\n", []),
+    ], ids=["infinite-angle", "vanishing-drive", "huge-delay", "huge-window-then-echo", "nan-charge"])
     def test_non_finite_output_exit_4(self, tmp_path, capsys, source, flags):
         seq = SEQ_DIR / "hahn_echo.seq"
         if source is not None:

@@ -201,10 +201,6 @@ class TestFitMechanics:
         with pytest.raises(DegenerateDataError):
             fit("echo_cubic", _trace([1e-6, 2e-6, 3e-6], [1.0, 0.5, 0.2]))
 
-    def test_unknown_model(self):
-        with pytest.raises(ValueError):
-            fit("stretched_exp", _echo_cubic_trace())
-
 
 class TestUnconstrainedParameters:
     # y flat to 1e-6 over the span: the echo decay time runs off to ~1e12 s
@@ -216,6 +212,19 @@ class TestUnconstrainedParameters:
         assert np.isfinite(res.param_uncertainties["amplitude"])
         with pytest.raises(DegenerateDataError, match="t2_seconds"):
             res.require_constrained()
+
+    def test_weak_direction_above_cutoff_keeps_its_sigma(self):
+        # J's singular values differ by 1.7e-8, just above the 1e-8 cutoff: the
+        # weak direction counts, with the sigma of the QR covariance R^-1 R^-T
+        x = np.linspace(1e-5, 6e-5, 6)
+        y = np.exp(-2 * x / 2000) * (1 + 1e-9 * np.array([1, -1, 1, -1, 1, -1]))
+        res = fit("exp_decay", _trace(x, y)).require_constrained()
+        a, t = res.params["amplitude"], res.params["t2_seconds"]
+        g = np.exp(-2 * x / t)
+        r_inv = np.linalg.inv(np.linalg.qr(np.column_stack((g, a * g * 2 * x / t)), mode="r"))
+        cov = res.rss / (len(x) - 2) * r_inv @ r_inv.T
+        assert res.param_uncertainties["amplitude"] == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-6)
+        assert res.param_uncertainties["t2_seconds"] == pytest.approx(t * np.sqrt(cov[1, 1]), rel=1e-6)
 
     def test_constrained_fit_passes(self):
         res = fit("echo_cubic", _echo_cubic_trace(noise=0.01, seed=3))

@@ -254,6 +254,7 @@ class TestBadInputCorpus:
         "delay tau\nacquire mz",
         "pulse pi +x dur=0ns\nacquire mz",
         "acquire mz window=oops",
+        "acquire charge window=0s",  # the boxcar integral needs a positive window
         "pulse pi +x extra stuff here\nacquire mz",
         "sweep auto 20ns 4us 5\npulse pi +x dur=auto\nacquire mz",  # `dur=auto` means the Rabi duration
         "sweep tau 1us 2us \u00b2\nacquire mz",  # isdigit() passes it, int() does not

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,14 +89,6 @@ class TestTransientResponse:
         d0 = (1 - f) + flipped + reemitted
         assert np.allclose(d0 + trapped, 1.0, atol=1e-12)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            transient_response(1.5, PRESET, [0, 1e-3])
-        with pytest.raises(ValueError):
-            transient_response(0.5, PRESET, [1e-3, 1e-3])
-        with pytest.raises(ValueError):
-            transient_response(0.5, PRESET, [])
-
 
 def _charge(trace):
     """Trapezoidal integral of a transient over the span of its samples."""
@@ -134,13 +128,7 @@ class TestBoxcarCharge:
     def test_matches_trapezoid_reference(self, params, window):
         grid = np.linspace(0.0, window, 400_001)
         reference = _charge(transient_response(0.7, params, grid))
-        assert boxcar_charge(0.7, params, window) == pytest.approx(reference, rel=1e-8)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            boxcar_charge(1.5, PRESET, 1e-2)
-        with pytest.raises(ValueError):
-            boxcar_charge(0.5, PRESET, 0.0)
+        assert 0.7 * boxcar_charge(params, window) == pytest.approx(reference, rel=1e-8)
 
 
 class TestFlipFraction:
@@ -156,9 +144,8 @@ class TestFlipFraction:
     def test_clipped(self):
         assert flip_fraction_from_state(1.0, -1.0) == 0.0  # below equilibrium clips to 0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            flip_fraction_from_state(2.0, 0.0)
+    def test_nan_stays_nan(self):
+        assert math.isnan(flip_fraction_from_state(math.nan, 0.968))
 
 
 class TestSpinRecovery:

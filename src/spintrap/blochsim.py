@@ -223,8 +223,8 @@ def nutation_curve(
             y[lo:lo + rows] += weight * mz.mean(axis=1)
     return SignalTrace(
         axis_kind="pulse_duration",
-        x=tuple(durations),
-        y=tuple(y),
+        x=durations,
+        y=y,
         units="dimensionless",
         meta={"rng_seed": ensemble.rng_seed, "n_static": ensemble.n_static},
     )
@@ -388,12 +388,13 @@ def run_program(ast: SequenceAst, env: Environment, species: SpinSpecies, relax:
     An unswept program's x axis (``time``) holds the acquire times.  A swept
     one runs all of its points in one engine pass, and its x axis holds the
     sweep values: ``tau`` when a delay takes the sweep variable, else
-    ``pulse_duration``.  Each trace's meta holds the seed, the ensemble
-    layout, the equilibrium mz that echo amplitudes are measured against, a
-    swept program's ``sweep_variable``, and ``y_stderr``: the Monte Carlo
-    standard error of each value.  A swept program that acquires a channel
-    twice, or whose sweep values do not increase, raises SequenceError, and
-    so does an unswept one that acquires a channel twice at the same time.
+    ``pulse_duration``.  Each trace's ``y_stderr`` holds the Monte Carlo
+    standard error of each value, and its own meta dict holds the seed, the
+    ensemble layout, the equilibrium mz that echo amplitudes are measured
+    against, and a swept program's ``sweep_variable``.  A swept program that
+    acquires a channel twice, or whose sweep values do not increase, raises
+    SequenceError, and so does an unswept one that acquires a channel twice
+    at the same time.
     """
     if trap is None and "charge" in ast.acquire_channels:
         raise ValueError("program acquires the charge channel but no trap parameters were given")
@@ -430,6 +431,6 @@ def run_program(ast: SequenceAst, env: Environment, species: SpinSpecies, relax:
             y, se = _channel_value(acquire, stat, m0, trap)
             values.append(y)
             ses.append(se)
-    return {channel: SignalTrace(axis_kind, xs, values, _CHANNEL_UNITS[channel],
-                                 {**meta, "y_stderr": tuple(ses)})
+    return {channel: SignalTrace(axis_kind, xs, values, _CHANNEL_UNITS[channel], dict(meta),
+                                 y_stderr=ses)
             for channel, (xs, values, ses) in sorted(columns.items())}

@@ -73,9 +73,11 @@ MIN_POINT_WORK = 1024
 
 # Longest grid of `spectrum`, `transient` and `nutation`, and largest
 # `nutation` ensemble; `nutation` also keeps points x n_static within
-# MAX_SWEEP_WORK.  At the bound a command peaks near 64 MB (the trace's
-# Python floats and CSV lines, not its arrays) and `nutation` runs about
-# 12 s.  Larger requests exit 2 before anything is allocated.
+# MAX_SWEEP_WORK.  At the bound a command peaks at 44-48 MB: 33-36 MB for
+# the interpreter and imports, about 6 MB for the Python floats of the two
+# columns that the CSV writer formats, and the rest for float64 arrays of
+# 0.8 MB each.  `nutation` runs about 12 s.  Larger requests exit 2 before
+# anything is allocated.
 MAX_POINTS = 10**5
 
 
@@ -110,11 +112,7 @@ def _base_meta(config: RunConfig) -> dict:
 
 
 def _write_output(trace: SignalTrace, config: RunConfig, path: str, extra_meta=None) -> None:
-    meta = dict(trace.meta)
-    meta.pop("y_stderr", None)  # kept in-memory only; the file format is x,y
-    meta.update(_base_meta(config))
-    meta.update(extra_meta or {})
-    out = dataclasses.replace(trace, meta=meta)
+    out = dataclasses.replace(trace, meta={**trace.meta, **_base_meta(config), **(extra_meta or {})})
     write_trace_csv(out, path)
     print(f"wrote {path} ({len(out)} points)")
 

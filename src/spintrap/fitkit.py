@@ -257,8 +257,7 @@ def fit(model_id: str, trace: SignalTrace) -> FitResult:
         uncertainty.
     """
     model = _MODELS[model_id]
-    x = trace.x_array()
-    y = trace.y_array()
+    x, y = trace.x, trace.y
     n = len(x)
     if n < 2 + model.n_params:
         raise DegenerateDataError(f"model {model_id!r} needs >= {2 + model.n_params} points, got {n}")
@@ -340,7 +339,7 @@ def compare_models(trace: SignalTrace, model_a: str, model_b: str) -> ModelCompa
         if not f.converged:
             raise DegenerateDataError(f"fit of {f.model_id!r} did not converge; cannot compare")
     n = len(trace)
-    scale = float(np.max(np.abs(trace.y_array())))
+    scale = float(np.max(np.abs(trace.y)))
     delta = (_aicc(n, len(fit_a.params), fit_a.rss / scale / scale)
              - _aicc(n, len(fit_b.params), fit_b.rss / scale / scale))
     return ModelComparison(

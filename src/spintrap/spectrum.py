@@ -68,8 +68,8 @@ def simulate_field_sweep(
             di -= amplitude * weight * _unit_peak_line(b, center, species.linewidth_field, sweep.lineshape)
     return SignalTrace(
         axis_kind="field",
-        x=tuple(b),
-        y=tuple(di),
+        x=b,
+        y=di,
         units="A",
         meta={"lineshape": sweep.lineshape, "mw_frequency": env.mw_frequency},
     )

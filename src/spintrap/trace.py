@@ -1,10 +1,12 @@
 """Shared signal container and its CSV wire format.
 
 A :class:`SignalTrace` is the common currency between the simulation modules,
-the fitting toolkit, and the command line.  On disk it is a plain CSV with
-``#``-prefixed ``key=value`` metadata lines, one ``x,y`` header row, and data
-rows printed at full double precision (17 significant digits), so two runs
-with the same configuration and seed produce byte-identical data sections.
+the fitting toolkit, and the command line: read-only float64 columns ``x``,
+``y`` and, from the pulse engine, ``y_stderr``.  On disk it is a plain CSV
+with ``#``-prefixed ``key=value`` metadata lines, one ``x,y`` header row, and
+data rows printed at full double precision (17 significant digits), so two
+runs with the same configuration and seed produce byte-identical data
+sections.  ``y_stderr`` is kept in memory only; the file holds ``x,y``.
 """
 
 from __future__ import annotations
@@ -29,55 +31,50 @@ __all__ = [
 AXIS_KINDS = ("time", "field", "tau", "pulse_duration")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalTrace:
     """Sampled signal versus a time-like or field axis.
 
-    ``x`` must be strictly increasing and the same length as ``y``.  ``units``
-    names the y quantity ("A", "C", or "dimensionless"); the x unit follows
-    from ``axis_kind`` (Tesla for "field", seconds otherwise).  ``meta`` holds
+    ``x``, ``y`` and the optional ``y_stderr`` (the Monte Carlo standard error
+    of each value) are read-only float64 arrays of one length, copied from
+    the arguments; ``x`` must be strictly increasing.  ``units`` names the y
+    quantity ("A", "C", or "dimensionless"); the x unit follows from
+    ``axis_kind`` (Tesla for "field", seconds otherwise).  ``meta`` holds
     reproducibility metadata (config hash, rng seed, tool version, ...).
     """
 
     axis_kind: str
-    x: tuple[float, ...]
-    y: tuple[float, ...]
+    x: np.ndarray
+    y: np.ndarray
     units: str = "dimensionless"
     meta: dict = field(default_factory=dict)
+    y_stderr: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.axis_kind not in AXIS_KINDS:
             raise ValueError(f"axis_kind must be one of {AXIS_KINDS}, got {self.axis_kind!r}")
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
-        if len(self.x) != len(self.y):
-            raise ValueError(f"len(x)={len(self.x)} != len(y)={len(self.y)}")
-        xs = np.asarray(self.x)
-        if len(xs) > 1 and not np.all(np.diff(xs) > 0):
+        for name in ("x", "y") if self.y_stderr is None else ("x", "y", "y_stderr"):
+            # a copy, so freezing it leaves the caller's array writeable
+            column = np.array(getattr(self, name), dtype=float)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+            if len(column) != len(self.x):
+                raise ValueError(f"len({name})={len(column)} != len(x)={len(self.x)}")
+        if not np.all(np.diff(self.x) > 0):
             raise ValueError("x must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.x)
 
-    def x_array(self) -> np.ndarray:
-        return np.asarray(self.x, dtype=float)
-
-    def y_array(self) -> np.ndarray:
-        return np.asarray(self.y, dtype=float)
-
-
-def _format_value(v: float) -> str:
-    return f"{v:.17g}"
-
 
 def require_finite(trace: SignalTrace) -> None:
     """Raise :class:`CsvFormatError` naming the first data row whose x or y
     is not finite."""
-    finite = np.isfinite(trace.x_array()) & np.isfinite(trace.y_array())
+    finite = np.isfinite(trace.x) & np.isfinite(trace.y)
     if not finite.all():
         i = int(np.argmin(finite))
         raise CsvFormatError(f"refusing to write non-finite data row {i + 1}: "
-                             f"x={trace.x[i]!r}, y={trace.y[i]!r}")
+                             f"x={float(trace.x[i])!r}, y={float(trace.y[i])!r}")
 
 
 def write_trace_csv(trace: SignalTrace, path: str) -> None:
@@ -88,7 +85,7 @@ def write_trace_csv(trace: SignalTrace, path: str) -> None:
     trace with a non-finite x or y raises :class:`CsvFormatError` and no file
     is written, as :func:`read_trace_csv` refuses one on input; so does a
     metadata key or value with a line break, which would end its ``#`` line
-    and make the rest a data row.
+    and make the rest a data row.  ``y_stderr`` is not written.
     """
     require_finite(trace)
     for key, value in trace.meta.items():
@@ -105,10 +102,10 @@ def write_trace_csv(trace: SignalTrace, path: str) -> None:
     for key in sorted(meta):
         lines.append(f"# {key}={meta[key]}")
     lines.append("x,y")
-    for xv, yv in zip(trace.x, trace.y):
-        lines.append(f"{_format_value(xv)},{_format_value(yv)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+        # rows are formatted as they are written, never held all at once
+        fh.writelines(map("{:.17g},{:.17g}\n".format, trace.x.tolist(), trace.y.tolist()))
 
 
 def read_trace_csv(path: str, allow_mixed_hash: bool = False) -> SignalTrace:
@@ -170,8 +167,8 @@ def read_trace_csv(path: str, allow_mixed_hash: bool = False) -> SignalTrace:
         axis_kind = "time"
     return SignalTrace(
         axis_kind=axis_kind,
-        x=tuple(xs),
-        y=tuple(ys),
+        x=xs,
+        y=ys,
         units=meta.get("units", "dimensionless"),
         meta=meta,
     )

@@ -101,8 +101,8 @@ def transient_response(flip_fraction: float, params: TrapParams, t_grid) -> Sign
     di = -params.coupling_amplitude * trapped_fraction(flip_fraction, params, t)
     return SignalTrace(
         axis_kind="time",
-        x=tuple(t),
-        y=tuple(di),
+        x=t,
+        y=di,
         units="A",
         meta={"flip_fraction": flip_fraction, "baseline_current": params.baseline_current},
     )

@@ -83,7 +83,7 @@ def find_dips(trace: SignalTrace, min_prominence: float = 0.02) -> list[tuple[fl
     with a prominence of at least ``min_prominence`` of the deepest
     excursion; the depth is ``|dI|``.  A flat trace has none.
     """
-    y = -trace.y_array()
+    y = -trace.y
     span = float(np.max(y) - np.min(y))
     if span == 0.0:
         return []

@@ -126,7 +126,7 @@ def test_criterion_04_inversion_recovery():
     grid_step = 20e-6
     grid = np.arange(1e-6, 12e-3, grid_step)
     trace = inversion_recovery_curve(grid, t1, m_eq=0.968)
-    y = trace.y_array()
+    y = trace.y
     i = int(np.argmax(y >= 0))
     crossing_target = t1 * math.log(2)  # 1.7329 ms
     assert abs(grid[i] - crossing_target) <= grid_step
@@ -155,7 +155,7 @@ def test_criterion_05_echo_noise_calibration():
         trace = run_program(_hahn(tau), env, species, relax, ensemble)["echo"]
         m0 = trace.meta["equilibrium_mz"]
         amp = trace.y[0] / m0
-        se = trace.meta["y_stderr"][0] / m0
+        se = trace.y_stderr[0] / m0
         expected = echo_envelope_analytic(tau, relax)
         dev = abs(amp - expected) / se
         assert dev <= 3.0, f"tau={tau}: {amp} vs {expected} is {dev:.2f} sigma"
@@ -198,7 +198,7 @@ def test_criterion_07_trap_transient():
     params = TrapParams()  # k_c = 1e4/s, k_e = 400/s presets
     grid = np.linspace(0.0, 15e-3, 30001)
     trace = transient_response(1.0, params, grid)
-    y = trace.y_array()
+    y = trace.y
     assert np.all(y <= 0)
     t_peak = grid[int(np.argmin(y))]
     assert t_peak == pytest.approx(335e-6, abs=5e-6)
@@ -238,7 +238,7 @@ def test_criterion_08_trapping_as_t1():
     params = TrapParams(capture_rate_k0=25 * k_e, emission_rate=k_e)
     t = np.linspace(0.0, 20e-3, 2001)
     trace = spin_recovery_curve(params, t)
-    deficit = 1.0 - trace.y_array()
+    deficit = 1.0 - trace.y
     sel = (t > 0.5e-3) & (deficit > 1e-10)
     res = fit(
         "exp_decay",

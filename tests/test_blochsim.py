@@ -185,7 +185,7 @@ class TestInversionRecoveryCurve:
         t1 = 2.5e-3
         grid = np.linspace(0, 20e-3, 2001)
         trace = inversion_recovery_curve(grid, t1, m_eq=0.968)
-        y = trace.y_array()
+        y = trace.y
         assert y[0] == pytest.approx(-0.968, rel=1e-12)
         assert y[-1] == pytest.approx(0.968, rel=1e-3)
         # analytic zero crossing at t1 ln 2 = 1.733 ms (grid interpolation)
@@ -216,7 +216,7 @@ class TestNutation:
         env = _resonant_env(species)
         durations = np.linspace(0, 1.2e-6, 601)  # 2 ns grid
         trace = nutation_curve(durations, env, species, RELAX, EnsembleSpec(256, 1, 3))
-        x, y = trace.x_array(), trace.y_array()
+        x, y = trace.x, trace.y
         # first zero crossing at a quarter Rabi period, about 240 ns
         crossing = x[np.argmax(y < 0)]
         assert crossing == pytest.approx(240e-9, abs=4e-9)
@@ -240,14 +240,14 @@ class TestNutation:
                 mz = m0 * (1.0 - 2.0 * (w1 * w1 / weff2) * np.sin(np.sqrt(weff2) * tp / 2.0) ** 2)
                 expected[k] += weight * float(np.mean(mz))
         trace = nutation_curve(durations, env, species, RELAX, ensemble)
-        assert trace.y == tuple(expected)
+        assert np.array_equal(trace.y, expected)
 
     def test_inhomogeneity_damps_oscillations(self):
         species = SpinSpecies(1.9985, 0.0, 0.0, 3e-5)
         env = _resonant_env(species)
         durations = np.linspace(0, 6e-6, 301)
         trace = nutation_curve(durations, env, species, RELAX, EnsembleSpec(2048, 1, 3))
-        y = trace.y_array()
+        y = trace.y
         m0 = y[0]
         late = y[-50:]
         # oscillations decay after a few microseconds
@@ -259,6 +259,8 @@ def _hahn(tau_s):
 
 
 class TestRunTimeline:
+    """The physics of :func:`run_program` on one-point programs."""
+
     def test_echo_refocuses_static_dephasing(self):
         # heavy static inhomogeneity, no spectral diffusion: the echo
         # amplitude must match exp(-2 tau/t2) regardless of the spread
@@ -277,10 +279,10 @@ class TestRunTimeline:
         tr = run_program(_hahn(tau), env, species, RELAX, EnsembleSpec(1, 20000, 7))["echo"]
         m0 = tr.meta["equilibrium_mz"]
         amp = tr.y[0] / m0
-        se = tr.meta["y_stderr"][0] / m0
+        se = tr.y_stderr[0] / m0
         assert amp == pytest.approx(0.2205, abs=3 * se + 1e-3)
 
-    def test_seed_reproducible_and_worker_invariant(self):
+    def test_seed_reproducible_across_blocks(self):
         species = _narrow_species()
         env = _resonant_env(species)
         ast = _hahn(40e-6)
@@ -290,7 +292,7 @@ class TestRunTimeline:
             a = run_program(ast, env, species, RELAX, ens)["echo"]
             b = run_program(ast, env, species, RELAX, ens)["echo"]
             c = run_program(ast, env, species, RELAX, ens)["echo"]
-            assert a.y == b.y == c.y
+            assert a.y.tolist() == b.y.tolist() == c.y.tolist()
 
     def test_charge_channel_needs_trap_params(self):
         species = _narrow_species()
@@ -309,7 +311,8 @@ class TestRunTimeline:
         default, windowed = (
             run_program(parse(source), env, species, RELAX, EnsembleSpec(8, 4, 5), trap)["charge"]
             for source in (body, f"{body} window={window}"))
-        assert default.y == windowed.y and default.meta == windowed.meta
+        assert default.y.tolist() == windowed.y.tolist() and default.meta == windowed.meta
+        assert default.y_stderr.tolist() == windowed.y_stderr.tolist()
         assert default.y[0] != 0.0
 
     def test_mz_channel_after_pi_pulse(self):
@@ -425,14 +428,14 @@ class TestRunProgram:
         except SequenceError:  # a channel acquired twice
             reject()
         values = [float(v) for v in sweep_values(parse(source).sweep)]
-        assert all(trace.x == tuple(values) for trace in swept.values())
+        assert all(trace.x.tolist() == values for trace in swept.values())
         for i, v in enumerate(values):
             alone = self._run(_point_source(source, v), ensemble)
             assert alone.keys() == swept.keys()
             for channel, trace in alone.items():
                 # repr shows every float exactly
-                assert repr((trace.y, trace.meta["y_stderr"])) == repr(
-                    ((swept[channel].y[i],), (swept[channel].meta["y_stderr"][i],)))
+                assert repr((trace.y.tolist(), trace.y_stderr.tolist())) == repr(
+                    (swept[channel].y[i:i + 1].tolist(), swept[channel].y_stderr[i:i + 1].tolist()))
 
     @pytest.mark.parametrize("source, axis_kind, xs", [
         ("sweep tau 10us 30us 3\npulse pi/2 +x\ndelay tau\npulse pi +x dur=tau\nacquire echo",
@@ -448,13 +451,13 @@ class TestRunProgram:
         assert sorted(traces) == sorted(set(parse(source).acquire_channels))
         x = traces["echo" if "echo" in traces else "mz"].x
         # an acquire's time is exactly the running float sum of the durations before it
-        assert x == (pytest.approx(xs, rel=1e-12) if swept else xs)
-        keys = {"rng_seed", "n_static", "n_noise", "equilibrium_mz", "y_stderr"}
+        assert tuple(x.tolist()) == (pytest.approx(xs, rel=1e-12) if swept else xs)
+        keys = {"rng_seed", "n_static", "n_noise", "equilibrium_mz"}
         for trace in traces.values():
             assert trace.axis_kind == axis_kind
             assert set(trace.meta) == keys | ({"sweep_variable"} if swept else set())
             assert (trace.meta["rng_seed"], trace.meta["n_static"], trace.meta["n_noise"]) == (5, 3, 2)
-            assert len(trace.meta["y_stderr"]) == len(trace)
+            assert len(trace.y_stderr) == len(trace)
         if swept:
             assert {t.meta["sweep_variable"] for t in traces.values()} == {parse(source).sweep.name}
 
@@ -472,7 +475,7 @@ class TestNoiseCalibration:
             tr = run_program(ast, env, species, relax, EnsembleSpec(1, 20000, 21))["echo"]
             m0 = tr.meta["equilibrium_mz"]
             amp = tr.y[0] / m0
-            se = tr.meta["y_stderr"][0] / m0
+            se = tr.y_stderr[0] / m0
             expected = math.exp(-4 * t**3 / relax.t_s**3)
             assert amp == pytest.approx(expected, abs=3 * se + 2e-3)
 
@@ -484,7 +487,7 @@ class TestNoiseCalibration:
         tr = run_program(_hahn(tau), env, species, relax, EnsembleSpec(1, 20000, 22))["echo"]
         m0 = tr.meta["equilibrium_mz"]
         amp = tr.y[0] / m0
-        se = tr.meta["y_stderr"][0] / m0
+        se = tr.y_stderr[0] / m0
         expected = math.exp(-8 * tau**3 / relax.t_s**3)
         assert amp == pytest.approx(expected, abs=3 * se + 2e-3)
 
@@ -510,7 +513,7 @@ class TestNoiseCalibrationAcrossSeeds:
         for seed in range(first_seed, first_seed + 200):
             tr = run_program(ast, env, species, relax, EnsembleSpec(1, 4000, seed))["echo"]
             m0 = tr.meta["equilibrium_mz"]
-            z.append((tr.y[0] / m0 - expected) / (tr.meta["y_stderr"][0] / m0))
+            z.append((tr.y[0] / m0 - expected) / (tr.y_stderr[0] / m0))
         assert abs(np.mean(z)) <= 0.25
         assert 0.8 <= np.std(z, ddof=1) <= 1.2
 

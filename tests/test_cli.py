@@ -182,7 +182,7 @@ class TestInputValidation:
             _single_error_line(capsys)
             assert not out.exists()
         else:
-            assert np.isfinite(read_trace_csv(str(out)).y_array()).all()
+            assert np.isfinite(read_trace_csv(str(out)).y).all()
 
     def test_huge_t_s_runs_as_infinite(self, tmp_path):
         # t_s^3 is past the float range, so D = 0: no spectral diffusion, as with "inf"
@@ -268,7 +268,7 @@ class TestTransientCommand:
         assert main(["transient", "--out", str(out), "--t-max", "0.015",
                      "--n-points", "3001"]) == 0
         trace = read_trace_csv(str(out))
-        t, y = trace.x_array(), trace.y_array()
+        t, y = trace.x, trace.y
         i = int(np.argmin(y))
         assert t[i] == pytest.approx(335e-6, abs=5e-6)
         sel = t > 2e-3
@@ -278,7 +278,7 @@ class TestTransientCommand:
     def test_zero_flip_fraction_zero_trace(self, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["transient", "--out", str(out), "--flip-fraction", "0"]) == 0
-        assert np.all(read_trace_csv(str(out)).y_array() == 0.0)
+        assert np.all(read_trace_csv(str(out)).y == 0.0)
 
     def test_off_resonance_pulse_negligible(self, tmp_path):
         on = tmp_path / "on.csv"
@@ -286,8 +286,8 @@ class TestTransientCommand:
         main(["transient", "--out", str(on)])
         # 1 mT off resonance: detuning ~ 1.8e8 rad/s >> w1 ~ 6.5e6 rad/s
         main(["transient", "--out", str(off), "--field-offset-tesla", "1e-3"])
-        peak_on = np.abs(read_trace_csv(str(on)).y_array()).max()
-        peak_off = np.abs(read_trace_csv(str(off)).y_array()).max()
+        peak_on = np.abs(read_trace_csv(str(on)).y).max()
+        peak_off = np.abs(read_trace_csv(str(off)).y).max()
         assert peak_off < 0.01 * peak_on
 
     def test_bad_flip_fraction_exit_2(self, tmp_path):
@@ -335,7 +335,7 @@ class TestRunCommand:
               "--config", str(SEQ_DIR / "pulsed_defaults.json"),
               "--out", str(out), "--n-static", "32", "--n-noise", "16"])
         trace = read_trace_csv(str(out))
-        tau, y = trace.x_array(), trace.y_array()
+        tau, y = trace.x, trace.y
         envelope = np.exp(-2 * tau / 160e-6 - 8 * tau**3 / (200e-6) ** 3)
         # amplitude prefactor (polarization, manifold weight, pulse errors)
         scale = y[0] / envelope[0]
@@ -347,7 +347,7 @@ class TestRunCommand:
               "--config", str(SEQ_DIR / "pulsed_defaults.json"),
               "--out", str(out)] + SMALL)
         trace = read_trace_csv(str(out))
-        x, y = trace.x_array(), trace.y_array()
+        x, y = trace.x, trace.y
         assert trace.units == "C"
         # charge magnitude dips (current increases) exactly at the echo
         assert x[int(np.argmax(y))] == pytest.approx(80e-6, abs=0.5e-6)
@@ -359,7 +359,7 @@ class TestRunCommand:
         main(["run", str(SEQ_DIR / "readout_vee.seq"),
               "--config", str(SEQ_DIR / "pulsed_defaults.json"),
               "--out", str(out)] + SMALL)
-        y = read_trace_csv(str(out)).y_array()
+        y = read_trace_csv(str(out)).y
         # adjacent pulses act as pi (max |charge|), dephased ones as pi/2
         assert abs(y[0]) > 1.4 * abs(y[-1])
 
@@ -399,15 +399,16 @@ class TestRunCommand:
         _single_error_line(capsys)
         assert not out.exists()
 
-    @pytest.mark.parametrize("source, flags", [
-        ("pulse 1e400deg +x\nacquire echo\n", []),
-        (None, ["--rabi-frequency", "1e-300"]),  # the shipped hahn_echo.seq
-        ("pulse pi/2 +x\ndelay 1e300s\npulse pi +x\ndelay 1us\nacquire echo\n", []),
-        ("pulse pi +x\nacquire charge window=1e300s\nacquire echo\n", []),
+    @pytest.mark.parametrize("source, flags, message", [
+        ("pulse 1e400deg +x\nacquire echo\n", [], "non-finite"),
+        (None, ["--rabi-frequency", "1e-300"], "non-finite"),  # the shipped hahn_echo.seq
+        ("pulse pi/2 +x\ndelay 1e300s\npulse pi +x\ndelay 1us\nacquire echo\n", [], "non-finite"),
+        ("pulse pi +x\nacquire charge window=1e300s\nacquire echo\n", [], "non-finite"),
+        # the row's values print as Python floats, never as numpy scalar reprs
         ("sweep tau 1us 3us 3\npulse pi/2 +x\ndelay 1e400s\npulse pi/2 +x\ndelay tau\n"
-         "acquire charge\n", []),
+         "acquire charge\n", [], "non-finite data row 1: x=1e-06, y=nan\n"),
     ], ids=["infinite-angle", "vanishing-drive", "huge-delay", "huge-window-then-echo", "nan-charge"])
-    def test_non_finite_output_exit_4(self, tmp_path, capsys, source, flags):
+    def test_non_finite_output_exit_4(self, tmp_path, capsys, source, flags, message):
         seq = SEQ_DIR / "hahn_echo.seq"
         if source is not None:
             seq = tmp_path / "extreme.seq"
@@ -415,7 +416,7 @@ class TestRunCommand:
         rc = main(["run", str(seq), "--config", str(SEQ_DIR / "pulsed_defaults.json"),
                    "--out", str(tmp_path / "x.csv")] + SMALL + flags)
         assert rc == 4
-        assert "non-finite" in _single_error_line(capsys).err
+        assert message in _single_error_line(capsys).err
         assert not list(tmp_path.glob("x*.csv"))  # no channel's file written
 
     def test_window_beyond_transient_is_whole_charge(self, tmp_path, capsys):
@@ -428,7 +429,7 @@ class TestRunCommand:
             assert main(["run", str(seq), "--config", str(SEQ_DIR / "pulsed_defaults.json"),
                          "--out", str(out)] + SMALL) == 0
             charges.append(read_trace_csv(str(out)).y)
-        assert charges[0] == charges[1] and np.isfinite(charges[0][0])
+        assert charges[0].tolist() == charges[1].tolist() and np.isfinite(charges[0][0])
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("out, written", [
@@ -478,7 +479,7 @@ class TestRunCommand:
             assert ("sweep_variable" in meta) == swept
             assert "sweep_value" not in meta
             # the engine's standard errors reach the written trace, one per point
-            stderr = written[out].meta["y_stderr"]
+            stderr = written[out].y_stderr
             assert len(stderr) == (25 if swept else 1) and all(se > 0 for se in stderr)
 
     def test_seed_changes_data(self, tmp_path):
@@ -506,7 +507,7 @@ class TestNutationCommand:
         assert main(["nutation", "--out", str(out), "--config", cfg,
                      "--t-max", "1.2e-6", "--n-points", "121"]) == 0
         trace = read_trace_csv(str(out))
-        x, y = trace.x_array(), trace.y_array()
+        x, y = trace.x, trace.y
         assert x[int(np.argmin(y))] == pytest.approx(480e-9, abs=1e-8)
 
 

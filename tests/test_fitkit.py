@@ -154,7 +154,7 @@ class TestFitMechanics:
     def test_scale_equivariance(self):
         trace = _echo_cubic_trace(noise=0.005, seed=9)
         res1 = fit("echo_cubic", trace)
-        scaled = _trace(trace.x, 137.0 * trace.y_array())
+        scaled = _trace(trace.x, 137.0 * trace.y)
         res2 = fit("echo_cubic", scaled)
         assert res2.params["amplitude"] == pytest.approx(137.0 * res1.params["amplitude"], rel=1e-6)
         assert res2.params["t2_seconds"] == pytest.approx(res1.params["t2_seconds"], rel=1e-6)
@@ -177,7 +177,7 @@ class TestFitMechanics:
         trace = _echo_cubic_trace()
         res = fit("echo_cubic", trace)
         y = model_predict("echo_cubic", trace.x, res.params)
-        assert np.allclose(y, trace.y_array(), atol=1e-6)
+        assert np.allclose(y, trace.y, atol=1e-6)
 
     def test_coverage_smoke(self):
         # 1-sigma on T2 covers the truth in >= 60% of 200 seeded repetitions

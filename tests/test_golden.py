@@ -14,8 +14,8 @@ def _compare(golden_path, fresh_path):
     golden = read_trace_csv(str(golden_path))
     fresh = read_trace_csv(str(fresh_path))
     assert golden.meta.get("config_hash") == fresh.meta.get("config_hash")
-    np.testing.assert_allclose(fresh.x_array(), golden.x_array(), rtol=1e-12, atol=0)
-    np.testing.assert_allclose(fresh.y_array(), golden.y_array(), rtol=1e-10, atol=1e-30)
+    np.testing.assert_allclose(fresh.x, golden.x, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(fresh.y, golden.y, rtol=1e-10, atol=1e-30)
 
 
 def test_golden_spectrum(tmp_path):

@@ -55,10 +55,12 @@ class TestFieldSweep:
 
 
 class TestFindPeaks:
+    """The dips of a synthesized spectrum, found by ``reference.find_dips``."""
+
     def test_flat_trace_empty(self):
         # a species with zero line depth leaves the sweep flat: no dips
         trace = simulate_field_sweep([(PHOSPHORUS, 0.0)], ENV, SWEEP)
-        assert trace.y_array().max() == trace.y_array().min() == 0.0
+        assert trace.y.max() == trace.y.min() == 0.0
         assert find_dips(trace, 0.1) == []
 
     def test_three_peak_preset(self):

@@ -60,6 +60,8 @@ class TestThermalPolarization:
 
 
 class TestResonanceField:
+    """The line positions of :func:`resonance_lines`."""
+
     def test_phosphorus_doublet_split(self):
         lo, hi = _fields(PHOSPHORUS)
         assert hi - lo == pytest.approx(4.2e-3, abs=1e-15)
@@ -75,6 +77,8 @@ class TestResonanceField:
 
 
 class TestDetuning:
+    """The rotating-frame offset from a line of :func:`resonance_lines`."""
+
     def test_zero_on_resonance(self):
         b_res = _fields(PHOSPHORUS)[0]
         assert abs(_detuning(PHOSPHORUS, b_res)) <= 1e-12 * gyromagnetic_ratio(1.9985) * b_res

@@ -92,10 +92,10 @@ class TestTransientResponse:
 
 def _charge(trace):
     """Trapezoidal integral of a transient over the span of its samples."""
-    return float(np.trapezoid(trace.y_array(), trace.x_array()))
+    return float(np.trapezoid(trace.y, trace.x))
 
 
-class TestChargeSignal:
+class TestTransientCharge:
     def test_zero_trace(self):
         grid = np.linspace(0, 1e-2, 50)
         assert _charge(transient_response(0.0, PRESET, grid)) == 0.0
@@ -154,7 +154,7 @@ class TestSpinRecovery:
         params = TrapParams(capture_rate_k0=25 * 400.0, emission_rate=400.0)
         t = np.linspace(0, 20e-3, 4001)
         trace = spin_recovery_curve(params, t)
-        y = trace.y_array()
+        y = trace.y
         deficit = 1.0 - y
         sel = (t > 1e-3) & (deficit > 1e-8)  # past the capture transient
         slope = np.polyfit(t[sel], np.log(deficit[sel]), 1)[0]
@@ -164,7 +164,7 @@ class TestSpinRecovery:
         # the trap-readout signature: spin recovery and current tail share 1/k_e
         params = TrapParams(capture_rate_k0=1e4, emission_rate=400.0)
         t = np.linspace(2e-3, 15e-3, 2001)
-        mz_deficit = 1.0 - spin_recovery_curve(params, t).y_array()
+        mz_deficit = 1.0 - spin_recovery_curve(params, t).y
         current = trapped_fraction(1.0, params, t)
         slope_spin = np.polyfit(t, np.log(mz_deficit), 1)[0]
         slope_current = np.polyfit(t, np.log(current), 1)[0]
@@ -173,7 +173,7 @@ class TestSpinRecovery:
     def test_starts_inverted_and_recovers_fully(self):
         params = TrapParams()
         t = np.linspace(0, 50e-3, 501)
-        y = spin_recovery_curve(params, t).y_array()
+        y = spin_recovery_curve(params, t).y
         assert y[0] == pytest.approx(-1.0, rel=1e-12)
         assert y[-1] == pytest.approx(1.0, abs=1e-6)
 
@@ -187,7 +187,7 @@ class TestTrapParams:
     def test_default_coupling_normalization(self):
         # peak |dI| of a fully flipped ensemble = 1% of baseline
         t = np.linspace(0, 2e-3, 20001)
-        di = transient_response(1.0, PRESET, t).y_array()
+        di = transient_response(1.0, PRESET, t).y
         assert np.min(di) == pytest.approx(-0.01 * PRESET.baseline_current, rel=1e-4)
 
     def test_validation(self):

@@ -14,7 +14,7 @@ takes +z to -y, and free precession with positive detuning takes +x towards
 Noise model
 -----------
 Spectral diffusion is a Wiener frequency walk with diffusion constant
-``D = 24 / t_s**3`` (rad^2/s^3).  Over a free-evolution event of duration
+``D = 24 / T_S**3`` (rad^2/s^3).  Over a free-evolution event of duration
 ``T`` the walk increment and the phase it accumulates are jointly Gaussian,
 so each event takes one exact update from two standard normals ``z1, z2``
 (Gillespie, Phys. Rev. E 54, 2084 (1996))::
@@ -24,8 +24,8 @@ so each event takes one exact update from two standard normals ``z1, z2``
     w0    += step
 
 where ``w0`` is the walk value at the start of the event.  The accumulated
-phase variance then reproduces ``exp(-4 t^3/t_s^3)`` free-induction decay and
-``exp(-8 tau^3/t_s^3)`` Hahn-echo decay, which is exactly the cubic term of
+phase variance then reproduces ``exp(-4 t^3/T_S^3)`` free-induction decay and
+``exp(-8 tau^3/T_S^3)`` Hahn-echo decay, which is exactly the cubic term of
 the echo envelope, with no discretization error; the Monte Carlo calibration
 against the closed form is an acceptance test.  The walk persists across
 events within a trajectory and is frozen during pulses.
@@ -130,11 +130,11 @@ def _pulse_arrays(mx, my, mz, angle_rate, phase_axis, duration, det):
 
 def _free_arrays(mx, my, mz, phase, duration, relax, m_eq):
     """Precession by ``phase`` plus T2 shrinkage and T1 recovery."""
-    decay = np.exp(-duration / relax.t2)
+    decay = np.exp(-duration / relax.t2_seconds)
     c = np.cos(phase) * decay
     s = np.sin(phase) * decay
     mx, my = mx * c - my * s, mx * s + my * c
-    mz = m_eq + (mz - m_eq) * np.exp(-duration / relax.t1)
+    mz = m_eq + (mz - m_eq) * np.exp(-duration / relax.t1_seconds)
     return mx, my, mz
 
 
@@ -143,12 +143,12 @@ def _ensemble_setup(env: Environment, species: SpinSpecies):
     standard deviation of the static detuning offsets (drawn from stream 0),
     and each resonance line's ``(weight, detuning)``, the detuning (rad/s)
     positive when the static field sits above the line."""
-    m0 = thermal_polarization(species.g_factor, env.static_field_b0, env.temperature)
-    w1 = 2.0 * math.pi * env.rabi_frequency
+    m0 = thermal_polarization(species.g_factor, env.static_field_tesla, env.temperature_kelvin)
+    w1 = 2.0 * math.pi * env.rabi_frequency_hz
     gamma = gyromagnetic_ratio(species.g_factor)
-    sigma = gamma * species.linewidth_field
-    lines = [(weight, gamma * (env.static_field_b0 - b_res))
-             for b_res, weight in resonance_lines(species, env.mw_frequency)]
+    sigma = gamma * species.linewidth_tesla
+    lines = [(weight, gamma * (env.static_field_tesla - b_res))
+             for b_res, weight in resonance_lines(species, env.mw_frequency_hz)]
     return m0, w1, sigma, lines
 
 
@@ -200,7 +200,6 @@ def nutation_curve(
     pulse_durations,
     env: Environment,
     species: SpinSpecies,
-    relax: RelaxationParams,
     ensemble: EnsembleSpec,
 ) -> SignalTrace:
     """Ensemble-averaged mz after one resonant pulse of each duration.
@@ -372,7 +371,7 @@ def _channel_value(acquire, stat, m0, trap):
         se = math.sqrt(max(ux * ux * vx + 2 * ux * uy * cxy + uy * uy * vy, 0.0))
         return amp, se
     # the charge channel; a NaN mz gives a NaN charge, refused where the trace is written
-    unit_charge = trapdyn.boxcar_charge(trap, acquire.window or 6.0 / trap.emission_rate)
+    unit_charge = trapdyn.boxcar_charge(trap, acquire.window or 6.0 / trap.emission_rate_per_second)
     se = abs(unit_charge) * math.sqrt(vz) / 2.0  # charge is linear in mz
     return unit_charge * trapdyn.flip_fraction_from_state(mean[2], m0), se
 

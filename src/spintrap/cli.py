@@ -143,7 +143,7 @@ def cmd_spectrum(args) -> int:
     if sweep.n_points > MAX_POINTS:
         raise ConfigError(f"spectrum.n_points must be <= {MAX_POINTS}, got {sweep.n_points}")
     _require_distinct(sweep.field_axis(),
-                      f"{sweep.n_points} fields from {sweep.b_start!r} to {sweep.b_stop!r} T")
+                      f"{sweep.n_points} fields from {sweep.b_start_tesla!r} to {sweep.b_stop_tesla!r} T")
     trace = spectrum.simulate_field_sweep(config.species_amplitudes(), config.environment, sweep)
     _write_output(trace, config, args.out, {"command": "spectrum"})
     return EXIT_OK
@@ -211,9 +211,7 @@ def cmd_nutation(args) -> int:
                           f"must be <= {MAX_POINTS} and points x n_static <= {MAX_SWEEP_WORK:.0e}")
     from . import blochsim
 
-    trace = blochsim.nutation_curve(
-        durations, config.environment, config.species, config.relaxation, config.ensemble
-    )
+    trace = blochsim.nutation_curve(durations, config.environment, config.species, config.ensemble)
     _write_output(trace, config, args.out, {"command": "nutation"})
     return EXIT_OK
 

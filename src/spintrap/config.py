@@ -3,10 +3,13 @@
 Configuration files are JSON objects whose keys carry their units
 (``t2_seconds``, ``static_field_tesla``); unknown keys are hard errors so
 typos cannot silently fall back to defaults.  One table, ``_SECTIONS``,
-names each section's class and maps its JSON keys to the class's fields;
-loading, validation, defaults and hashing all read it.  Numbers must be
-finite and may not be ``true`` or ``false`` (``t_s_seconds`` alone also
-takes the string ``"inf"``).  The ensemble counts, the seed and
+names each section's class.  A section's keys are the fields of its class,
+spelled the same, so loading, hashing and the physics code share one name
+per quantity, the defaults are the class's own, and a refusal names the
+key the user wrote.  Numbers must be finite and may not be ``true`` or
+``false`` (``t_s_seconds`` alone also takes the string ``"inf"``).  A
+``species.preset`` is not a field: it picks the species the other
+``species`` keys override.  The ensemble counts, the seed and
 ``spectrum.n_points`` must be integers, and the seed must lie in
 [0, 2**64); an integer literal for any other key is stored as a float, so
 ``400`` and ``400.0`` are one configuration with one hash.  Every section
@@ -46,15 +49,16 @@ class SpectrumConfig(SweepSpec):
     """The field sweep, over the preset lines by default, plus the display
     amplitudes of those lines."""
 
-    b_start: float = 8.560
-    b_stop: float = 8.600
-    phosphorus_amplitude: float = 6.0e-10  # A; 1% of the 60 nA baseline
+    b_start_tesla: float = 8.560
+    b_stop_tesla: float = 8.600
+    phosphorus_amplitude_amperes: float = 6.0e-10  # 1% of the 60 nA baseline
     db_amplitude_ratio: float = 0.05  # "barely visible" background line; 0 drops it
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.phosphorus_amplitude < 0 or self.db_amplitude_ratio < 0:
-            raise ValueError("spectrum amplitudes must be >= 0")
+        for name in ("phosphorus_amplitude_amperes", "db_amplitude_ratio"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -69,42 +73,30 @@ class RunConfig:
     def species_amplitudes(self) -> list[tuple[SpinSpecies, float]]:
         """Line list for the field sweep: the main species plus the db line."""
         return [
-            (self.species, self.spectrum.phosphorus_amplitude),
-            (DANGLING_BOND, self.spectrum.phosphorus_amplitude * self.spectrum.db_amplitude_ratio),
+            (self.species, self.spectrum.phosphorus_amplitude_amperes),
+            (DANGLING_BOND, self.spectrum.phosphorus_amplitude_amperes * self.spectrum.db_amplitude_ratio),
         ]
 
 
-# The schema: section -> (its class, {JSON key: dataclass field}).  The
-# sections are also the fields of RunConfig, in the same order.
+# The schema: section -> its class, whose fields are the section's keys.
+# The sections are also the fields of RunConfig, in the same order.
 _SECTIONS = {
-    "environment": (Environment, {
-        "static_field_tesla": "static_field_b0", "temperature_kelvin": "temperature",
-        "mw_frequency_hz": "mw_frequency", "rabi_frequency_hz": "rabi_frequency"}),
-    "species": (SpinSpecies, {
-        "g_factor": "g_factor", "hyperfine_splitting_tesla": "hyperfine_splitting_field",
-        "nuclear_polarization": "nuclear_polarization", "linewidth_tesla": "linewidth_field"}),
-    "relaxation": (RelaxationParams, {"t1_seconds": "t1", "t2_seconds": "t2", "t_s_seconds": "t_s"}),
-    "trap": (TrapParams, {
-        "capture_rate_per_second": "capture_rate_k0", "emission_rate_per_second": "emission_rate",
-        "baseline_current_amperes": "baseline_current",
-        "coupling_amplitude_amperes": "coupling_amplitude"}),
-    "ensemble": (EnsembleSpec, {"n_static": "n_static", "n_noise": "n_noise", "rng_seed": "rng_seed"}),
-    "spectrum": (SpectrumConfig, {
-        "b_start_tesla": "b_start", "b_stop_tesla": "b_stop", "n_points": "n_points",
-        "lineshape": "lineshape", "phosphorus_amplitude_amperes": "phosphorus_amplitude",
-        "db_amplitude_ratio": "db_amplitude_ratio"}),
+    "environment": Environment,
+    "species": SpinSpecies,
+    "relaxation": RelaxationParams,
+    "trap": TrapParams,
+    "ensemble": EnsembleSpec,
+    "spectrum": SpectrumConfig,
 }
 
 _INTEGER_KEYS = {"ensemble.n_static", "ensemble.n_noise", "ensemble.rng_seed", "spectrum.n_points"}
 
 
-def _section_kwargs(section: str, data: dict, keymap: dict) -> dict:
+def _section_kwargs(section: str, data: dict, cls: type) -> dict:
     kwargs = {}
     for key, value in data.items():
-        if key == "preset" and section == "species":
-            continue
         name = f"{section}.{key}"
-        if key not in keymap:
+        if key not in cls.__dataclass_fields__:
             raise ConfigError(f"unknown key {name!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
@@ -123,7 +115,7 @@ def _section_kwargs(section: str, data: dict, keymap: dict) -> dict:
             if value.lower() not in ("inf", "infinity"):
                 raise ConfigError(f"relaxation.t_s_seconds must be a number or \"inf\", got {value!r}")
             value = math.inf
-        kwargs[keymap[key]] = value
+        kwargs[key] = value
     return kwargs
 
 
@@ -132,8 +124,7 @@ def load_config(data: dict | None = None, overrides: dict | None = None) -> RunC
 
     ``overrides`` maps ``"section.key"`` names to values that replace the
     file's (the CLI override flags).  Raises :class:`ConfigError` naming the
-    offending field for unknown keys, bad types, or physically invalid
-    values.
+    offending key for unknown keys, bad types, or physically invalid values.
     """
     data = dict(data or {})
     for section in data:
@@ -145,17 +136,17 @@ def load_config(data: dict | None = None, overrides: dict | None = None) -> RunC
         section, key = name.split(".")
         data[section] = {**data.get(section, {}), key: value}
 
-    preset_name = data.get("species", {}).get("preset", "phosphorus")
+    species = dict(data.get("species", {}))
+    preset_name = species.pop("preset", "phosphorus")
     if not isinstance(preset_name, str) or preset_name not in SPECIES_PRESETS:
         raise ConfigError(
             f"unknown species.preset {preset_name!r}; expected one of {sorted(SPECIES_PRESETS)}"
         )
-    bases = {"species": asdict(SPECIES_PRESETS[preset_name]),
-             "relaxation": dict(t1=2.5e-3, t2=160e-6, t_s=200e-6)}
+    data["species"] = {**asdict(SPECIES_PRESETS[preset_name]), **species}
 
     sections = {}
-    for section, (cls, keymap) in _SECTIONS.items():
-        kwargs = {**bases.get(section, {}), **_section_kwargs(section, data.get(section, {}), keymap)}
+    for section, cls in _SECTIONS.items():
+        kwargs = _section_kwargs(section, data.get(section, {}), cls)
         try:
             sections[section] = cls(**kwargs)
         except (ValueError, TypeError, ArithmeticError) as exc:
@@ -168,8 +159,8 @@ def _resolved_dict(config: RunConfig) -> dict:
         return "inf" if isinstance(value, float) and math.isinf(value) else value
 
     return {
-        section: {key: resolved(getattr(getattr(config, section), attr)) for key, attr in keymap.items()}
-        for section, (_, keymap) in _SECTIONS.items()
+        section: {key: resolved(getattr(getattr(config, section), key)) for key in cls.__dataclass_fields__}
+        for section, cls in _SECTIONS.items()
     }
 
 

@@ -15,7 +15,7 @@ __all__ = ["ConfigError", "SequenceError", "CsvFormatError", "MixedConfigHashErr
 
 class ConfigError(ValueError):
     """Invalid configuration (:mod:`spintrap.config`); the message names the
-    offending field."""
+    offending key."""
 
 
 class SequenceError(ValueError):

@@ -342,7 +342,7 @@ def statement_duration(stmt, env: Environment, sweep_value: float | None = None)
     if isinstance(stmt, AcquireStmt):
         return stmt.window if stmt.window is not None else 0.0
     if stmt.duration == AUTO:
-        return math.radians(stmt.angle_deg) / (2.0 * math.pi * env.rabi_frequency)
+        return math.radians(stmt.angle_deg) / (2.0 * math.pi * env.rabi_frequency_hz)
     if isinstance(stmt.duration, str):  # the parser admits no name but the sweep variable
         return sweep_value
     return stmt.duration

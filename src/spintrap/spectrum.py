@@ -26,21 +26,22 @@ LINESHAPES = ("gaussian", "lorentzian")
 class SweepSpec:
     """Field axis and lineshape of one synthesized spectrum."""
 
-    b_start: float
-    b_stop: float
+    b_start_tesla: float
+    b_stop_tesla: float
     n_points: int = 2001
     lineshape: str = "gaussian"
 
     def __post_init__(self) -> None:
-        if self.b_start >= self.b_stop:
-            raise ValueError(f"b_start must be < b_stop, got {self.b_start} >= {self.b_stop}")
+        if self.b_start_tesla >= self.b_stop_tesla:
+            raise ValueError("b_start_tesla must be < b_stop_tesla, got "
+                             f"{self.b_start_tesla} >= {self.b_stop_tesla}")
         if self.n_points < 2:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
         if self.lineshape not in LINESHAPES:
             raise ValueError(f"lineshape must be one of {LINESHAPES}, got {self.lineshape!r}")
 
     def field_axis(self) -> np.ndarray:
-        return np.linspace(self.b_start, self.b_stop, self.n_points)
+        return np.linspace(self.b_start_tesla, self.b_stop_tesla, self.n_points)
 
 
 def _unit_peak_line(b, center, width, lineshape):
@@ -64,12 +65,12 @@ def simulate_field_sweep(
     b = sweep.field_axis()
     di = np.zeros_like(b)
     for species, amplitude in species_amplitudes:
-        for center, weight in resonance_lines(species, env.mw_frequency):
-            di -= amplitude * weight * _unit_peak_line(b, center, species.linewidth_field, sweep.lineshape)
+        for center, weight in resonance_lines(species, env.mw_frequency_hz):
+            di -= amplitude * weight * _unit_peak_line(b, center, species.linewidth_tesla, sweep.lineshape)
     return SignalTrace(
         axis_kind="field",
         x=b,
         y=di,
         units="A",
-        meta={"lineshape": sweep.lineshape, "mw_frequency": env.mw_frequency},
+        meta={"lineshape": sweep.lineshape, "mw_frequency": env.mw_frequency_hz},
     )

@@ -10,10 +10,12 @@ can be built without importing the engine.
 
 Conventions
 -----------
-* All internal units are SI: Tesla, seconds, Hz, rad/s.  Unit suffixes appear
-  only in I/O key names (see :mod:`spintrap.config`).
+* All internal units are SI: Tesla, seconds, Hz, rad/s.  A configured
+  quantity has one name: each field of a config type is spelled as its JSON
+  key, unit suffix included (``static_field_tesla``, ``t2_seconds``; see
+  :mod:`spintrap.config`).
 * A split species' lines come lower field first; the line separation is
-  exactly ``hyperfine_splitting_field``.
+  exactly ``hyperfine_splitting_tesla``.
 * Hyperfine structure is treated to first order: lines sit at
   ``B_center -/+ A/2``.  Second-order (Breit-Rabi) corrections are negligible
   at 8.6 T against the 4.2 mT splitting and are not modeled.
@@ -60,78 +62,81 @@ class SpinSpecies:
     ----------
     g_factor : float
         Electron g-factor, > 0.
-    hyperfine_splitting_field : float
+    hyperfine_splitting_tesla : float
         Field separation of the two hyperfine lines in Tesla; 0 for a species
         without resolved hyperfine structure.
     nuclear_polarization : float
         Population imbalance of the two nuclear manifolds, in [-1, 1].
         Negative values make the high-field line the larger one.
-    linewidth_field : float
+    linewidth_tesla : float
         Gaussian standard deviation of the inhomogeneous broadening in Tesla.
     """
 
     g_factor: float
-    hyperfine_splitting_field: float
+    hyperfine_splitting_tesla: float
     nuclear_polarization: float
-    linewidth_field: float
+    linewidth_tesla: float
 
     def __post_init__(self) -> None:
         if self.g_factor <= 0:
             raise ValueError(f"g_factor must be > 0, got {self.g_factor}")
-        if self.hyperfine_splitting_field < 0:
+        if self.hyperfine_splitting_tesla < 0:
             raise ValueError(
-                "hyperfine_splitting_field must be >= 0, got "
-                f"{self.hyperfine_splitting_field}"
+                f"hyperfine_splitting_tesla must be >= 0, got {self.hyperfine_splitting_tesla}"
             )
         if not -1.0 <= self.nuclear_polarization <= 1.0:
             raise ValueError(
                 f"nuclear_polarization must lie in [-1, 1], got {self.nuclear_polarization}"
             )
-        if self.linewidth_field <= 0:
-            raise ValueError(f"linewidth_field must be > 0, got {self.linewidth_field}")
+        if self.linewidth_tesla <= 0:
+            raise ValueError(f"linewidth_tesla must be > 0, got {self.linewidth_tesla}")
 
 
 @dataclass(frozen=True)
 class Environment:
     """Static field, temperature, and drive settings of one experiment."""
 
-    static_field_b0: float = 8.58  # T
-    temperature: float = 2.8  # K
-    mw_frequency: float = 240e9  # Hz
-    rabi_frequency: float = 1.0 / (2 * 480e-9)  # Hz; 480 ns pi pulse
+    static_field_tesla: float = 8.58
+    temperature_kelvin: float = 2.8
+    mw_frequency_hz: float = 240e9
+    rabi_frequency_hz: float = 1.0 / (2 * 480e-9)  # 480 ns pi pulse
 
     def __post_init__(self) -> None:
-        for name in ("static_field_b0", "temperature", "mw_frequency", "rabi_frequency"):
+        for name in ("static_field_tesla", "temperature_kelvin", "mw_frequency_hz", "rabi_frequency_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
 class RelaxationParams:
-    """T1/T2/spectral-diffusion times in seconds; ``t_s`` may be infinite."""
+    """T1, T2 and the spectral-diffusion time T_S in seconds, by default the
+    preset 2.5 ms, 160 us and 200 us; an infinite ``t_s_seconds`` turns
+    spectral diffusion off."""
 
-    t1: float
-    t2: float
-    t_s: float = math.inf
+    t1_seconds: float = 2.5e-3
+    t2_seconds: float = 160e-6
+    t_s_seconds: float = 200e-6
 
     def __post_init__(self) -> None:
-        if self.t1 <= 0:
-            raise ValueError(f"t1 must be > 0, got {self.t1}")
-        if not 0 < self.t2 <= 2 * self.t1:
-            raise ValueError(f"t2 must satisfy 0 < t2 <= 2*t1, got t2={self.t2}, t1={self.t1}")
-        if not self.t_s > 0:
-            raise ValueError(f"t_s must be > 0 (may be inf), got {self.t_s}")
+        if self.t1_seconds <= 0:
+            raise ValueError(f"t1_seconds must be > 0, got {self.t1_seconds}")
+        if not 0 < self.t2_seconds <= 2 * self.t1_seconds:
+            raise ValueError("t2_seconds must satisfy 0 < t2_seconds <= 2*t1_seconds, got "
+                             f"t2_seconds={self.t2_seconds}, t1_seconds={self.t1_seconds}")
+        if not self.t_s_seconds > 0:
+            raise ValueError(f"t_s_seconds must be > 0 (may be inf), got {self.t_s_seconds}")
         if not math.isfinite(self.diffusion_constant):
-            raise ValueError(f"t_s must be large enough that 24/t_s^3 is finite, got {self.t_s}")
+            raise ValueError("t_s_seconds must be large enough that 24/t_s_seconds^3 is finite, "
+                             f"got {self.t_s_seconds}")
 
     @property
     def diffusion_constant(self) -> float:
-        """Frequency random-walk diffusion constant D = 24/t_s^3 (rad^2/s^3)."""
+        """Frequency random-walk diffusion constant D = 24/T_S^3 (rad^2/s^3)."""
         try:
-            return 24.0 / self.t_s**3
-        except OverflowError:  # t_s^3 is past the float range, and D below 1.4e-307
+            return 24.0 / self.t_s_seconds**3
+        except OverflowError:  # T_S^3 is past the float range, and D below 1.4e-307
             return 0.0
-        except ZeroDivisionError:  # t_s^3 underflows to 0
+        except ZeroDivisionError:  # T_S^3 underflows to 0
             return math.inf
 
 
@@ -150,8 +155,9 @@ class EnsembleSpec:
     rng_seed: int = 20260810
 
     def __post_init__(self) -> None:
-        if self.n_static < 1 or self.n_noise < 1:
-            raise ValueError("n_static and n_noise must be >= 1")
+        for name in ("n_static", "n_noise"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.rng_seed < 2**64:  # the Philox key word; no two seeds may alias
             raise ValueError(f"rng_seed must lie in [0, 2**64), got {self.rng_seed}")
 
@@ -166,16 +172,16 @@ class EnsembleSpec:
 # polarization are display presets, not measured values.
 PHOSPHORUS = SpinSpecies(
     g_factor=1.9985,
-    hyperfine_splitting_field=4.2e-3,
+    hyperfine_splitting_tesla=4.2e-3,
     nuclear_polarization=-0.3,
-    linewidth_field=3.0e-4,
+    linewidth_tesla=3.0e-4,
 )
 
 DANGLING_BOND = SpinSpecies(
     g_factor=2.0009,
-    hyperfine_splitting_field=0.0,
+    hyperfine_splitting_tesla=0.0,
     nuclear_polarization=0.0,
-    linewidth_field=1.2e-3,
+    linewidth_tesla=1.2e-3,
 )
 
 SPECIES_PRESETS = {
@@ -208,7 +214,7 @@ def resonance_lines(species: SpinSpecies, f_mw: float) -> tuple[tuple[float, flo
     the single line ``(center, 1.0)``.
     """
     center = PLANCK_H * f_mw / (species.g_factor * BOHR_MAGNETON)
-    if species.hyperfine_splitting_field == 0.0:
+    if species.hyperfine_splitting_tesla == 0.0:
         return ((center, 1.0),)
-    half, p = species.hyperfine_splitting_field / 2.0, species.nuclear_polarization
+    half, p = species.hyperfine_splitting_tesla / 2.0, species.nuclear_polarization
     return ((center - half, (1.0 + p) / 2.0), (center + half, (1.0 - p) / 2.0))

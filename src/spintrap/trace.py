@@ -117,6 +117,7 @@ def read_trace_csv(path: str, allow_mixed_hash: bool = False) -> SignalTrace:
     """
     xs: list[float] = []
     ys: list[float] = []
+    rows: list[int] = []  # the file row of each data line
     meta: dict[str, str] = {}
     hashes: list[str] = []
     saw_header = False
@@ -149,6 +150,7 @@ def read_trace_csv(path: str, allow_mixed_hash: bool = False) -> SignalTrace:
                 raise CsvFormatError(f"non-finite data {line!r}", row)
             xs.append(xv)
             ys.append(yv)
+            rows.append(row)
     if not saw_header:
         raise CsvFormatError("missing 'x,y' header row")
     if not xs:
@@ -160,8 +162,7 @@ def read_trace_csv(path: str, allow_mixed_hash: bool = False) -> SignalTrace:
         )
     diffs = np.diff(np.asarray(xs))
     if np.any(diffs <= 0):
-        bad = int(np.argmax(diffs <= 0)) + 2  # 1-based index of the second offending sample
-        raise CsvFormatError(f"x values not strictly increasing near data row {bad}")
+        raise CsvFormatError("x values not strictly increasing", rows[int(np.argmax(diffs <= 0)) + 1])
     axis_kind = meta.get("axis_kind", "time")
     if axis_kind not in AXIS_KINDS:
         axis_kind = "time"

@@ -15,11 +15,11 @@ Reemission randomizes the donor spin between the two anticorrelated pair
 states.  In the operating regime ``k_c >> k_e`` the anti-parallel branch of
 that randomization is recaptured within ``1/k_c``, so on the observed
 timescale every completed release leaves the donor aligned with the (nearly
-fully polarized) conduction bath.  ``emission_rate`` is therefore the *net*
-release rate, which is what a fit to the current tail measures; with that
-convention the current transient and the donor spin recovery share the same
-time constant ``1/k_e``, which is the experimental signature this model is
-built to reproduce.
+fully polarized) conduction bath.  ``emission_rate_per_second`` is therefore
+the *net* release rate, which is what a fit to the current tail measures;
+with that convention the current transient and the donor spin recovery share
+the same time constant ``1/k_e``, which is the experimental signature this
+model is built to reproduce.
 """
 
 from __future__ import annotations
@@ -51,21 +51,21 @@ class TrapParams:
     the measured quantity is relative).
     """
 
-    capture_rate_k0: float = 1.0e4  # 1/s, spin-allowed capture rate
-    emission_rate: float = 400.0  # 1/s, net release rate (2.5 ms)
-    baseline_current: float = 60e-9  # A
-    coupling_amplitude: float | None = None  # A per unit trapped fraction
+    capture_rate_per_second: float = 1.0e4  # spin-allowed capture rate k0
+    emission_rate_per_second: float = 400.0  # net release rate (2.5 ms)
+    baseline_current_amperes: float = 60e-9
+    coupling_amplitude_amperes: float | None = None  # per unit trapped fraction
 
     def __post_init__(self) -> None:
-        if self.capture_rate_k0 <= 0 or self.emission_rate <= 0:
-            raise ValueError("capture and emission rates must be > 0")
-        if self.baseline_current <= 0:
-            raise ValueError(f"baseline_current must be > 0, got {self.baseline_current}")
-        if self.coupling_amplitude is None:
-            peak = _peak_trapped_fraction(self.capture_rate_k0, self.emission_rate)
-            object.__setattr__(self, "coupling_amplitude", 0.01 * self.baseline_current / peak)
-        elif self.coupling_amplitude <= 0:
-            raise ValueError(f"coupling_amplitude must be > 0, got {self.coupling_amplitude}")
+        for name in ("capture_rate_per_second", "emission_rate_per_second", "baseline_current_amperes"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.coupling_amplitude_amperes is None:
+            peak = _peak_trapped_fraction(self.capture_rate_per_second, self.emission_rate_per_second)
+            object.__setattr__(self, "coupling_amplitude_amperes",
+                               0.01 * self.baseline_current_amperes / peak)
+        elif self.coupling_amplitude_amperes <= 0:
+            raise ValueError(f"coupling_amplitude_amperes must be > 0, got {self.coupling_amplitude_amperes}")
 
 
 def _peak_trapped_fraction(k_c: float, k_e: float) -> float:
@@ -82,8 +82,8 @@ def trapped_fraction(flip_fraction: float, params: TrapParams, t) -> np.ndarray:
     degenerate case ``k_c = k_e`` uses the confluent limit ``f k t e^{-kt}``.
     """
     t = np.asarray(t, dtype=float)
-    k_c = params.capture_rate_k0
-    k_e = params.emission_rate
+    k_c = params.capture_rate_per_second
+    k_e = params.emission_rate_per_second
     if math.isclose(k_c, k_e, rel_tol=1e-12):
         return flip_fraction * k_c * t * np.exp(-k_c * t)
     return flip_fraction * k_c / (k_c - k_e) * (np.exp(-k_e * t) - np.exp(-k_c * t))
@@ -98,13 +98,13 @@ def transient_response(flip_fraction: float, params: TrapParams, t_grid) -> Sign
     guarantee both.
     """
     t = np.asarray(t_grid, dtype=float)
-    di = -params.coupling_amplitude * trapped_fraction(flip_fraction, params, t)
+    di = -params.coupling_amplitude_amperes * trapped_fraction(flip_fraction, params, t)
     return SignalTrace(
         axis_kind="time",
         x=t,
         y=di,
         units="A",
-        meta={"flip_fraction": flip_fraction, "baseline_current": params.baseline_current},
+        meta={"flip_fraction": flip_fraction, "baseline_current": params.baseline_current_amperes},
     )
 
 
@@ -130,9 +130,9 @@ def boxcar_charge(params: TrapParams, window: float) -> float:
     ``k_c = k_e``.  The trapezoidal integral of a transient sampled across
     the window is the numerical reference.
     """
-    k_c = params.capture_rate_k0
-    k_e = params.emission_rate
-    scale = -params.coupling_amplitude
+    k_c = params.capture_rate_per_second
+    k_e = params.emission_rate_per_second
+    scale = -params.coupling_amplitude_amperes
     if math.isclose(k_c, k_e, rel_tol=1e-12):
         x = k_c * window
         return scale * (-math.expm1(-x) - x * math.exp(-x)) / k_c

@@ -23,7 +23,7 @@ def echo_envelope_analytic(tau, relax: RelaxationParams):
     if np.any(t < 0):
         raise ValueError("tau must be >= 0")
     cubic = relax.diffusion_constant * t**3 / 3.0  # 8 tau^3 / t_s^3
-    out = np.exp(-2.0 * t / relax.t2 - cubic)
+    out = np.exp(-2.0 * t / relax.t2_seconds - cubic)
     return float(out) if np.isscalar(tau) else out
 
 
@@ -55,7 +55,7 @@ def spin_recovery_curve(params: TrapParams, t_grid, flip_fraction: float = 1.0) 
     t = np.asarray(t_grid, dtype=float)
     if np.any(t < 0) or np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be sorted, non-negative, strictly increasing")
-    k_c = params.capture_rate_k0
+    k_c = params.capture_rate_per_second
     flipped = flip_fraction * np.exp(-k_c * t)
     trapped = trapped_fraction(flip_fraction, params, t)
     aligned = 1.0 - flipped - trapped

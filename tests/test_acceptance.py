@@ -53,7 +53,7 @@ def _narrow_species():
 
 def _resonant_env(species):
     (b_res, _), = resonance_lines(species, 240e9)
-    return Environment(static_field_b0=b_res)
+    return Environment(static_field_tesla=b_res)
 
 
 def _hahn(tau):
@@ -148,7 +148,7 @@ def test_criterion_05_echo_noise_calibration():
     start = time.perf_counter()
     species = _narrow_species()
     env = _resonant_env(species)
-    relax = RelaxationParams(t1=1.0, t2=160e-6, t_s=200e-6)
+    relax = RelaxationParams(t1_seconds=1.0, t2_seconds=160e-6, t_s_seconds=200e-6)
     ensemble = EnsembleSpec(n_static=1, n_noise=100000, rng_seed=20260810)
     lines = []
     for tau in (40e-6, 80e-6, 120e-6):
@@ -169,7 +169,7 @@ def test_criterion_05_echo_noise_calibration():
 def test_criterion_06_closed_loop_fit():
     species = _narrow_species()
     env = _resonant_env(species)
-    relax = RelaxationParams(t1=1.0, t2=160e-6, t_s=200e-6)
+    relax = RelaxationParams(t1_seconds=1.0, t2_seconds=160e-6, t_s_seconds=200e-6)
     ensemble = EnsembleSpec(n_static=1, n_noise=8192, rng_seed=11)
     taus = np.linspace(10e-6, 250e-6, 25)
     amps = []
@@ -208,7 +208,7 @@ def test_criterion_07_trap_transient():
     assert tail == pytest.approx(2.5e-3, rel=0.02)
 
     # closed form versus fixed-step RK4 on the rate equations, 0.1% everywhere
-    k_c, k_e = params.capture_rate_k0, params.emission_rate
+    k_c, k_e = params.capture_rate_per_second, params.emission_rate_per_second
     dt = 1.0 / (100 * k_c)
     n = int(10e-3 / dt)
     d, m = 1.0, 0.0
@@ -235,7 +235,7 @@ def test_criterion_07_trap_transient():
 
 def test_criterion_08_trapping_as_t1():
     k_e = 400.0
-    params = TrapParams(capture_rate_k0=25 * k_e, emission_rate=k_e)
+    params = TrapParams(capture_rate_per_second=25 * k_e, emission_rate_per_second=k_e)
     t = np.linspace(0.0, 20e-3, 2001)
     trace = spin_recovery_curve(params, t)
     deficit = 1.0 - trace.y

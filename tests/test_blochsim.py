@@ -20,8 +20,8 @@ from spintrap.trapdyn import TrapParams
 from test_seqlang import acquire_statements, delay_statements, pulse_statements
 
 W1 = 2 * math.pi * (1.0 / (2 * 480e-9))  # default drive, rad/s
-RELAX = RelaxationParams(t1=2.5e-3, t2=160e-6, t_s=200e-6)
-RELAX_NONOISE = RelaxationParams(t1=2.5e-3, t2=160e-6, t_s=math.inf)
+RELAX = RelaxationParams(t1_seconds=2.5e-3, t2_seconds=160e-6, t_s_seconds=200e-6)
+RELAX_NONOISE = RelaxationParams(t1_seconds=2.5e-3, t2_seconds=160e-6, t_s_seconds=math.inf)
 
 
 def rotation_oracle(state, w1, phase_angle, duration, det):
@@ -54,7 +54,7 @@ def _narrow_species():
 
 def _resonant_env(species, **kwargs):
     (b_res, _), = resonance_lines(species, 240e9)
-    return Environment(static_field_b0=b_res, **kwargs)
+    return Environment(static_field_tesla=b_res, **kwargs)
 
 
 class TestApplyPulse:
@@ -95,7 +95,7 @@ class TestApplyPulse:
         # on resonance the flipped fraction is m0 sin^2(theta/2); formed as
         # (m0 - mz)/2 it kept only about 6 digits at 1e-3 degrees
         env = Environment()
-        m0 = thermal_polarization(PHOSPHORUS.g_factor, env.static_field_b0, env.temperature)
+        m0 = thermal_polarization(PHOSPHORUS.g_factor, env.static_field_tesla, env.temperature_kelvin)
         for angle_deg in (1e-3, 1e-6, 90.0, 180.0):
             expected = m0 * math.sin(math.radians(angle_deg) / 2) ** 2
             fraction = blochsim.pulse_flip_fraction(angle_deg, 0.0, env, PHOSPHORUS)
@@ -138,16 +138,16 @@ class TestEvolveFree:
     """The engine's free-evolution kernel, ``blochsim._free_arrays``."""
 
     def test_half_recovery_point(self):
-        mz = free((0, 0, -1), RELAX.t1 * math.log(2), RELAX, 0.0, m_eq=1.0)[2]
+        mz = free((0, 0, -1), RELAX.t1_seconds * math.log(2), RELAX, 0.0, m_eq=1.0)[2]
         assert mz == pytest.approx(0.0, abs=1e-12)
 
     def test_one_t2_of_transverse_decay(self):
-        mx, my, _ = free((1, 0, 0), RELAX.t2, RELAX, 0.0, m_eq=1.0)
+        mx, my, _ = free((1, 0, 0), RELAX.t2_seconds, RELAX, 0.0, m_eq=1.0)
         assert mx == pytest.approx(math.exp(-1), abs=1e-12)
         assert my == pytest.approx(0.0, abs=1e-12)
 
     def test_quarter_turn_precession(self):
-        relax = RelaxationParams(t1=1e30, t2=1e30)  # effectively no decay
+        relax = RelaxationParams(t1_seconds=1e30, t2_seconds=1e30, t_s_seconds=math.inf)  # effectively no decay
         det = 2 * math.pi * 1e6
         duration = (math.pi / 2) / det
         mx, my, _ = free((1, 0, 0), duration, relax, det, m_eq=0.0)
@@ -176,7 +176,7 @@ class TestEnvelopes:
     def test_infinite_ts_is_pure_exponential(self):
         tau = 70e-6
         assert echo_envelope_analytic(tau, RELAX_NONOISE) == pytest.approx(
-            math.exp(-2 * tau / RELAX.t2), rel=1e-12
+            math.exp(-2 * tau / RELAX.t2_seconds), rel=1e-12
         )
 
 
@@ -208,14 +208,14 @@ class TestNutation:
     def test_zero_duration_gives_equilibrium(self):
         species = _narrow_species()
         env = _resonant_env(species)
-        trace = nutation_curve([0.0, 1e-9], env, species, RELAX, EnsembleSpec(4, 1, 1))
+        trace = nutation_curve([0.0, 1e-9], env, species, EnsembleSpec(4, 1, 1))
         assert trace.y[0] == pytest.approx(0.9681, abs=1e-3)
 
     def test_zero_crossing_and_first_minimum(self):
         species = SpinSpecies(1.9985, 0.0, 0.0, 1e-6)
         env = _resonant_env(species)
         durations = np.linspace(0, 1.2e-6, 601)  # 2 ns grid
-        trace = nutation_curve(durations, env, species, RELAX, EnsembleSpec(256, 1, 3))
+        trace = nutation_curve(durations, env, species, EnsembleSpec(256, 1, 3))
         x, y = trace.x, trace.y
         # first zero crossing at a quarter Rabi period, about 240 ns
         crossing = x[np.argmax(y < 0)]
@@ -233,20 +233,20 @@ class TestNutation:
         m0, w1, sigma, _ = blochsim._ensemble_setup(env, species)
         offsets = blochsim._philox(9, blochsim._STATIC_STREAM).standard_normal(1000) * sigma
         expected = np.zeros_like(durations)
-        for b_res, weight in resonance_lines(species, env.mw_frequency):
-            det = gyromagnetic_ratio(species.g_factor) * (env.static_field_b0 - b_res) + offsets
+        for b_res, weight in resonance_lines(species, env.mw_frequency_hz):
+            det = gyromagnetic_ratio(species.g_factor) * (env.static_field_tesla - b_res) + offsets
             weff2 = w1 * w1 + det * det
             for k, tp in enumerate(durations):
                 mz = m0 * (1.0 - 2.0 * (w1 * w1 / weff2) * np.sin(np.sqrt(weff2) * tp / 2.0) ** 2)
                 expected[k] += weight * float(np.mean(mz))
-        trace = nutation_curve(durations, env, species, RELAX, ensemble)
+        trace = nutation_curve(durations, env, species, ensemble)
         assert np.array_equal(trace.y, expected)
 
     def test_inhomogeneity_damps_oscillations(self):
         species = SpinSpecies(1.9985, 0.0, 0.0, 3e-5)
         env = _resonant_env(species)
         durations = np.linspace(0, 6e-6, 301)
-        trace = nutation_curve(durations, env, species, RELAX, EnsembleSpec(2048, 1, 3))
+        trace = nutation_curve(durations, env, species, EnsembleSpec(2048, 1, 3))
         y = trace.y
         m0 = y[0]
         late = y[-50:]
@@ -267,10 +267,10 @@ class TestRunTimeline:
         tau = 80e-6
         for width in (1e-5, 3e-4):
             species = SpinSpecies(1.9985, 0.0, 0.0, width)
-            env = _resonant_env(species, rabi_frequency=5e8)  # near-ideal pulses
+            env = _resonant_env(species, rabi_frequency_hz=5e8)  # near-ideal pulses
             tr = run_program(_hahn(tau), env, species, RELAX_NONOISE, EnsembleSpec(2000, 1, 11))["echo"]
             amp = tr.y[0] / tr.meta["equilibrium_mz"]
-            assert amp == pytest.approx(math.exp(-2 * tau / RELAX.t2), rel=2e-3)
+            assert amp == pytest.approx(math.exp(-2 * tau / RELAX.t2_seconds), rel=2e-3)
 
     def test_hahn_echo_matches_analytic_envelope(self):
         species = _narrow_species()
@@ -306,7 +306,7 @@ class TestRunTimeline:
         # an acquire without a window has duration 0; its charge is integrated over 6/k_e
         species = _narrow_species()
         env = _resonant_env(species)
-        trap = TrapParams(emission_rate=emission_rate)
+        trap = TrapParams(emission_rate_per_second=emission_rate)
         body = "pulse pi/2 +x\ndelay 20us\npulse pi/2 +y\nacquire charge"
         default, windowed = (
             run_program(parse(source), env, species, RELAX, EnsembleSpec(8, 4, 5), trap)["charge"]
@@ -469,26 +469,26 @@ class TestNoiseCalibration:
         # FID with pure spectral diffusion decays as exp(-4 t^3 / t_s^3)
         species = _narrow_species()
         env = _resonant_env(species)
-        relax = RelaxationParams(t1=1e3, t2=1e3, t_s=200e-6)
+        relax = RelaxationParams(t1_seconds=1e3, t2_seconds=1e3, t_s_seconds=200e-6)
         for t in (60e-6, 100e-6):
             ast = parse(f"pulse pi/2 +x\ndelay {t!r}s\nacquire echo\n")
             tr = run_program(ast, env, species, relax, EnsembleSpec(1, 20000, 21))["echo"]
             m0 = tr.meta["equilibrium_mz"]
             amp = tr.y[0] / m0
             se = tr.y_stderr[0] / m0
-            expected = math.exp(-4 * t**3 / relax.t_s**3)
+            expected = math.exp(-4 * t**3 / relax.t_s_seconds**3)
             assert amp == pytest.approx(expected, abs=3 * se + 2e-3)
 
     def test_hahn_cubic_law(self):
         species = _narrow_species()
         env = _resonant_env(species)
-        relax = RelaxationParams(t1=1e3, t2=1e3, t_s=200e-6)
+        relax = RelaxationParams(t1_seconds=1e3, t2_seconds=1e3, t_s_seconds=200e-6)
         tau = 100e-6
         tr = run_program(_hahn(tau), env, species, relax, EnsembleSpec(1, 20000, 22))["echo"]
         m0 = tr.meta["equilibrium_mz"]
         amp = tr.y[0] / m0
         se = tr.y_stderr[0] / m0
-        expected = math.exp(-8 * tau**3 / relax.t_s**3)
+        expected = math.exp(-8 * tau**3 / relax.t_s_seconds**3)
         assert amp == pytest.approx(expected, abs=3 * se + 2e-3)
 
 
@@ -502,13 +502,13 @@ class TestNoiseCalibrationAcrossSeeds:
     def test_z_scores_standard(self, kind, tau, first_seed):
         species = _narrow_species()
         env = _resonant_env(species)
-        relax = RelaxationParams(t1=1e3, t2=1e3, t_s=200e-6)
+        relax = RelaxationParams(t1_seconds=1e3, t2_seconds=1e3, t_s_seconds=200e-6)
         if kind == "fid":
             ast = parse(f"pulse pi/2 +x\ndelay {tau!r}s\nacquire echo\n")
-            expected = math.exp(-4 * tau**3 / relax.t_s**3)
+            expected = math.exp(-4 * tau**3 / relax.t_s_seconds**3)
         else:
             ast = _hahn(tau)
-            expected = math.exp(-8 * tau**3 / relax.t_s**3)
+            expected = math.exp(-8 * tau**3 / relax.t_s_seconds**3)
         z = []
         for seed in range(first_seed, first_seed + 200):
             tr = run_program(ast, env, species, relax, EnsembleSpec(1, 4000, seed))["echo"]
@@ -521,22 +521,23 @@ class TestNoiseCalibrationAcrossSeeds:
 class TestRelaxationParamsValidation:
     def test_t2_bound(self):
         with pytest.raises(ValueError):
-            RelaxationParams(t1=1e-3, t2=3e-3)  # t2 > 2 t1
-        RelaxationParams(t1=1e-3, t2=2e-3)  # boundary allowed
+            RelaxationParams(t1_seconds=1e-3, t2_seconds=3e-3)  # t2 > 2 t1
+        RelaxationParams(t1_seconds=1e-3, t2_seconds=2e-3)  # boundary allowed
 
     def test_positive(self):
         with pytest.raises(ValueError):
-            RelaxationParams(t1=0, t2=1e-3)
+            RelaxationParams(t1_seconds=0, t2_seconds=1e-3)
         with pytest.raises(ValueError):
-            RelaxationParams(t1=1e-3, t2=1e-3, t_s=0)
+            RelaxationParams(t1_seconds=1e-3, t2_seconds=1e-3, t_s_seconds=0)
 
     def test_diffusion_constant_at_extreme_t_s(self):
-        assert RelaxationParams(t1=1e-3, t2=1e-3, t_s=200e-6).diffusion_constant == 24.0 / 200e-6**3
+        relax = RelaxationParams(t1_seconds=1e-3, t2_seconds=1e-3, t_s_seconds=200e-6)
+        assert relax.diffusion_constant == 24.0 / 200e-6**3
         for t_s in (math.inf, 1e300, 1e103):  # t_s^3 past the float range: no diffusion
-            assert RelaxationParams(t1=1e-3, t2=1e-3, t_s=t_s).diffusion_constant == 0.0
+            assert RelaxationParams(t1_seconds=1e-3, t2_seconds=1e-3, t_s_seconds=t_s).diffusion_constant == 0.0
         for t_s in (1e-105, 1e-300, 5e-324):  # 24/t_s^3 overflows, or t_s^3 underflows to 0
             with pytest.raises(ValueError, match="finite"):
-                RelaxationParams(t1=1e-3, t2=1e-3, t_s=t_s)
+                RelaxationParams(t1_seconds=1e-3, t2_seconds=1e-3, t_s_seconds=t_s)
 
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):

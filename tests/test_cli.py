@@ -755,7 +755,8 @@ print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("spin
 # Every key of config's schema table, and values of every JSON type: numbers
 # small, huge and non-finite (json.dumps writes NaN and Infinity, which
 # json.load reads back), strings, null, arrays and objects.
-_CONFIG_KEYS = [(section, key) for section, (_, keys) in config._SECTIONS.items() for key in keys]
+_CONFIG_KEYS = [(section, key) for section, cls in config._SECTIONS.items()
+                for key in cls.__dataclass_fields__]
 _CONFIG_KEYS += [("species", "preset")]
 _JSON_VALUES = hs.one_of(
     hs.integers(min_value=-3, max_value=40),

@@ -71,7 +71,7 @@ def test_override_flag_sets_its_key(tmp_path, command, flag, section, key, value
     assert read_trace_csv(str(out)).meta["config_hash"] == expected
 
 
-_KEYS = [f"{section}.{key}" for section, (_, keys) in _SECTIONS.items() for key in keys]
+_KEYS = [f"{section}.{key}" for section, cls in _SECTIONS.items() for key in cls.__dataclass_fields__]
 
 
 @pytest.mark.parametrize("name", _KEYS + ["species.preset"])
@@ -80,6 +80,32 @@ def test_boolean_refused(name, value):
     section, key = name.split(".")
     with pytest.raises(ConfigError, match="integer" if name in _INTEGER_KEYS else "boolean|preset"):
         load_config({section: {key: value}})
+
+
+# a value each key's type refuses
+_INVALID = {
+    "environment.static_field_tesla": -1, "environment.temperature_kelvin": 0,
+    "environment.mw_frequency_hz": -240e9, "environment.rabi_frequency_hz": 0,
+    "species.g_factor": 0, "species.hyperfine_splitting_tesla": -1e-3,
+    "species.nuclear_polarization": 1.5, "species.linewidth_tesla": 0,
+    "relaxation.t1_seconds": -1, "relaxation.t2_seconds": 1, "relaxation.t_s_seconds": 0,
+    "trap.capture_rate_per_second": 0, "trap.emission_rate_per_second": -400,
+    "trap.baseline_current_amperes": 0, "trap.coupling_amplitude_amperes": -1,
+    "ensemble.n_static": 0, "ensemble.n_noise": 0, "ensemble.rng_seed": -1,
+    "spectrum.b_start_tesla": 9, "spectrum.b_stop_tesla": 8, "spectrum.n_points": 1,
+    "spectrum.lineshape": "voigt", "spectrum.phosphorus_amplitude_amperes": -1,
+    "spectrum.db_amplitude_ratio": -1,
+}
+
+
+@pytest.mark.parametrize("name", _KEYS)
+def test_refusal_names_its_key(tmp_path, capsys, name):
+    section, key = name.split(".")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({section: {key: _INVALID[name]}}))
+    assert main(["nutation", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
 
 
 @pytest.mark.parametrize("name, literal", [

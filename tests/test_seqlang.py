@@ -217,11 +217,11 @@ class TestCompile:
         assert [statement_duration(s, Environment()) for s in ast.statements] == [480 * 1e-9, 0.0]
 
     def test_auto_duration_from_rabi(self):
-        env = Environment(rabi_frequency=1.0 / (2 * 480e-9))
+        env = Environment(rabi_frequency_hz=1.0 / (2 * 480e-9))
         duration = statement_duration(parse("pulse pi +x\nacquire mz").statements[0], env)
-        assert duration == math.radians(180.0) / (2.0 * math.pi * env.rabi_frequency)
+        assert duration == math.radians(180.0) / (2.0 * math.pi * env.rabi_frequency_hz)
         assert duration == pytest.approx(480e-9, rel=1e-12)
-        assert 2 * math.pi * env.rabi_frequency * duration == pytest.approx(math.pi, rel=1e-12)
+        assert 2 * math.pi * env.rabi_frequency_hz * duration == pytest.approx(math.pi, rel=1e-12)
 
     def test_sweep_grid_values(self):
         decl = parse("sweep tau 10us 30us 3\ndelay tau\nacquire mz").sweep

@@ -24,7 +24,7 @@ class TestFieldSweep:
         trace = simulate_field_sweep([(PHOSPHORUS, 1.0)], ENV, SWEEP)
         peaks = find_dips(trace, 0.05)
         assert len(peaks) == 2
-        step = (SWEEP.b_stop - SWEEP.b_start) / (SWEEP.n_points - 1)
+        step = (SWEEP.b_stop_tesla - SWEEP.b_start_tesla) / (SWEEP.n_points - 1)
         assert peaks[1][0] - peaks[0][0] == pytest.approx(4.2e-3, abs=step)
 
     def test_negative_polarization_high_field_taller(self):
@@ -75,12 +75,12 @@ class TestFindPeaks:
         assert fields[2] == pytest.approx(8.582, abs=1e-3)
 
     def test_positions_match_resonance_fields_within_grid(self):
-        step = (SWEEP.b_stop - SWEEP.b_start) / (SWEEP.n_points - 1)
+        step = (SWEEP.b_stop_tesla - SWEEP.b_start_tesla) / (SWEEP.n_points - 1)
         # linewidth <= splitting/4 keeps the doublet resolvable to one step
         species = SpinSpecies(1.9985, 4.2e-3, -0.3, 4.2e-3 / 4)
         trace = simulate_field_sweep([(species, 1.0)], ENV, SWEEP)
         peaks = find_dips(trace, 0.05)
-        expected = sorted(b for b, _ in resonance_lines(species, ENV.mw_frequency))
+        expected = sorted(b for b, _ in resonance_lines(species, ENV.mw_frequency_hz))
         assert len(peaks) == 2
         for (field, _), want in zip(peaks, expected):
             assert field == pytest.approx(want, abs=step)

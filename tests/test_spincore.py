@@ -59,7 +59,7 @@ class TestThermalPolarization:
         assert all(b < a for a, b in zip(pt, pt[1:]))
 
 
-class TestResonanceField:
+class TestLinePositions:
     """The line positions of :func:`resonance_lines`."""
 
     def test_phosphorus_doublet_split(self):
@@ -76,7 +76,7 @@ class TestResonanceField:
         assert b == pytest.approx(8.570, abs=1e-3)
 
 
-class TestDetuning:
+class TestLineDetuning:
     """The rotating-frame offset from a line of :func:`resonance_lines`."""
 
     def test_zero_on_resonance(self):
@@ -96,48 +96,48 @@ class TestDetuning:
         assert up > 0
 
 
-class TestEquilibriumState:
+class TestPolarizationAtEnvironment:
     """The thermal polarization at an environment's field and temperature."""
 
     @staticmethod
     def _polarization(env):
-        return thermal_polarization(PHOSPHORUS.g_factor, env.static_field_b0, env.temperature)
+        return thermal_polarization(PHOSPHORUS.g_factor, env.static_field_tesla, env.temperature_kelvin)
 
     def test_default_preset(self):
         assert self._polarization(Environment()) == pytest.approx(0.968, abs=1e-3)
 
     def test_high_temperature(self):
-        assert abs(self._polarization(Environment(temperature=1e9))) < 1e-8
+        assert abs(self._polarization(Environment(temperature_kelvin=1e9))) < 1e-8
 
     def test_norm_bounded(self):
         for t in (0.5, 2.8, 30.0, 1e4):
-            assert 0.0 <= self._polarization(Environment(temperature=t)) <= 1.0
+            assert 0.0 <= self._polarization(Environment(temperature_kelvin=t)) <= 1.0
 
 
 class TestSpeciesValidation:
     def test_good_preset_fields(self):
         assert PHOSPHORUS.g_factor == 1.9985
-        assert PHOSPHORUS.hyperfine_splitting_field == 4.2e-3
+        assert PHOSPHORUS.hyperfine_splitting_tesla == 4.2e-3
         assert PHOSPHORUS.nuclear_polarization < 0
         assert DANGLING_BOND.g_factor == 2.0009
-        assert DANGLING_BOND.hyperfine_splitting_field == 0.0
+        assert DANGLING_BOND.hyperfine_splitting_tesla == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(g_factor=-1.0),
             dict(g_factor=0.0),
-            dict(hyperfine_splitting_field=-1e-3),
+            dict(hyperfine_splitting_tesla=-1e-3),
             dict(nuclear_polarization=1.5),
-            dict(linewidth_field=0.0),
+            dict(linewidth_tesla=0.0),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         base = dict(
             g_factor=2.0,
-            hyperfine_splitting_field=0.0,
+            hyperfine_splitting_tesla=0.0,
             nuclear_polarization=0.0,
-            linewidth_field=1e-4,
+            linewidth_tesla=1e-4,
         )
         base.update(kwargs)
         with pytest.raises(ValueError):
@@ -145,14 +145,14 @@ class TestSpeciesValidation:
 
     def test_environment_positive(self):
         with pytest.raises(ValueError):
-            Environment(temperature=0.0)
+            Environment(temperature_kelvin=0.0)
         with pytest.raises(ValueError):
-            Environment(static_field_b0=-8.58)
+            Environment(static_field_tesla=-8.58)
         with pytest.raises(ValueError):
-            Environment(mw_frequency=0.0)
+            Environment(mw_frequency_hz=0.0)
 
 
-class TestManifolds:
+class TestLineWeights:
     """The lines of :func:`resonance_lines`: position, order and population weight."""
 
     def test_labels(self):
@@ -161,7 +161,7 @@ class TestManifolds:
         (lo, w_lo), (hi, w_hi) = lines
         center = PLANCK_H * 240e9 / (PHOSPHORUS.g_factor * BOHR_MAGNETON)
         assert lo < hi  # lower field first
-        assert hi - lo == pytest.approx(PHOSPHORUS.hyperfine_splitting_field, rel=1e-12)
+        assert hi - lo == pytest.approx(PHOSPHORUS.hyperfine_splitting_tesla, rel=1e-12)
         assert (lo + hi) / 2 == pytest.approx(center, rel=1e-15)
         p = PHOSPHORUS.nuclear_polarization
         assert (w_lo, w_hi) == ((1 + p) / 2, (1 - p) / 2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spintrap.trace import SignalTrace, read_trace_csv, write_trace_csv
+from spintrap.trace import CsvFormatError, SignalTrace, read_trace_csv, write_trace_csv
 
 
 def _trace(**kwargs):
@@ -60,3 +60,11 @@ class TestCsvRoundTrip:
         assert rows == ["x,y", "9.9999999999999995e-07,0.5", "1.9999999999999999e-06,0.25",
                         "3.0000000000000001e-06,0.125"]
         assert read_trace_csv(str(path)).y_stderr is None
+
+
+class TestCsvErrors:
+    def test_x_order_error_names_the_file_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("# config_hash=a\nx,y\n1,2\n2,3\n# comment\n3,4\n3,5\n")
+        with pytest.raises(CsvFormatError, match="^row 7: x values not strictly increasing$"):
+            read_trace_csv(str(path))

@@ -59,11 +59,11 @@ class TestTransientResponse:
         t = np.linspace(2e-3, 12e-3, 2001)
         frac = trapped_fraction(1.0, PRESET, t)
         slope = np.polyfit(t, np.log(frac), 1)[0]
-        assert slope == pytest.approx(-PRESET.emission_rate, rel=1e-4)
+        assert slope == pytest.approx(-PRESET.emission_rate_per_second, rel=1e-4)
         assert -1.0 / slope == pytest.approx(2.5e-3, rel=1e-3)
 
     def test_degenerate_rates_limit(self):
-        params = TrapParams(capture_rate_k0=400.0, emission_rate=400.0)
+        params = TrapParams(capture_rate_per_second=400.0, emission_rate_per_second=400.0)
         t = np.linspace(0, 20e-3, 2001)
         frac = trapped_fraction(0.7, params, t)
         expected = 0.7 * 400.0 * t * np.exp(-400.0 * t)
@@ -71,8 +71,8 @@ class TestTransientResponse:
 
     def test_against_rate_equation_oracle(self):
         # fixed-step integration with dt <= 1/(100 k_c) agrees within 0.1%
-        k_c = PRESET.capture_rate_k0
-        k_e = PRESET.emission_rate
+        k_c = PRESET.capture_rate_per_second
+        k_e = PRESET.emission_rate_per_second
         t_end = 10e-3
         n_steps = int(t_end * 100 * k_c)  # dt = 1/(100 kc) = 1 us
         ts, ms = rate_equation_oracle(0.8, k_c, k_e, t_end, n_steps)
@@ -84,7 +84,7 @@ class TestTransientResponse:
         f = 0.6
         t = np.linspace(0, 15e-3, 512)
         trapped = trapped_fraction(f, PRESET, t)
-        flipped = f * np.exp(-PRESET.capture_rate_k0 * t)
+        flipped = f * np.exp(-PRESET.capture_rate_per_second * t)
         reemitted = f - flipped - trapped
         d0 = (1 - f) + flipped + reemitted
         assert np.allclose(d0 + trapped, 1.0, atol=1e-12)
@@ -108,13 +108,13 @@ class TestTransientCharge:
 
     def test_full_span_integral_matches_closed_form(self):
         # integral of the biexponential: a kc/(kc-ke) (1/ke - 1/kc)
-        k_c = PRESET.capture_rate_k0
-        k_e = PRESET.emission_rate
+        k_c = PRESET.capture_rate_per_second
+        k_e = PRESET.emission_rate_per_second
         span = 20.0 / k_e  # truncation error ~ e^-20
         grid = np.linspace(0, span, 20001)
         f = 0.5
         q = _charge(transient_response(f, PRESET, grid))
-        closed = -PRESET.coupling_amplitude * f * k_c / (k_c - k_e) * (1 / k_e - 1 / k_c)
+        closed = -PRESET.coupling_amplitude_amperes * f * k_c / (k_c - k_e) * (1 / k_e - 1 / k_c)
         assert q == pytest.approx(closed, rel=1e-3)
 
 
@@ -122,7 +122,7 @@ class TestBoxcarCharge:
     @pytest.mark.parametrize("window", [1e-3, 10e-3])
     @pytest.mark.parametrize(
         "params",
-        [PRESET, TrapParams(capture_rate_k0=400.0, emission_rate=400.0)],
+        [PRESET, TrapParams(capture_rate_per_second=400.0, emission_rate_per_second=400.0)],
         ids=["preset", "confluent_kc_equals_ke"],
     )
     def test_matches_trapezoid_reference(self, params, window):
@@ -151,18 +151,18 @@ class TestFlipFraction:
 class TestSpinRecovery:
     def test_recovery_constant_matches_reemission(self):
         # k_c = 25 k_e: the spin recovery tail must carry 1/k_e within 5%
-        params = TrapParams(capture_rate_k0=25 * 400.0, emission_rate=400.0)
+        params = TrapParams(capture_rate_per_second=25 * 400.0, emission_rate_per_second=400.0)
         t = np.linspace(0, 20e-3, 4001)
         trace = spin_recovery_curve(params, t)
         y = trace.y
         deficit = 1.0 - y
         sel = (t > 1e-3) & (deficit > 1e-8)  # past the capture transient
         slope = np.polyfit(t[sel], np.log(deficit[sel]), 1)[0]
-        assert -1.0 / slope == pytest.approx(1.0 / params.emission_rate, rel=0.05)
+        assert -1.0 / slope == pytest.approx(1.0 / params.emission_rate_per_second, rel=0.05)
 
     def test_same_decay_as_current_transient(self):
         # the trap-readout signature: spin recovery and current tail share 1/k_e
-        params = TrapParams(capture_rate_k0=1e4, emission_rate=400.0)
+        params = TrapParams(capture_rate_per_second=1e4, emission_rate_per_second=400.0)
         t = np.linspace(2e-3, 15e-3, 2001)
         mz_deficit = 1.0 - spin_recovery_curve(params, t).y
         current = trapped_fraction(1.0, params, t)
@@ -180,18 +180,18 @@ class TestSpinRecovery:
 
 class TestTrapParams:
     def test_preset_rates(self):
-        assert PRESET.capture_rate_k0 == 1e4
-        assert PRESET.emission_rate == 400.0
-        assert PRESET.capture_rate_k0 > PRESET.emission_rate
+        assert PRESET.capture_rate_per_second == 1e4
+        assert PRESET.emission_rate_per_second == 400.0
+        assert PRESET.capture_rate_per_second > PRESET.emission_rate_per_second
 
     def test_default_coupling_normalization(self):
         # peak |dI| of a fully flipped ensemble = 1% of baseline
         t = np.linspace(0, 2e-3, 20001)
         di = transient_response(1.0, PRESET, t).y
-        assert np.min(di) == pytest.approx(-0.01 * PRESET.baseline_current, rel=1e-4)
+        assert np.min(di) == pytest.approx(-0.01 * PRESET.baseline_current_amperes, rel=1e-4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrapParams(capture_rate_k0=-1.0)
+            TrapParams(capture_rate_per_second=-1.0)
         with pytest.raises(ValueError):
-            TrapParams(coupling_amplitude=0.0)
+            TrapParams(coupling_amplitude_amperes=0.0)

@@ -1,6 +1,6 @@
 """Bloch-vector dynamics: pulses, relaxation, spectral diffusion, pulse programs.
 
-The simulation picture is classical: each hyperfine manifold contributes a
+The simulation picture is classical: each hyperfine line contributes a
 weighted sub-ensemble of magnetization 3-vectors.  Pulses are exact rotations
 about the effective rotating-frame field (relaxation is suspended during
 pulses; at 480 ns against 160 us coherence times the error is below 1%), free
@@ -38,10 +38,21 @@ stream ``1 + block`` draws every noise normal of one fixed-size block of
 trajectories at once, as a ``(2 * n_free, n_block)`` array.  The engine
 walks the program's statements in order; the ``j``-th free evolution (a
 delay, or the window of an acquire, which records its moments first) takes
-rows ``2j, 2j+1``.  Both hyperfine manifolds reuse the block's draws,
-and so does every sweep point of a sequence (common random numbers).
-Partial sums are accumulated per block and reduced in block order, so
-results depend only on the seed and the ensemble layout.
+rows ``2j, 2j+1``.  Both hyperfine lines reuse the block's draws, and so
+does every sweep point of a sequence (common random numbers).  Partial
+sums are accumulated per block and reduced in block order, so results
+depend only on the seed and the ensemble layout.
+
+Engine
+------
+A block holds both hyperfine lines at once: the state is three
+``(n_lines, n_block)`` arrays, one row per line.  A trajectory's static
+offset, its noise walk and its draws are the same on every line, which
+differ only by the line's own detuning.  So a free evolution takes the
+cosine and sine of the phase the lines share once per trajectory, and
+turns each line by its scalar ``decay e^{i delta T}`` by angle addition.
+Every pulse is the per-trajectory 3x3 rotation about its effective field,
+applied as nine multiplies and six adds.
 
 Sweeps
 ------
@@ -51,12 +62,14 @@ sweep variable, and the walk resolves each statement's duration at the
 point's value (:func:`seqlang.statement_duration`).  Each block draws its
 static offsets (continuing one stream-0 generator) and its noise once for
 every point.  The statements before the first swept one are propagated
-once per block and manifold; each point then runs the rest from a copy of
-that state.  A block stops at the last acquire, since nothing reads the
-state after it, so the window of a final acquire is never evolved and its
-draw rows are not drawn.  None of this moves a draw: the RNG layout above
-is unchanged and a swept point gives the same numbers as the unswept
-program with its value written in.
+once per block, for both lines together; each point then runs the rest
+from a copy of that state.  A pulse after them is built at the first point
+and kept for the block, unless its duration names the sweep variable: that
+one is rebuilt at each point.  A block stops at the last acquire, since
+nothing reads the state after it, so the window of a final acquire is never
+evolved and its draw rows are not drawn.  None of this moves a draw: the
+RNG layout above is unchanged and a swept point gives the same numbers as
+the unswept program with its value written in.
 """
 
 from __future__ import annotations
@@ -98,44 +111,77 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rotate(mx, my, mz, ax, ay, az, angle):
-    """Rodrigues rotation of (mx,my,mz) about unit axis (ax,ay,az) by angle."""
-    c = np.cos(angle)
-    s = np.sin(angle)
-    dot = ax * mx + ay * my + az * mz
-    cx = ay * mz - az * my
-    cy = az * mx - ax * mz
-    cz = ax * my - ay * mx
-    k = dot * (1.0 - c)
-    return (
-        mx * c + cx * s + ax * k,
-        my * c + cy * s + ay * k,
-        mz * c + cz * s + az * k,
-    )
+def _pulse_rotation(det, w1, phase, duration, out=None):
+    """Each trajectory's rotation by one pulse: ``out[3 i + j]`` is element
+    ``(i, j)`` of its 3x3 matrix, shaped like ``det``.
+
+    The axis is the unit effective field ``a = (w1 cos phi, w1 sin phi, det) /
+    weff`` and the angle ``weff * duration``: Rodrigues' formula ``c I + s
+    [a]x + (1 - c) a a^T``.  ``out`` (a new array when None) is filled in
+    place, so that a swept pulse refills one buffer at every point and few
+    temporaries are alive at once: a fresh rotation and its temporaries at
+    each point made the heap return and re-fault its pages, point by point.
+    """
+    r = np.empty((9,) + det.shape) if out is None else out
+    phi = _PHASE_ANGLES[phase]
+    weff = np.sqrt(w1 * w1 + det * det)
+    inv = 1.0 / np.where(weff > 0.0, weff, 1.0)
+    a = (w1 * math.cos(phi) * inv, w1 * math.sin(phi) * inv, det * inv)
+    weff *= duration  # the angle
+    c = np.cos(weff)
+    s = np.sin(weff, out=weff)
+    k = np.subtract(1.0, c, out=inv)  # 1 - c, in the buffer of 1/weff
+    for i, ai in enumerate(a):
+        for j, aj in enumerate(a):
+            np.multiply(k, ai, out=r[3 * i + j])
+            r[3 * i + j] *= aj
+        r[4 * i] += c
+    sa = c  # the diagonal is done; c's buffer holds s a_m
+    # s a_m enters the element at `plus` and leaves the one at `minus`
+    for am, plus, minus in zip(a, (7, 2, 3), (5, 6, 1)):
+        np.multiply(s, am, out=sa)
+        r[plus] += sa
+        r[minus] -= sa
+    return r
 
 
-def _pulse_arrays(mx, my, mz, angle_rate, phase_axis, duration, det):
-    """Vectorized finite-duration pulse about the effective field axis."""
-    if duration == 0.0:
-        return mx, my, mz
-    phi = _PHASE_ANGLES[phase_axis]
-    wx = angle_rate * math.cos(phi)
-    wy = angle_rate * math.sin(phi)
-    weff = np.sqrt(angle_rate * angle_rate + det * det)
-    safe = np.where(weff > 0.0, weff, 1.0)
-    ax, ay, az = wx / safe, wy / safe, det / safe
-    angle = weff * duration
-    return _rotate(mx, my, mz, ax, ay, az, angle)
+def _apply_rotation(r, mx, my, mz):
+    """``r`` from :func:`_pulse_rotation` applied to ``(mx, my, mz)``: nine
+    multiplies and six adds per trajectory."""
+    rotated = []
+    for i in (0, 3, 6):
+        v = r[i] * mx
+        v += r[i + 1] * my
+        v += r[i + 2] * mz
+        rotated.append(v)
+    return rotated
 
 
-def _free_arrays(mx, my, mz, phase, duration, relax, m_eq):
-    """Precession by ``phase`` plus T2 shrinkage and T1 recovery."""
+def _free(mx, my, mz, psi, line_det, duration, relax, m_eq):
+    """Free evolution over ``duration``: precession plus T2 shrinkage and T1
+    recovery of ``(n_lines, n)`` states.
+
+    Trajectory ``t`` of line ``l`` turns by ``psi[t] + line_det[l] *
+    duration``.  ``cos psi`` and ``sin psi`` are taken once for all lines;
+    each line's scalar ``decay e^{i line_det duration}`` joins them by angle
+    addition.  ``line_det`` has shape ``(n_lines, 1)``.
+    """
     decay = np.exp(-duration / relax.t2_seconds)
-    c = np.cos(phase) * decay
-    s = np.sin(phase) * decay
-    mx, my = mx * c - my * s, mx * s + my * c
-    mz = m_eq + (mz - m_eq) * np.exp(-duration / relax.t1_seconds)
-    return mx, my, mz
+    turn = line_det * duration
+    c, s = decay * np.cos(turn), decay * np.sin(turn)
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    cos_t = cos_psi * c
+    cos_t -= sin_psi * s
+    sin_t = sin_psi * c
+    sin_t += cos_psi * s
+    x = mx * cos_t
+    x -= my * sin_t
+    y = mx * sin_t
+    y += my * cos_t
+    z = mz - m_eq
+    z *= np.exp(-duration / relax.t1_seconds)
+    z += m_eq
+    return x, y, z
 
 
 def _ensemble_setup(env: Environment, species: SpinSpecies):
@@ -163,8 +209,8 @@ def _rabi_flip(w1, det, duration):
 
 def _rabi_mz(m0, w1, det, duration):
     """mz ``m0 (1 - 2 flip)`` after one +x pulse from ``(0, 0, m0)``, with
-    ``flip`` from :func:`_rabi_flip`; :func:`_pulse_arrays` computes the same
-    by rotation."""
+    ``flip`` from :func:`_rabi_flip`; :func:`_pulse_rotation` computes the
+    same by rotation."""
     return m0 * (1.0 - 2.0 * _rabi_flip(w1, det, duration))
 
 
@@ -237,45 +283,64 @@ def _evolves_freely(stmt) -> bool:
     return isinstance(stmt, DelayStmt) or (isinstance(stmt, AcquireStmt) and stmt.window is not None)
 
 
-def _moments(mx, my, mz):
-    """The ``_ACC_FIELDS`` moment sums an acquire records."""
-    return (mx.sum(), my.sum(), mz.sum(),
-            (mx * mx).sum(), (my * my).sum(), (mx * my).sum(), (mz * mz).sum())
+def _moments(channel, mx, my, mz):
+    """Each line's ``_ACC_FIELDS`` moment sums that an acquire of ``channel``
+    reads, as an ``(n_lines, _ACC_FIELDS)`` array; the rest stay 0."""
+    sums = np.zeros((mx.shape[0], _ACC_FIELDS))
+    if channel == "echo":
+        sums[:, 0], sums[:, 1] = mx.sum(axis=1), my.sum(axis=1)
+        sums[:, 3], sums[:, 4] = (mx * mx).sum(axis=1), (my * my).sum(axis=1)
+        sums[:, 5] = (mx * my).sum(axis=1)
+    else:  # mz and charge read mz alone
+        sums[:, 2], sums[:, 6] = mz.sum(axis=1), (mz * mz).sum(axis=1)
+    return sums
 
 
-def _walk(statements, value, state, env, det, m0, w1, relax, draws):
+def _walk(statements, value, state, block, rotations, env, m0, w1, relax):
     """Propagate ``state = (mx, my, mz, walk, acc, j, k)`` through ``statements``
     at sweep value ``value``.
 
-    ``walk`` is each trajectory's current noise-walk frequency offset (rad/s),
-    ``j`` the next free evolution and ``k`` the next acquire, whose moment
-    sums go to ``acc[k]`` (written in place; no other array is).  ``det``
-    holds each trajectory's static detuning; ``draws`` holds rows ``2j,
-    2j+1`` of standard normals for the ``j``-th free evolution, or is None
-    when there is no spectral diffusion.  An acquire records its moments and
-    then evolves freely over its window.
+    ``mx, my, mz`` are ``(n_lines, n)`` arrays, one row per resonance line.
+    ``walk`` is each trajectory's current noise-walk frequency offset
+    (rad/s), which the lines share, ``j`` the next free evolution and ``k``
+    the next acquire, whose moment sums go to ``acc[:, k]`` (written in
+    place; no other array is).  ``block = (static, line_det, det, draws)``:
+    the block's static offsets ``(n,)``, the lines' detunings ``(n_lines, 1)``,
+    their sum ``det``, and the standard normals, rows ``2j, 2j+1`` for the
+    ``j``-th free evolution (None when there is no spectral diffusion).
+    ``rotations`` keeps each pulse's rotation and the duration it was built
+    for, by statement, for the next point, which rebuilds it (in place) only
+    if the duration changed; None keeps nothing.  An acquire records its
+    moments and then evolves freely over its window.
     """
     mx, my, mz, walk, acc, j, k = state
+    static, line_det, det, draws = block
     diffusion = relax.diffusion_constant
     for stmt in statements:
         duration = statement_duration(stmt, env, value)
         if isinstance(stmt, PulseStmt):
-            mx, my, mz = _pulse_arrays(mx, my, mz, w1, stmt.phase, duration, det)
+            built, rotation = (None, None) if rotations is None else rotations.get(stmt, (None, None))
+            if built != duration:  # never built, or swept
+                rotation = _pulse_rotation(det, w1, stmt.phase, duration, rotation)
+                if rotations is not None:
+                    rotations[stmt] = duration, rotation
+            mx, my, mz = _apply_rotation(rotation, mx, my, mz)
             continue
         if isinstance(stmt, AcquireStmt):
-            acc[k] = _moments(mx, my, mz)
+            acc[:, k] = _moments(stmt.channel, mx, my, mz)
             k += 1
         if not _evolves_freely(stmt):
             continue
-        phase = det * duration
+        # the phase the lines share; each line adds its own line_det * duration
+        psi = static * duration
         if draws is not None:
             # exact joint update of the walk end and its time integral
             increment = math.sqrt(diffusion * duration) * draws[2 * j]
             bridge = math.sqrt(diffusion * np.float64(duration) ** 3 / 12.0) * draws[2 * j + 1]
-            phase = phase + walk * duration + 0.5 * duration * increment + bridge
+            psi = (static + walk) * duration + 0.5 * duration * increment + bridge
             walk = walk + increment
         j += 1
-        mx, my, mz = _free_arrays(mx, my, mz, phase, duration, relax, m0)
+        mx, my, mz = _free(mx, my, mz, psi, line_det, duration, relax, m0)
     return mx, my, mz, walk, acc, j, k
 
 
@@ -307,12 +372,15 @@ def _run_engine(ast, values, env, species, relax, ensemble):
     ``values`` is the list of sweep values, or ``[None]`` for an unswept
     program.  Returns ``(m0, stats)``.  ``stats[i, k]`` holds the weighted
     means ``(x, y, z)`` and the variances of the mean ``(var_x, var_y,
-    cov_xy, var_z)`` at acquire ``k`` of point ``i``.
+    cov_xy, var_z)`` at acquire ``k`` of point ``i``.  An acquire sums only
+    what its channel reads, so an echo's ``z`` and ``var_z``, and the ``x``,
+    ``y``, ``var_x``, ``var_y`` and ``cov_xy`` of an mz or charge acquire,
+    are 0.
     """
     statements = [s for s in ast.statements if not isinstance(s, SweepDecl)]
     # Nothing after the last acquire is read, so each point stops there; the
-    # statements before the first swept one are propagated once per block and
-    # manifold, and each point continues from that state.
+    # statements before the first swept one are propagated once per block,
+    # and each point continues from that state.
     end = max(i for i, s in enumerate(statements) if isinstance(s, AcquireStmt))
     name = ast.sweep.name if ast.sweep is not None else None
     n_shared = next((i for i, s in enumerate(statements[:end])
@@ -321,9 +389,10 @@ def _run_engine(ast, values, env, species, relax, ensemble):
     n_acquire = len(ast.acquire_channels)
 
     m0, w1, sigma, lines = _ensemble_setup(env, species)
+    line_det = np.array([[d] for _, d in lines])
     n_traj = ensemble.n_trajectories
 
-    # Both lines and every point share each block's draws; partial sums are
+    # The lines and every point share each block's draws; partial sums are
     # added in block order.
     sums = np.zeros((len(lines), len(values), n_acquire, _ACC_FIELDS))
     for b, static in enumerate(_block_offsets(ensemble, sigma)):
@@ -331,19 +400,21 @@ def _run_engine(ast, values, env, species, relax, ensemble):
         if relax.diffusion_constant > 0.0:
             stream = _philox(ensemble.rng_seed, _NOISE_STREAM_BASE + b)
             draws = stream.standard_normal((2 * n_free, static.size))
-        n = static.size
-        for mf, (_, line_det) in enumerate(lines):
-            det = line_det + static
-            start = (np.zeros(n), np.zeros(n), np.full(n, m0), np.zeros(n),
-                     np.zeros((n_acquire, _ACC_FIELDS)), 0, 0)
-            mx, my, mz, walk, acc, j, k = _walk(statements[:n_shared], None, start, env, det, m0, w1,
-                                                relax, draws)
-            for i, value in enumerate(values):
-                px, py, pz, _, point_acc, _, k_last = _walk(
-                    statements[n_shared:end], value, (mx, my, mz, walk, acc.copy(), j, k),
-                    env, det, m0, w1, relax, draws)
-                point_acc[k_last] = _moments(px, py, pz)  # the last acquire
-                sums[mf, i] += point_acc
+        det = line_det + static
+        block = (static, line_det, det, draws)
+        start = (np.zeros(det.shape), np.zeros(det.shape), np.full(det.shape, m0), np.zeros(static.size),
+                 np.zeros((len(lines), n_acquire, _ACC_FIELDS)), 0, 0)
+        # the shared prefix is walked once, so it keeps no rotation
+        mx, my, mz, walk, acc, j, k = _walk(statements[:n_shared], None, start, block, None, env, m0,
+                                            w1, relax)
+        del start  # free the starting state while the points run
+        rotations = {}  # a fixed pulse is built at the first point and kept
+        for i, value in enumerate(values):
+            px, py, pz, _, point_acc, _, k_last = _walk(
+                statements[n_shared:end], value, (mx, my, mz, walk, acc.copy(), j, k), block, rotations,
+                env, m0, w1, relax)
+            point_acc[:, k_last] = _moments(statements[end].channel, px, py, pz)  # the last acquire
+            sums[:, i] += point_acc
 
     stats = np.zeros((len(values), n_acquire, _ACC_FIELDS))
     for (weight, _), acc in zip(lines, sums):

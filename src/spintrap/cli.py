@@ -63,11 +63,12 @@ EXIT_DATA = 4
 
 # Largest `run`: sweep points times trajectories per point, with each point
 # counted as at least MIN_POINT_WORK trajectories.  Walking a point's own
-# statements and converting its values take about 0.25 ms, as much as
-# propagating about 500 trajectories through it (a swept Hahn echo on 2
-# vCPU, at about 0.5 us per trajectory and point).  1e8 is under a minute
-# of engine time on one core; anything larger exits 3 before the sweep
-# grid or any ensemble is allocated.
+# statements and converting its values take about 0.13 ms, as much as
+# propagating 500-800 trajectories through it (a swept Hahn echo on 2
+# vCPU, at about 0.2 us per trajectory and point, both hyperfine lines
+# together).  1e8 is under half a minute of engine time on one core;
+# anything larger exits 3 before the sweep grid or any ensemble is
+# allocated.
 MAX_SWEEP_WORK = 10**8
 MIN_POINT_WORK = 1024
 

@@ -6,16 +6,17 @@ typos cannot silently fall back to defaults.  One table, ``_SECTIONS``,
 names each section's class.  A section's keys are the fields of its class,
 spelled the same, so loading, hashing and the physics code share one name
 per quantity, the defaults are the class's own, and a refusal names the
-key the user wrote.  Numbers must be finite and may not be ``true`` or
-``false`` (``t_s_seconds`` alone also takes the string ``"inf"``).  A
-``species.preset`` is not a field: it picks the species the other
-``species`` keys override.  The ensemble counts, the seed and
-``spectrum.n_points`` must be integers, and the seed must lie in
-[0, 2**64); an integer literal for any other key is stored as a float, so
-``400`` and ``400.0`` are one configuration with one hash.  Every section
-is optional and defaults to the built-in presets.  The CLI's override
-flags reach :func:`load_config` as ``{"section.key": value}``.  The resolved
-configuration (defaults filled in) is hashed into every output file so
+key the user wrote.  Each key takes only its own JSON type: a number,
+finite and neither ``true`` nor ``false`` (``t_s_seconds`` alone also
+takes the string ``"inf"``), or a string for ``spectrum.lineshape``;
+``null`` is refused everywhere.  A ``species.preset`` is not a field: it
+picks the species the other ``species`` keys override.  The ensemble
+counts, the seed and ``spectrum.n_points`` must be integers, and the seed
+must lie in [0, 2**64); an integer literal for any other key is stored as
+a float, so ``400`` and ``400.0`` are one configuration with one hash.
+Every section is optional and defaults to the built-in presets.  The CLI's
+override flags reach :func:`load_config` as ``{"section.key": value}``.  The
+resolved configuration (defaults filled in) is hashed into every output file so
 traces can be matched to the physics that produced them.
 
 Example::
@@ -90,6 +91,7 @@ _SECTIONS = {
 }
 
 _INTEGER_KEYS = {"ensemble.n_static", "ensemble.n_noise", "ensemble.rng_seed", "spectrum.n_points"}
+_STRING_KEYS = {"spectrum.lineshape"}
 
 
 def _section_kwargs(section: str, data: dict, cls: type) -> dict:
@@ -102,19 +104,24 @@ def _section_kwargs(section: str, data: dict, cls: type) -> dict:
             raise ConfigError(f"{name} must be finite, got {value}")
         if name in _INTEGER_KEYS:
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+                raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
         elif isinstance(value, bool):
             raise ConfigError(f"{name} must not be a boolean, got {json.dumps(value)}")
+        elif name in _STRING_KEYS:
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {json.dumps(value)}")
+        elif name == "relaxation.t_s_seconds" and isinstance(value, str):
+            if value.lower() not in ("inf", "infinity"):
+                raise ConfigError(f"relaxation.t_s_seconds must be a number or \"inf\", got {value!r}")
+            value = math.inf
+        elif not isinstance(value, (int, float)):  # a string, null, a list or an object
+            raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
         elif isinstance(value, int):
             # 400 and 400.0 are one value and must hash alike
             try:
                 value = float(value)
             except OverflowError as exc:
                 raise ConfigError(f"invalid {section!r} config: {exc}") from exc
-        elif name == "relaxation.t_s_seconds" and isinstance(value, str):
-            if value.lower() not in ("inf", "infinity"):
-                raise ConfigError(f"relaxation.t_s_seconds must be a number or \"inf\", got {value!r}")
-            value = math.inf
         kwargs[key] = value
     return kwargs
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from reference import echo_envelope_analytic, find_dips, inversion_recovery_curve, spin_recovery_curve
-from spintrap.blochsim import _pulse_arrays, run_program
+from spintrap.blochsim import _apply_rotation, _pulse_rotation, run_program
 from spintrap.cli import main
 from spintrap.fitkit import compare_models, fit
 from spintrap.seqlang import (
@@ -90,7 +90,8 @@ def test_criterion_02_thermal_polarization():
 
 def _pulse(v, duration, det):
     """The engine's +x pulse kernel on one Bloch vector."""
-    return _pulse_arrays(*(np.float64(c) for c in v), W1, "+x", duration, np.float64(det))
+    rotation = _pulse_rotation(np.full(1, det), W1, "+x", duration)
+    return [c[0] for c in _apply_rotation(rotation, *(np.full(1, c) for c in v))]
 
 
 def test_criterion_03_pulse_algebra():

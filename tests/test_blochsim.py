@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ from reference import echo_envelope_analytic, inversion_recovery_curve
 from spintrap import blochsim
 from spintrap.blochsim import nutation_curve, run_program
 from spintrap.config import load_config
-from spintrap.seqlang import SequenceError, parse, sweep_values
+from spintrap.seqlang import PulseStmt, SequenceError, parse, statement_duration, sweep_values
 from spintrap.spincore import (PHOSPHORUS, EnsembleSpec, Environment, RelaxationParams, SpinSpecies,
                                gyromagnetic_ratio, resonance_lines, thermal_polarization)
 from spintrap.trapdyn import TrapParams
@@ -22,6 +23,7 @@ from test_seqlang import acquire_statements, delay_statements, pulse_statements
 W1 = 2 * math.pi * (1.0 / (2 * 480e-9))  # default drive, rad/s
 RELAX = RelaxationParams(t1_seconds=2.5e-3, t2_seconds=160e-6, t_s_seconds=200e-6)
 RELAX_NONOISE = RelaxationParams(t1_seconds=2.5e-3, t2_seconds=160e-6, t_s_seconds=math.inf)
+SEQ_DIR = Path(__file__).resolve().parents[1] / "src" / "spintrap" / "sequences" / "v1"
 
 
 def rotation_oracle(state, w1, phase_angle, duration, det):
@@ -38,14 +40,18 @@ def rotation_oracle(state, w1, phase_angle, duration, det):
 
 def pulse(state, w1, phase, duration, det):
     """The engine's pulse kernel on one Bloch vector ``state = (mx, my, mz)``."""
-    mx, my, mz = (np.float64(v) for v in state)
-    return np.array(blochsim._pulse_arrays(mx, my, mz, w1, phase, float(duration), np.float64(det)))
+    rotation = blochsim._pulse_rotation(np.full(1, det), w1, phase, float(duration))
+    return np.array(blochsim._apply_rotation(rotation, *(np.full(1, v) for v in state)))[:, 0]
 
 
-def free(state, duration, relax, det, m_eq):
-    """The engine's free-evolution kernel on one Bloch vector, precessing at ``det``."""
-    mx, my, mz = (np.float64(v) for v in state)
-    return np.array(blochsim._free_arrays(mx, my, mz, np.float64(det) * duration, duration, relax, m_eq))
+def free(state, duration, relax, det, m_eq, shared=0.0):
+    """The engine's free-evolution kernel on one Bloch vector, precessing at
+    ``det``: ``shared`` of it as the phase the lines share, the rest as the
+    line's own detuning."""
+    mx, my, mz = (np.full((1, 1), v) for v in state)
+    psi = np.full(1, shared * duration)
+    line_det = np.full((1, 1), det - shared)
+    return np.array(blochsim._free(mx, my, mz, psi, line_det, duration, relax, m_eq))[:, 0, 0]
 
 
 def _narrow_species():
@@ -57,8 +63,8 @@ def _resonant_env(species, **kwargs):
     return Environment(static_field_tesla=b_res, **kwargs)
 
 
-class TestApplyPulse:
-    """The engine's pulse kernel, ``blochsim._pulse_arrays``."""
+class TestPulseRotation:
+    """The engine's pulse kernel: ``blochsim._pulse_rotation`` applied by ``_apply_rotation``."""
 
     def test_resonant_pi_inverts(self):
         mx, my, mz = pulse((0, 0, 1), W1, "+x", 480e-9, 0.0)
@@ -134,8 +140,8 @@ class TestApplyPulse:
             assert np.allclose(half, full, atol=1e-12)
 
 
-class TestEvolveFree:
-    """The engine's free-evolution kernel, ``blochsim._free_arrays``."""
+class TestFreeEvolution:
+    """The engine's free-evolution kernel, ``blochsim._free``."""
 
     def test_half_recovery_point(self):
         mz = free((0, 0, -1), RELAX.t1_seconds * math.log(2), RELAX, 0.0, m_eq=1.0)[2]
@@ -161,6 +167,17 @@ class TestEvolveFree:
             v /= np.linalg.norm(v)
             out = free(v, rng.uniform(0, 1e-3), RELAX, rng.normal() * 1e6, m_eq=0.5)
             assert np.linalg.norm(out) <= np.linalg.norm(v) + 1e-9
+
+    def test_shared_phase_and_line_detuning_add(self):
+        # the precession may be split in any way between the phase the lines
+        # share and the line's own detuning
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            v = rng.normal(size=3)
+            duration, det = rng.uniform(0, 1e-4), rng.normal() * 1e6
+            whole = free(v, duration, RELAX, det, m_eq=0.5)
+            split = free(v, duration, RELAX, det, m_eq=0.5, shared=rng.normal() * 1e6)
+            assert np.allclose(split, whole, rtol=0, atol=1e-9)
 
 
 class TestEnvelopes:
@@ -407,6 +424,32 @@ class TestSweepEngine:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestRotationBuilds:
+    """The engine builds a pulse's rotation once per block, for all lines at
+    once, unless the pulse's duration names the sweep variable."""
+
+    CONFIG = load_config({})
+
+    @pytest.mark.parametrize("name", ["three_pulse_ed_echo", "hahn_echo", "nutation"])
+    def test_builds_per_block(self, name):
+        cfg = self.CONFIG
+        ast = parse((SEQ_DIR / f"{name}.seq").read_text())
+        values = [float(v) for v in sweep_values(ast.sweep)]
+        pulses = [s for s in ast.statements if isinstance(s, PulseStmt)]
+        if any(p.duration == ast.sweep.name for p in pulses):  # nutation: one build per point
+            per_block = values
+        else:  # each pulse once; the readout pi/2 is not rebuilt at each of the 61 points
+            per_block = [statement_duration(p, cfg.environment) for p in pulses]
+        ensemble = EnsembleSpec(3, 4000, 1)  # 12 000 trajectories: two blocks
+        with mock.patch.object(blochsim, "_pulse_rotation", wraps=blochsim._pulse_rotation) as build:
+            blochsim._run_engine(ast, values, cfg.environment, cfg.species, cfg.relaxation, ensemble)
+        assert [c.args[3] for c in build.call_args_list] == 2 * per_block
+        # one call per block holds both hyperfine lines
+        shapes = [c.args[0].shape for c in build.call_args_list]
+        blocks = [(2, blochsim._BLOCK), (2, 12000 - blochsim._BLOCK)]
+        assert shapes == [shape for shape in blocks for _ in per_block]
 
 
 class TestRunProgram:

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from spintrap.cli import main
-from spintrap.config import _INTEGER_KEYS, _SECTIONS, ConfigError, _resolved_dict, config_hash, load_config
+from spintrap.config import (_INTEGER_KEYS, _SECTIONS, _STRING_KEYS, ConfigError, _resolved_dict, config_hash,
+                             load_config)
 from spintrap.spincore import EnsembleSpec
 from spintrap.trace import read_trace_csv
 
@@ -106,6 +107,23 @@ def test_refusal_names_its_key(tmp_path, capsys, name):
     assert main(["nutation", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
+
+
+@pytest.mark.parametrize("name", _KEYS)
+@pytest.mark.parametrize("kind", ["other-scalar", "null", "list", "object"])
+def test_wrong_json_type_refused(tmp_path, capsys, name, kind):
+    # a string for a number key (a number for a string key), null, a list or
+    # an object: refused with exit 2 and one line naming the key; a null
+    # coupling does not mean the derived default
+    section, key = name.split(".")
+    value = {"other-scalar": 8.6 if name in _STRING_KEYS else "8.6", "null": None, "list": [1],
+             "object": {"a": 1}}[kind]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    assert main(["nutation", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1, err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("name, literal", [

@@ -61,15 +61,15 @@ pass.  The points of a sweep differ only in the durations that name the
 sweep variable, and the walk resolves each statement's duration at the
 point's value (:func:`seqlang.statement_duration`).  Each block draws its
 static offsets (continuing one stream-0 generator) and its noise once for
-every point.  The statements before the first swept one are propagated
-once per block, for both lines together; each point then runs the rest
-from a copy of that state.  A pulse after them is built at the first point
-and kept for the block, unless its duration names the sweep variable: that
-one is rebuilt at each point.  A block stops at the last acquire, since
-nothing reads the state after it, so the window of a final acquire is never
-evolved and its draw rows are not drawn.  None of this moves a draw: the
-RNG layout above is unchanged and a swept point gives the same numbers as
-the unswept program with its value written in.
+every point.  The statements before the first swept one are walked once
+per block, for both lines together; each point then walks the rest from
+that state to the last acquire in one walk.  A pulse after them is built at
+the first point and kept for the block, unless its duration names the sweep
+variable: that one is rebuilt at each point.  Nothing reads the state after
+the last acquire, so the walk takes it without its window: the window is
+never evolved and its draw rows are not drawn.  None of this moves a draw:
+the RNG layout above is unchanged and a swept point gives the same numbers
+as the unswept program with its value written in.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ import numpy as np
 
 from . import trapdyn
 from .errors import CsvFormatError, SequenceError
-from .seqlang import (AcquireStmt, DelayStmt, PulseStmt, SequenceAst, SweepDecl, statement_duration,
-                      sweep_values)
+from .seqlang import AcquireStmt, DelayStmt, PulseStmt, SequenceAst, statement_duration, sweep_values
 from .spincore import (
     EnsembleSpec,
     Environment,
@@ -296,24 +295,24 @@ def _moments(channel, mx, my, mz):
     return sums
 
 
-def _walk(statements, value, state, block, rotations, env, m0, w1, relax):
-    """Propagate ``state = (mx, my, mz, walk, acc, j, k)`` through ``statements``
-    at sweep value ``value``.
+def _walk(statements, value, state, block, rotations, moments, env, m0, w1, relax):
+    """Propagate ``state = (mx, my, mz, walk, j)`` through ``statements`` at
+    sweep value ``value``; each acquire appends its moment sums to ``moments``.
 
     ``mx, my, mz`` are ``(n_lines, n)`` arrays, one row per resonance line.
     ``walk`` is each trajectory's current noise-walk frequency offset
-    (rad/s), which the lines share, ``j`` the next free evolution and ``k``
-    the next acquire, whose moment sums go to ``acc[:, k]`` (written in
-    place; no other array is).  ``block = (static, line_det, det, draws)``:
-    the block's static offsets ``(n,)``, the lines' detunings ``(n_lines, 1)``,
-    their sum ``det``, and the standard normals, rows ``2j, 2j+1`` for the
-    ``j``-th free evolution (None when there is no spectral diffusion).
-    ``rotations`` keeps each pulse's rotation and the duration it was built
-    for, by statement, for the next point, which rebuilds it (in place) only
-    if the duration changed; None keeps nothing.  An acquire records its
-    moments and then evolves freely over its window.
+    (rad/s), which the lines share, and ``j`` the next free evolution.
+    ``block = (static, line_det, det, draws)``: the block's static offsets
+    ``(n,)``, the lines' detunings ``(n_lines, 1)``, their sum ``det``, and
+    the standard normals, rows ``2j, 2j+1`` for the ``j``-th free evolution
+    (None when there is no spectral diffusion).  ``rotations`` keeps each
+    pulse's rotation and the duration it was built for, by statement, for
+    the next point, which rebuilds it (in place) only if the duration
+    changed; None keeps nothing.  An acquire records its moments
+    (:func:`_moments`) and then evolves freely over its window.  No array of
+    ``state`` is written in place, so each point may start from the same one.
     """
-    mx, my, mz, walk, acc, j, k = state
+    mx, my, mz, walk, j = state
     static, line_det, det, draws = block
     diffusion = relax.diffusion_constant
     for stmt in statements:
@@ -327,8 +326,7 @@ def _walk(statements, value, state, block, rotations, env, m0, w1, relax):
             mx, my, mz = _apply_rotation(rotation, mx, my, mz)
             continue
         if isinstance(stmt, AcquireStmt):
-            acc[:, k] = _moments(stmt.channel, mx, my, mz)
-            k += 1
+            moments.append(_moments(stmt.channel, mx, my, mz))
         if not _evolves_freely(stmt):
             continue
         # the phase the lines share; each line adds its own line_det * duration
@@ -341,7 +339,7 @@ def _walk(statements, value, state, block, rotations, env, m0, w1, relax):
             walk = walk + increment
         j += 1
         mx, my, mz = _free(mx, my, mz, psi, line_det, duration, relax, m0)
-    return mx, my, mz, walk, acc, j, k
+    return mx, my, mz, walk, j
 
 
 def _block_offsets(ensemble: EnsembleSpec, sigma: float):
@@ -375,18 +373,15 @@ def _run_engine(ast, values, env, species, relax, ensemble):
     cov_xy, var_z)`` at acquire ``k`` of point ``i``.  An acquire sums only
     what its channel reads, so an echo's ``z`` and ``var_z``, and the ``x``,
     ``y``, ``var_x``, ``var_y`` and ``cov_xy`` of an mz or charge acquire,
-    are 0.
+    are 0.  Per block, one :func:`_walk` takes the shared prefix, and one per
+    point the rest, to the last acquire without its window (see Sweeps).
     """
-    statements = [s for s in ast.statements if not isinstance(s, SweepDecl)]
-    # Nothing after the last acquire is read, so each point stops there; the
-    # statements before the first swept one are propagated once per block,
-    # and each point continues from that state.
-    end = max(i for i, s in enumerate(statements) if isinstance(s, AcquireStmt))
+    end = max(i for i, s in enumerate(ast.statements) if isinstance(s, AcquireStmt))
+    statements = (*ast.statements[:end], AcquireStmt(ast.statements[end].channel))
     name = ast.sweep.name if ast.sweep is not None else None
     n_shared = next((i for i, s in enumerate(statements[:end])
                      if not isinstance(s, AcquireStmt) and s.duration == name), end)
-    n_free = sum(map(_evolves_freely, statements[:end]))
-    n_acquire = len(ast.acquire_channels)
+    n_free = sum(map(_evolves_freely, statements))
 
     m0, w1, sigma, lines = _ensemble_setup(env, species)
     line_det = np.array([[d] for _, d in lines])
@@ -394,7 +389,7 @@ def _run_engine(ast, values, env, species, relax, ensemble):
 
     # The lines and every point share each block's draws; partial sums are
     # added in block order.
-    sums = np.zeros((len(lines), len(values), n_acquire, _ACC_FIELDS))
+    sums = np.zeros((len(lines), len(values), len(ast.acquire_channels), _ACC_FIELDS))
     for b, static in enumerate(_block_offsets(ensemble, sigma)):
         draws = None
         if relax.diffusion_constant > 0.0:
@@ -402,21 +397,18 @@ def _run_engine(ast, values, env, species, relax, ensemble):
             draws = stream.standard_normal((2 * n_free, static.size))
         det = line_det + static
         block = (static, line_det, det, draws)
-        start = (np.zeros(det.shape), np.zeros(det.shape), np.full(det.shape, m0), np.zeros(static.size),
-                 np.zeros((len(lines), n_acquire, _ACC_FIELDS)), 0, 0)
-        # the shared prefix is walked once, so it keeps no rotation
-        mx, my, mz, walk, acc, j, k = _walk(statements[:n_shared], None, start, block, None, env, m0,
-                                            w1, relax)
-        del start  # free the starting state while the points run
+        shared = []  # the moments of the acquires in the prefix
+        # the prefix is walked once, so it keeps no rotation, and its start state is not kept
+        state = _walk(statements[:n_shared], None,
+                      (np.zeros(det.shape), np.zeros(det.shape), np.full(det.shape, m0),
+                       np.zeros(static.size), 0), block, None, shared, env, m0, w1, relax)
         rotations = {}  # a fixed pulse is built at the first point and kept
         for i, value in enumerate(values):
-            px, py, pz, _, point_acc, _, k_last = _walk(
-                statements[n_shared:end], value, (mx, my, mz, walk, acc.copy(), j, k), block, rotations,
-                env, m0, w1, relax)
-            point_acc[:, k_last] = _moments(statements[end].channel, px, py, pz)  # the last acquire
-            sums[:, i] += point_acc
+            moments = shared.copy()
+            _walk(statements[n_shared:], value, state, block, rotations, moments, env, m0, w1, relax)
+            sums[:, i] += np.stack(moments, axis=1)
 
-    stats = np.zeros((len(values), n_acquire, _ACC_FIELDS))
+    stats = np.zeros(sums.shape[1:])
     for (weight, _), acc in zip(lines, sums):
         mean = acc[..., :3] / n_traj
         mx, my, mz = np.moveaxis(mean, -1, 0)
@@ -452,7 +444,7 @@ _CHANNEL_UNITS = {"mz": "dimensionless", "echo": "dimensionless", "charge": "C"}
 
 
 def run_program(ast: SequenceAst, env: Environment, species: SpinSpecies, relax: RelaxationParams,
-                ensemble: EnsembleSpec, trap: "trapdyn.TrapParams | None" = None) -> dict[str, SignalTrace]:
+                ensemble: EnsembleSpec, trap: trapdyn.TrapParams) -> dict[str, SignalTrace]:
     """Run a parsed pulse program; one trace per acquisition channel.
 
     An unswept program's x axis (``time``) holds the acquire times.  A swept
@@ -461,46 +453,42 @@ def run_program(ast: SequenceAst, env: Environment, species: SpinSpecies, relax:
     ``pulse_duration``.  Each trace's ``y_stderr`` holds the Monte Carlo
     standard error of each value, and its own meta dict holds the seed, the
     ensemble layout, the equilibrium mz that echo amplitudes are measured
-    against, and a swept program's ``sweep_variable``.  A swept program that
-    acquires a channel twice, or whose sweep values do not increase, raises
-    SequenceError, and so does an unswept one that acquires a channel twice
-    at the same time.
+    against, and a swept program's ``sweep_variable``.  A channel's x column
+    must strictly increase, so a swept program that acquires a channel
+    twice, or whose sweep values do not increase, raises SequenceError, and
+    so does an unswept one that acquires a channel twice at the same time.
     """
-    if trap is None and "charge" in ast.acquire_channels:
-        raise ValueError("program acquires the charge channel but no trap parameters were given")
     meta = {"rng_seed": ensemble.rng_seed, "n_static": ensemble.n_static, "n_noise": ensemble.n_noise}
-    sweep, points, axis_kind = ast.sweep, [None], "time"  # an unswept program is the single point None
-    if sweep is not None:
-        # a swept trace holds one value per point, so a second acquire on the
-        # same channel would have nowhere to go
-        repeated = sorted({c for c in ast.acquire_channels if ast.acquire_channels.count(c) > 1})
-        if repeated:
-            raise SequenceError(f"swept sequence acquires channel {', '.join(repeated)} more than once; "
-                                "a sweep records one value per channel and point")
+    acquires = [s for s in ast.statements if isinstance(s, AcquireStmt)]
+    sweep = ast.sweep
+    if sweep is None:  # the single point None; x holds each acquire's time
+        points, axis_kind, t, times = [None], "time", 0.0, []
+        for stmt in ast.statements:
+            if isinstance(stmt, AcquireStmt):
+                times.append(t)
+            t += statement_duration(stmt, env)
+    else:
         points = [float(v) for v in sweep_values(sweep)]
         meta["sweep_variable"] = sweep.name
         axis_kind = "tau" if DelayStmt(sweep.name) in ast.statements else "pulse_duration"
-    else:  # x holds each acquire's time, the sum of the durations before it
-        t, starts = 0.0, []  # (channel, time) per acquire
-        for stmt in ast.statements:
-            if isinstance(stmt, AcquireStmt):
-                # a channel's samples form a trace over strictly increasing times
-                if (stmt.channel, t) in starts:
-                    raise SequenceError(f"channel {stmt.channel!r} is acquired twice at t = {t!r} s")
-                starts.append((stmt.channel, t))
-            t += statement_duration(stmt, env)
+    columns: dict[str, tuple[list, list, list]] = {}  # per channel: x values, values, stderrs
+    for value in points:
+        for k, acquire in enumerate(acquires):
+            columns.setdefault(acquire.channel, ([], [], []))[0].append(value if sweep else times[k])
+    for channel, (x, _, _) in sorted(columns.items()):  # a trace's x axis strictly increases
+        repeat = next((b for a, b in zip(x, x[1:]) if b <= a), None)
+        if repeat is not None:
+            raise SequenceError(f"swept sequence acquires channel {channel} more than once; a sweep records "
+                                "one value per channel and point" if sweep else
+                                f"channel {channel!r} is acquired twice at t = {repeat!r} s")
 
-    acquires = [s for s in ast.statements if isinstance(s, AcquireStmt)]
     m0, stats = _run_engine(ast, points, env, species, relax, ensemble)
     meta["equilibrium_mz"] = m0
-    columns: dict[str, tuple[list, list, list]] = {}  # per channel: x values, values, stderrs
-    for value, point_stats in zip(points, stats):
-        for k, (acquire, stat) in enumerate(zip(acquires, point_stats)):
-            xs, values, ses = columns.setdefault(acquire.channel, ([], [], []))
-            xs.append(starts[k][1] if sweep is None else value)
+    for point_stats in stats:
+        for acquire, stat in zip(acquires, point_stats):
+            _, values, ses = columns[acquire.channel]
             y, se = _channel_value(acquire, stat, m0, trap)
             values.append(y)
             ses.append(se)
-    return {channel: SignalTrace(axis_kind, xs, values, _CHANNEL_UNITS[channel], dict(meta),
-                                 y_stderr=ses)
+    return {channel: SignalTrace(axis_kind, xs, values, _CHANNEL_UNITS[channel], dict(meta), y_stderr=ses)
             for channel, (xs, values, ses) in sorted(columns.items())}

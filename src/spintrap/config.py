@@ -42,24 +42,7 @@ from .spincore import (SPECIES_PRESETS, DANGLING_BOND, EnsembleSpec, Environment
 from .spectrum import SweepSpec
 from .trapdyn import TrapParams
 
-__all__ = ["ConfigError", "SpectrumConfig", "RunConfig", "load_config", "config_hash"]
-
-
-@dataclass(frozen=True)
-class SpectrumConfig(SweepSpec):
-    """The field sweep, over the preset lines by default, plus the display
-    amplitudes of those lines."""
-
-    b_start_tesla: float = 8.560
-    b_stop_tesla: float = 8.600
-    phosphorus_amplitude_amperes: float = 6.0e-10  # 1% of the 60 nA baseline
-    db_amplitude_ratio: float = 0.05  # "barely visible" background line; 0 drops it
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for name in ("phosphorus_amplitude_amperes", "db_amplitude_ratio"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+__all__ = ["ConfigError", "RunConfig", "load_config", "config_hash"]
 
 
 @dataclass(frozen=True)
@@ -69,7 +52,7 @@ class RunConfig:
     relaxation: RelaxationParams
     trap: TrapParams
     ensemble: EnsembleSpec
-    spectrum: SpectrumConfig
+    spectrum: SweepSpec
 
     def species_amplitudes(self) -> list[tuple[SpinSpecies, float]]:
         """Line list for the field sweep: the main species plus the db line."""
@@ -87,7 +70,7 @@ _SECTIONS = {
     "relaxation": RelaxationParams,
     "trap": TrapParams,
     "ensemble": EnsembleSpec,
-    "spectrum": SpectrumConfig,
+    "spectrum": SweepSpec,
 }
 
 _INTEGER_KEYS = {"ensemble.n_static", "ensemble.n_noise", "ensemble.rng_seed", "spectrum.n_points"}

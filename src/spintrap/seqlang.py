@@ -9,15 +9,17 @@ Grammar (one statement per line, ``#`` starts a comment)::
 
 Time literals take a mandatory unit suffix (``ns``/``us``/``ms``/``s``); plain
 and scientific notation numbers are accepted.  ``<name>`` references the one
-allowed sweep variable, which may not be named ``auto``.  A pulse without
-``dur=`` takes its duration from the drive strength (``angle / (2 pi
-f_rabi)``, see :func:`statement_duration`), so the same script runs under
-different Rabi frequencies.
+allowed sweep variable, which may not be named ``auto``.  The ``sweep`` line
+may sit on any line; it is not a statement that runs, and the AST keeps it
+apart (``SequenceAst.sweep``).  A pulse without ``dur=`` takes its
+duration from the drive strength (``angle / (2 pi f_rabi)``, see
+:func:`statement_duration`), so the same script runs under different Rabi
+frequencies.
 
-:func:`unparse` emits a canonical form (lowercase keywords, durations printed
-as an integer count of the largest exact unit) with ``parse(unparse(ast))``
-structurally equal to ``ast``.  Comments are dropped -- the format is lossy
-for them by design.
+:func:`unparse` emits a canonical form (the sweep line first, lowercase
+keywords, durations printed as an integer count of the largest exact unit)
+with ``parse(unparse(ast))`` structurally equal to ``ast``.  Comments are
+dropped -- the format is lossy for them by design.
 """
 
 from __future__ import annotations
@@ -88,14 +90,8 @@ class SweepDecl:
 
 @dataclass(frozen=True)
 class SequenceAst:
-    statements: tuple
-
-    @property
-    def sweep(self) -> SweepDecl | None:
-        for stmt in self.statements:
-            if isinstance(stmt, SweepDecl):
-                return stmt
-        return None
+    statements: tuple  # the pulses, delays and acquires, in order
+    sweep: SweepDecl | None = None
 
     @property
     def acquire_channels(self) -> tuple[str, ...]:
@@ -228,7 +224,7 @@ def parse(source_text: str) -> SequenceAst:
     syntax or validation failure.
     """
     statements = []
-    sweep_line: int | None = None
+    sweep, sweep_line = None, None
     var_refs: list[tuple[str, int, int]] = []
     for lineno, raw in enumerate(source_text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -241,19 +237,19 @@ def parse(source_text: str) -> SequenceAst:
             raise SequenceError(f"unknown statement {keyword!r}", lineno, col)
         stmt = parser(tokens, lineno)
         if isinstance(stmt, SweepDecl):
-            if sweep_line is not None:
+            if sweep is not None:
                 raise SequenceError(
                     f"duplicate sweep declaration (first on line {sweep_line})", lineno, col
                 )
-            sweep_line = lineno
+            sweep, sweep_line = stmt, lineno
+            continue
         if isinstance(stmt, DelayStmt) and isinstance(stmt.duration, str):
             var_refs.append((stmt.duration, lineno, col))
         if isinstance(stmt, PulseStmt) and isinstance(stmt.duration, str) and stmt.duration != AUTO:
             var_refs.append((stmt.duration, lineno, col))
         statements.append(stmt)
 
-    ast = SequenceAst(statements=tuple(statements))
-    sweep = ast.sweep
+    ast = SequenceAst(tuple(statements), sweep)
     for name, lineno, col in var_refs:
         if sweep is None or name != sweep.name:
             raise SequenceError(f"undeclared sweep variable {name!r}", lineno, col)
@@ -289,12 +285,12 @@ def _format_angle(angle_deg: float) -> str:
 def unparse(ast: SequenceAst) -> str:
     """Render the canonical source text of an AST (see module docstring)."""
     lines = []
+    sweep = ast.sweep
+    if sweep is not None:  # the canonical form declares the sweep first
+        lines.append(f"sweep {sweep.name} {_format_time(sweep.start)} {_format_time(sweep.stop)} "
+                     f"{sweep.steps}")
     for stmt in ast.statements:
-        if isinstance(stmt, SweepDecl):
-            lines.append(
-                f"sweep {stmt.name} {_format_time(stmt.start)} {_format_time(stmt.stop)} {stmt.steps}"
-            )
-        elif isinstance(stmt, PulseStmt):
+        if isinstance(stmt, PulseStmt):
             line = f"pulse {_format_angle(stmt.angle_deg)} {stmt.phase}"
             if stmt.duration != AUTO:
                 dur = stmt.duration if isinstance(stmt.duration, str) else _format_time(stmt.duration)
@@ -303,7 +299,7 @@ def unparse(ast: SequenceAst) -> str:
         elif isinstance(stmt, DelayStmt):
             dur = stmt.duration if isinstance(stmt.duration, str) else _format_time(stmt.duration)
             lines.append(f"delay {dur}")
-        else:  # an AcquireStmt, the last of the four statement types
+        else:  # an AcquireStmt, the last of the three statement types
             line = f"acquire {stmt.channel}"
             if stmt.window is not None:
                 line += f" window={_format_time(stmt.window)}"

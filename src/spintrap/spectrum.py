@@ -24,12 +24,16 @@ LINESHAPES = ("gaussian", "lorentzian")
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Field axis and lineshape of one synthesized spectrum."""
+    """Field axis and lineshape of one synthesized spectrum, by default over
+    the preset lines, plus the display amplitudes of those lines (the
+    config's ``spectrum`` section)."""
 
-    b_start_tesla: float
-    b_stop_tesla: float
+    b_start_tesla: float = 8.560
+    b_stop_tesla: float = 8.600
     n_points: int = 2001
     lineshape: str = "gaussian"
+    phosphorus_amplitude_amperes: float = 6.0e-10  # 1% of the 60 nA baseline
+    db_amplitude_ratio: float = 0.05  # "barely visible" background line; 0 drops it
 
     def __post_init__(self) -> None:
         if self.b_start_tesla >= self.b_stop_tesla:
@@ -39,6 +43,9 @@ class SweepSpec:
             raise ValueError(f"n_points must be >= 2, got {self.n_points}")
         if self.lineshape not in LINESHAPES:
             raise ValueError(f"lineshape must be one of {LINESHAPES}, got {self.lineshape!r}")
+        for name in ("phosphorus_amplitude_amperes", "db_amplitude_ratio"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def field_axis(self) -> np.ndarray:
         return np.linspace(self.b_start_tesla, self.b_stop_tesla, self.n_points)

@@ -61,9 +61,16 @@ class TrapParams:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.coupling_amplitude_amperes is None:
-            peak = _peak_trapped_fraction(self.capture_rate_per_second, self.emission_rate_per_second)
-            object.__setattr__(self, "coupling_amplitude_amperes",
-                               0.01 * self.baseline_current_amperes / peak)
+            try:
+                coupling = 0.01 * self.baseline_current_amperes / _peak_trapped_fraction(
+                    self.capture_rate_per_second, self.emission_rate_per_second)
+            except (ValueError, ArithmeticError):  # a rate ratio past the float range
+                coupling = math.nan
+            if not 0.0 < coupling < math.inf:
+                raise ValueError("capture_rate_per_second and emission_rate_per_second give no finite "
+                                 "positive coupling_amplitude_amperes; set coupling_amplitude_amperes "
+                                 "explicitly")
+            object.__setattr__(self, "coupling_amplitude_amperes", coupling)
         elif self.coupling_amplitude_amperes <= 0:
             raise ValueError(f"coupling_amplitude_amperes must be > 0, got {self.coupling_amplitude_amperes}")
 

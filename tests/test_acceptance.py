@@ -19,7 +19,6 @@ from spintrap.fitkit import compare_models, fit
 from spintrap.seqlang import (
     AcquireStmt,
     SequenceError,
-    SweepDecl,
     parse,
     statement_duration,
     unparse,
@@ -153,7 +152,7 @@ def test_criterion_05_echo_noise_calibration():
     ensemble = EnsembleSpec(n_static=1, n_noise=100000, rng_seed=20260810)
     lines = []
     for tau in (40e-6, 80e-6, 120e-6):
-        trace = run_program(_hahn(tau), env, species, relax, ensemble)["echo"]
+        trace = run_program(_hahn(tau), env, species, relax, ensemble, TrapParams())["echo"]
         m0 = trace.meta["equilibrium_mz"]
         amp = trace.y[0] / m0
         se = trace.y_stderr[0] / m0
@@ -175,7 +174,7 @@ def test_criterion_06_closed_loop_fit():
     taus = np.linspace(10e-6, 250e-6, 25)
     amps = []
     for tau in taus:
-        trace = run_program(_hahn(float(tau)), env, species, relax, ensemble)["echo"]
+        trace = run_program(_hahn(float(tau)), env, species, relax, ensemble, TrapParams())["echo"]
         amps.append(trace.y[0] / trace.meta["equilibrium_mz"])
     sim_trace = SignalTrace("tau", tuple(taus), tuple(amps))
     res = fit("echo_cubic", sim_trace)
@@ -305,13 +304,12 @@ def test_criterion_09_parser():
         ast = parse((SEQ_DIR / f"{name}.seq").read_text())
         sweep = ast.sweep
         for stmt in ast.statements:
-            if not isinstance(stmt, SweepDecl):
-                duration = statement_duration(stmt, env, sweep.start if sweep else None)
-                # every statement takes time but an acquire without a window
-                if isinstance(stmt, AcquireStmt) and stmt.window is None:
-                    assert duration == 0.0
-                else:
-                    assert 0.0 < duration < math.inf
+            duration = statement_duration(stmt, env, sweep.start if sweep else None)
+            # every statement takes time but an acquire without a window
+            if isinstance(stmt, AcquireStmt) and stmt.window is None:
+                assert duration == 0.0
+            else:
+                assert 0.0 < duration < math.inf
         resolved += 1
 
     for source in BAD_SEQUENCES:

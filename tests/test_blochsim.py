@@ -275,7 +275,7 @@ def _hahn(tau_s):
     return parse(f"pulse pi/2 +x\ndelay {tau_s!r}s\npulse pi +x\ndelay {tau_s!r}s\nacquire echo\n")
 
 
-class TestRunTimeline:
+class TestOnePointPhysics:
     """The physics of :func:`run_program` on one-point programs."""
 
     def test_echo_refocuses_static_dephasing(self):
@@ -285,7 +285,8 @@ class TestRunTimeline:
         for width in (1e-5, 3e-4):
             species = SpinSpecies(1.9985, 0.0, 0.0, width)
             env = _resonant_env(species, rabi_frequency_hz=5e8)  # near-ideal pulses
-            tr = run_program(_hahn(tau), env, species, RELAX_NONOISE, EnsembleSpec(2000, 1, 11))["echo"]
+            tr = run_program(_hahn(tau), env, species, RELAX_NONOISE, EnsembleSpec(2000, 1, 11),
+                             TrapParams())["echo"]
             amp = tr.y[0] / tr.meta["equilibrium_mz"]
             assert amp == pytest.approx(math.exp(-2 * tau / RELAX.t2_seconds), rel=2e-3)
 
@@ -293,7 +294,7 @@ class TestRunTimeline:
         species = _narrow_species()
         env = _resonant_env(species)
         tau = 80e-6
-        tr = run_program(_hahn(tau), env, species, RELAX, EnsembleSpec(1, 20000, 7))["echo"]
+        tr = run_program(_hahn(tau), env, species, RELAX, EnsembleSpec(1, 20000, 7), TrapParams())["echo"]
         m0 = tr.meta["equilibrium_mz"]
         amp = tr.y[0] / m0
         se = tr.y_stderr[0] / m0
@@ -306,17 +307,10 @@ class TestRunTimeline:
         # 2000 trajectories fit one block; 12 000 span two, so the fixed
         # block-order reduction is exercised
         for ens in (EnsembleSpec(50, 40, 123), EnsembleSpec(3, 4000, 123)):
-            a = run_program(ast, env, species, RELAX, ens)["echo"]
-            b = run_program(ast, env, species, RELAX, ens)["echo"]
-            c = run_program(ast, env, species, RELAX, ens)["echo"]
+            a = run_program(ast, env, species, RELAX, ens, TrapParams())["echo"]
+            b = run_program(ast, env, species, RELAX, ens, TrapParams())["echo"]
+            c = run_program(ast, env, species, RELAX, ens, TrapParams())["echo"]
             assert a.y.tolist() == b.y.tolist() == c.y.tolist()
-
-    def test_charge_channel_needs_trap_params(self):
-        species = _narrow_species()
-        env = _resonant_env(species)
-        ast = parse("pulse pi +x\nacquire charge window=10ms")
-        with pytest.raises(ValueError, match="trap"):
-            run_program(ast, env, species, RELAX, EnsembleSpec(2, 1, 1))
 
     @pytest.mark.parametrize("emission_rate, window", [(400.0, "15ms"), (200.0, "30ms")])
     def test_unwindowed_charge_integrates_six_emission_times(self, emission_rate, window):
@@ -336,7 +330,7 @@ class TestRunTimeline:
         species = _narrow_species()
         env = _resonant_env(species)
         tr = run_program(parse("pulse pi +x\nacquire mz"), env, species, RELAX_NONOISE,
-                         EnsembleSpec(4, 1, 1))["mz"]
+                         EnsembleSpec(4, 1, 1), TrapParams())["mz"]
         assert tr.y[0] == pytest.approx(-tr.meta["equilibrium_mz"], abs=1e-9)
 
 
@@ -419,7 +413,8 @@ class TestSweepEngine:
         ast = parse("pulse pi +x\nacquire mz")
         tracemalloc.start()
         try:
-            run_program(ast, cfg.environment, cfg.species, cfg.relaxation, EnsembleSpec(10**6, 1, 5))
+            run_program(ast, cfg.environment, cfg.species, cfg.relaxation, EnsembleSpec(10**6, 1, 5),
+                        cfg.trap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -515,7 +510,7 @@ class TestNoiseCalibration:
         relax = RelaxationParams(t1_seconds=1e3, t2_seconds=1e3, t_s_seconds=200e-6)
         for t in (60e-6, 100e-6):
             ast = parse(f"pulse pi/2 +x\ndelay {t!r}s\nacquire echo\n")
-            tr = run_program(ast, env, species, relax, EnsembleSpec(1, 20000, 21))["echo"]
+            tr = run_program(ast, env, species, relax, EnsembleSpec(1, 20000, 21), TrapParams())["echo"]
             m0 = tr.meta["equilibrium_mz"]
             amp = tr.y[0] / m0
             se = tr.y_stderr[0] / m0
@@ -527,7 +522,7 @@ class TestNoiseCalibration:
         env = _resonant_env(species)
         relax = RelaxationParams(t1_seconds=1e3, t2_seconds=1e3, t_s_seconds=200e-6)
         tau = 100e-6
-        tr = run_program(_hahn(tau), env, species, relax, EnsembleSpec(1, 20000, 22))["echo"]
+        tr = run_program(_hahn(tau), env, species, relax, EnsembleSpec(1, 20000, 22), TrapParams())["echo"]
         m0 = tr.meta["equilibrium_mz"]
         amp = tr.y[0] / m0
         se = tr.y_stderr[0] / m0
@@ -554,7 +549,7 @@ class TestNoiseCalibrationAcrossSeeds:
             expected = math.exp(-8 * tau**3 / relax.t_s_seconds**3)
         z = []
         for seed in range(first_seed, first_seed + 200):
-            tr = run_program(ast, env, species, relax, EnsembleSpec(1, 4000, seed))["echo"]
+            tr = run_program(ast, env, species, relax, EnsembleSpec(1, 4000, seed), TrapParams())["echo"]
             m0 = tr.meta["equilibrium_mz"]
             z.append((tr.y[0] / m0 - expected) / (tr.y_stderr[0] / m0))
         assert abs(np.mean(z)) <= 0.25

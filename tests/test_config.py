@@ -109,6 +109,22 @@ def test_refusal_names_its_key(tmp_path, capsys, name):
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err, err
 
 
+@pytest.mark.parametrize("capture, emission", [(5e-324, 1e308), (1e308, 1e-308)],
+                         ids=["rate-ratio-underflows", "rate-ratio-overflows"])
+def test_underivable_coupling_names_the_keys(tmp_path, capsys, capture, emission):
+    # the rates' peak trapped fraction is not a positive finite number, so
+    # the default coupling cannot be derived from it
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"trap": {"capture_rate_per_second": capture,
+                                         "emission_rate_per_second": emission}}))
+    assert main(["transient", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for key in ("coupling_amplitude_amperes", "capture_rate_per_second", "emission_rate_per_second"):
+        assert key in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("name", _KEYS)
 @pytest.mark.parametrize("kind", ["other-scalar", "null", "list", "object"])
 def test_wrong_json_type_refused(tmp_path, capsys, name, kind):

@@ -59,6 +59,18 @@ class TestParse:
         with pytest.raises(SequenceError, match="duplicate sweep"):
             parse(src)
 
+    def test_sweep_line_may_come_last(self):
+        # the sweep is not a statement: where its line sits changes nothing,
+        # and the canonical form declares it first
+        body = "pulse pi/2 +x\ndelay tau\nacquire echo"
+        first = parse(f"sweep tau 10us 30us 3\n{body}")
+        assert parse(f"{body}\nsweep tau 10us 30us 3\n") == first
+        assert [type(s).__name__ for s in first.statements] == ["PulseStmt", "DelayStmt", "AcquireStmt"]
+        assert unparse(parse(f"{body}\nsweep tau 10us 30us 3")).splitlines()[0] == "sweep tau 10us 30us 3"
+        with pytest.raises(SequenceError, match=r"duplicate sweep declaration \(first on line 4\)") as err:
+            parse(f"{body}\nsweep tau 10us 30us 3\n  sweep tau 10us 30us 3")
+        assert (err.value.line, err.value.column) == (5, 3)
+
     def test_undeclared_variable(self):
         with pytest.raises(SequenceError, match="undeclared"):
             parse("delay tau\nacquire mz")
@@ -78,7 +90,7 @@ class TestParse:
 
     def test_sweep_variable_in_pulse_duration(self):
         ast = parse("sweep tp 10ns 1us 5\npulse pi +x dur=tp\nacquire mz")
-        assert ast.statements[1].duration == "tp"
+        assert ast.statements[0].duration == "tp"
 
 
 class TestUnparse:
@@ -232,7 +244,7 @@ class TestCompile:
         ast = parse("sweep tau 5us 50us 4\npulse pi/2 +x dur=2us\ndelay tau\npulse pi +x dur=tau\n"
                     "acquire echo")
         for value in sweep_values(ast.sweep):
-            durations = [statement_duration(s, Environment(), float(value)) for s in ast.statements[1:]]
+            durations = [statement_duration(s, Environment(), float(value)) for s in ast.statements]
             assert durations == [2e-6, value, value, 0.0]
 
     def test_acquire_window_occupies_time(self):

@@ -54,7 +54,7 @@ class TestFieldSweep:
         assert len(find_dips(trace, 0.05)) == 2
 
 
-class TestFindPeaks:
+class TestSpectrumDips:
     """The dips of a synthesized spectrum, found by ``reference.find_dips``."""
 
     def test_flat_trace_empty(self):

@@ -46,10 +46,14 @@ depend only on the seed and the ensemble layout.
 Engine
 ------
 A block holds both hyperfine lines at once: the state is three
-``(n_lines, n_block)`` arrays, one row per line.  A trajectory's static
-offset, its noise walk and its draws are the same on every line, which
-differ only by the line's own detuning.  So a free evolution takes the
-cosine and sine of the phase the lines share once per trajectory, and
+``(n_lines, n_block)`` arrays, one row per line.  Row ``l`` carries its
+line's weight ``w_l``: it starts at ``(0, 0, w_l m0)`` and relaxes toward
+``w_l m0``.  An acquire reads the sum of the rows, one readout per
+trajectory, whose mean and variance of the mean are the stats, so the
+variance includes the covariance between the lines.  A trajectory's
+static offset, its noise walk and its draws are the same on every line,
+which differ only by the line's own detuning.  So a free evolution takes
+the cosine and sine of the phase the lines share once per trajectory, and
 turns each line by its scalar ``decay e^{i delta T}`` by angle addition.
 Every pulse is the per-trajectory 3x3 rotation about its effective field,
 applied as nine multiplies and six adds.
@@ -163,7 +167,7 @@ def _free(mx, my, mz, psi, line_det, duration, relax, m_eq):
     Trajectory ``t`` of line ``l`` turns by ``psi[t] + line_det[l] *
     duration``.  ``cos psi`` and ``sin psi`` are taken once for all lines;
     each line's scalar ``decay e^{i line_det duration}`` joins them by angle
-    addition.  ``line_det`` has shape ``(n_lines, 1)``.
+    addition.  ``line_det`` and ``m_eq`` have shape ``(n_lines, 1)``.
     """
     decay = np.exp(-duration / relax.t2_seconds)
     turn = line_det * duration
@@ -283,23 +287,24 @@ def _evolves_freely(stmt) -> bool:
 
 
 def _moments(channel, mx, my, mz):
-    """Each line's ``_ACC_FIELDS`` moment sums that an acquire of ``channel``
-    reads, as an ``(n_lines, _ACC_FIELDS)`` array; the rest stay 0."""
-    sums = np.zeros((mx.shape[0], _ACC_FIELDS))
+    """The ``_ACC_FIELDS`` moment sums of the readout, the sum of the line
+    rows, that an acquire of ``channel`` reads; the rest stay 0."""
+    sums = np.zeros(_ACC_FIELDS)
     if channel == "echo":
-        sums[:, 0], sums[:, 1] = mx.sum(axis=1), my.sum(axis=1)
-        sums[:, 3], sums[:, 4] = (mx * mx).sum(axis=1), (my * my).sum(axis=1)
-        sums[:, 5] = (mx * my).sum(axis=1)
+        x, y = mx.sum(axis=0), my.sum(axis=0)
+        sums[[0, 1, 3, 4, 5]] = x.sum(), y.sum(), (x * x).sum(), (y * y).sum(), (x * y).sum()
     else:  # mz and charge read mz alone
-        sums[:, 2], sums[:, 6] = mz.sum(axis=1), (mz * mz).sum(axis=1)
+        z = mz.sum(axis=0)
+        sums[[2, 6]] = z.sum(), (z * z).sum()
     return sums
 
 
-def _walk(statements, value, state, block, rotations, moments, env, m0, w1, relax):
+def _walk(statements, value, state, block, rotations, moments, env, m_eq, w1, relax):
     """Propagate ``state = (mx, my, mz, walk, j)`` through ``statements`` at
     sweep value ``value``; each acquire appends its moment sums to ``moments``.
 
-    ``mx, my, mz`` are ``(n_lines, n)`` arrays, one row per resonance line.
+    ``mx, my, mz`` are ``(n_lines, n)`` arrays, one row per resonance line,
+    which carries its line's weight and relaxes toward its row of ``m_eq``.
     ``walk`` is each trajectory's current noise-walk frequency offset
     (rad/s), which the lines share, and ``j`` the next free evolution.
     ``block = (static, line_det, det, draws)``: the block's static offsets
@@ -338,7 +343,7 @@ def _walk(statements, value, state, block, rotations, moments, env, m0, w1, rela
             psi = (static + walk) * duration + 0.5 * duration * increment + bridge
             walk = walk + increment
         j += 1
-        mx, my, mz = _free(mx, my, mz, psi, line_det, duration, relax, m0)
+        mx, my, mz = _free(mx, my, mz, psi, line_det, duration, relax, m_eq)
     return mx, my, mz, walk, j
 
 
@@ -368,13 +373,14 @@ def _run_engine(ast, values, env, species, relax, ensemble):
     """Shared ensemble propagation of a program at each of its sweep values.
 
     ``values`` is the list of sweep values, or ``[None]`` for an unswept
-    program.  Returns ``(m0, stats)``.  ``stats[i, k]`` holds the weighted
-    means ``(x, y, z)`` and the variances of the mean ``(var_x, var_y,
-    cov_xy, var_z)`` at acquire ``k`` of point ``i``.  An acquire sums only
-    what its channel reads, so an echo's ``z`` and ``var_z``, and the ``x``,
-    ``y``, ``var_x``, ``var_y`` and ``cov_xy`` of an mz or charge acquire,
-    are 0.  Per block, one :func:`_walk` takes the shared prefix, and one per
-    point the rest, to the last acquire without its window (see Sweeps).
+    program.  Returns ``(m0, stats)``.  ``stats[i, k]`` holds the means
+    ``(x, y, z)`` and the variances of the mean ``(var_x, var_y, cov_xy,
+    var_z)`` of the readout, the sum of the line rows (see Engine), at
+    acquire ``k`` of point ``i``.  An acquire sums only what its channel
+    reads, so an echo's ``z`` and ``var_z``, and the ``x``, ``y``,
+    ``var_x``, ``var_y`` and ``cov_xy`` of an mz or charge acquire, are 0.
+    Per block, one :func:`_walk` takes the shared prefix, and one per point
+    the rest, to the last acquire without its window (see Sweeps).
     """
     end = max(i for i, s in enumerate(ast.statements) if isinstance(s, AcquireStmt))
     statements = (*ast.statements[:end], AcquireStmt(ast.statements[end].channel))
@@ -385,11 +391,12 @@ def _run_engine(ast, values, env, species, relax, ensemble):
 
     m0, w1, sigma, lines = _ensemble_setup(env, species)
     line_det = np.array([[d] for _, d in lines])
+    m_eq = np.array([[weight * m0] for weight, _ in lines])
     n_traj = ensemble.n_trajectories
 
     # The lines and every point share each block's draws; partial sums are
     # added in block order.
-    sums = np.zeros((len(lines), len(values), len(ast.acquire_channels), _ACC_FIELDS))
+    sums = np.zeros((len(values), len(ast.acquire_channels), _ACC_FIELDS))
     for b, static in enumerate(_block_offsets(ensemble, sigma)):
         draws = None
         if relax.diffusion_constant > 0.0:
@@ -400,23 +407,19 @@ def _run_engine(ast, values, env, species, relax, ensemble):
         shared = []  # the moments of the acquires in the prefix
         # the prefix is walked once, so it keeps no rotation, and its start state is not kept
         state = _walk(statements[:n_shared], None,
-                      (np.zeros(det.shape), np.zeros(det.shape), np.full(det.shape, m0),
-                       np.zeros(static.size), 0), block, None, shared, env, m0, w1, relax)
+                      (np.zeros(det.shape), np.zeros(det.shape), np.repeat(m_eq, static.size, axis=1),
+                       np.zeros(static.size), 0), block, None, shared, env, m_eq, w1, relax)
         rotations = {}  # a fixed pulse is built at the first point and kept
         for i, value in enumerate(values):
             moments = shared.copy()
-            _walk(statements[n_shared:], value, state, block, rotations, moments, env, m0, w1, relax)
-            sums[:, i] += np.stack(moments, axis=1)
+            _walk(statements[n_shared:], value, state, block, rotations, moments, env, m_eq, w1, relax)
+            sums[i] += moments
 
-    stats = np.zeros(sums.shape[1:])
-    for (weight, _), acc in zip(lines, sums):
-        mean = acc[..., :3] / n_traj
-        mx, my, mz = np.moveaxis(mean, -1, 0)
-        stats[..., :3] += weight * mean
-        var = acc[..., 3:] / n_traj - np.stack((mx * mx, my * my, mx * my, mz * mz), axis=-1)
-        var[..., [0, 1, 3]] = np.maximum(var[..., [0, 1, 3]], 0.0)  # a covariance may be negative
-        stats[..., 3:] += weight * weight / n_traj * var
-    return m0, stats
+    mean = sums[..., :3] / n_traj
+    mx, my, mz = np.moveaxis(mean, -1, 0)
+    var = sums[..., 3:] / n_traj - np.stack((mx * mx, my * my, mx * my, mz * mz), axis=-1)
+    var[..., [0, 1, 3]] = np.maximum(var[..., [0, 1, 3]], 0.0)  # a covariance may be negative
+    return m0, np.concatenate((mean, var / n_traj), axis=-1)
 
 
 def _channel_value(acquire, stat, m0, trap):

@@ -145,7 +145,7 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"spectrum.n_points must be <= {MAX_POINTS}, got {sweep.n_points}")
     _require_distinct(sweep.field_axis(),
                       f"{sweep.n_points} fields from {sweep.b_start_tesla!r} to {sweep.b_stop_tesla!r} T")
-    trace = spectrum.simulate_field_sweep(config.species_amplitudes(), config.environment, sweep)
+    trace = spectrum.simulate_field_sweep(config.species, config.environment, sweep)
     _write_output(trace, config, args.out, {"command": "spectrum"})
     return EXIT_OK
 
@@ -169,7 +169,7 @@ def cmd_transient(args) -> int:
         fraction = blochsim.pulse_flip_fraction(args.pulse_angle_deg, args.field_offset_tesla,
                                                 config.environment, config.species)
     trace = trapdyn.transient_response(fraction, config.trap, grid)
-    _write_output(trace, config, args.out, {"command": "transient", "flip_fraction": fraction})
+    _write_output(trace, config, args.out, {"command": "transient"})
     return EXIT_OK
 
 

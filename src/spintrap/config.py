@@ -37,8 +37,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
-from .spincore import (SPECIES_PRESETS, DANGLING_BOND, EnsembleSpec, Environment, RelaxationParams,
-                       SpinSpecies)
+from .spincore import SPECIES_PRESETS, EnsembleSpec, Environment, RelaxationParams, SpinSpecies
 from .spectrum import SweepSpec
 from .trapdyn import TrapParams
 
@@ -53,13 +52,6 @@ class RunConfig:
     trap: TrapParams
     ensemble: EnsembleSpec
     spectrum: SweepSpec
-
-    def species_amplitudes(self) -> list[tuple[SpinSpecies, float]]:
-        """Line list for the field sweep: the main species plus the db line."""
-        return [
-            (self.species, self.spectrum.phosphorus_amplitude_amperes),
-            (DANGLING_BOND, self.spectrum.phosphorus_amplitude_amperes * self.spectrum.db_amplitude_ratio),
-        ]
 
 
 # The schema: section -> its class, whose fields are the section's keys.

@@ -1,11 +1,12 @@
 """Field-swept spectrum synthesis: hyperfine doublet plus broad background line.
 
 Resonance only ever reduces the current, so the synthesized signal is a sum
-of negative-going lines.  A species with hyperfine splitting contributes two
-lines whose combined amplitude is conserved; the nuclear polarization tilts
-the pair (negative polarization makes the high-field line the larger one).
-Lineshapes are normalized to unit peak so the per-species amplitude is the
-line depth in amperes.
+of negative-going lines: the main species' and the dangling-bond line, whose
+depths in amperes the :class:`SweepSpec` holds.  A species with hyperfine
+splitting contributes two lines whose combined depth is conserved; the
+nuclear polarization tilts the pair (negative polarization makes the
+high-field line the larger one).  Lineshapes are normalized to unit peak so
+a species' depth is the depth of its lines summed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spincore import Environment, SpinSpecies, resonance_lines
+from .spincore import DANGLING_BOND, Environment, SpinSpecies, resonance_lines
 from .trace import SignalTrace
 
 __all__ = ["SweepSpec", "simulate_field_sweep"]
@@ -57,23 +58,22 @@ def _unit_peak_line(b, center, width, lineshape):
     return 1.0 / (1.0 + ((b - center) / width) ** 2)
 
 
-def simulate_field_sweep(
-    species_amplitudes: list[tuple[SpinSpecies, float]],
-    env: Environment,
-    sweep: SweepSpec,
-) -> SignalTrace:
+def simulate_field_sweep(species: SpinSpecies, env: Environment, sweep: SweepSpec) -> SignalTrace:
     """Synthesize the current change dI(B) over a field sweep.
 
-    ``species_amplitudes`` pairs each species with its total line depth in
-    amperes.  A hyperfine pair splits that depth by the nuclear-manifold
-    populations: the low-field line carries ``(1 + p)/2`` for nuclear
-    polarization ``p`` (:func:`spincore.resonance_lines`).  dI <= 0 everywhere.
+    ``species`` has total line depth ``sweep.phosphorus_amplitude_amperes``,
+    and the :data:`spincore.DANGLING_BOND` line that depth times
+    ``sweep.db_amplitude_ratio``.  A hyperfine pair splits its depth by the
+    nuclear-manifold populations: the low-field line carries ``(1 + p)/2``
+    for nuclear polarization ``p`` (:func:`spincore.resonance_lines`).
+    dI <= 0 everywhere.
     """
     b = sweep.field_axis()
     di = np.zeros_like(b)
-    for species, amplitude in species_amplitudes:
-        for center, weight in resonance_lines(species, env.mw_frequency_hz):
-            di -= amplitude * weight * _unit_peak_line(b, center, species.linewidth_tesla, sweep.lineshape)
+    depth = sweep.phosphorus_amplitude_amperes
+    for source, amplitude in ((species, depth), (DANGLING_BOND, depth * sweep.db_amplitude_ratio)):
+        for center, weight in resonance_lines(source, env.mw_frequency_hz):
+            di -= amplitude * weight * _unit_peak_line(b, center, source.linewidth_tesla, sweep.lineshape)
     return SignalTrace(
         axis_kind="field",
         x=b,

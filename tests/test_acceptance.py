@@ -25,7 +25,6 @@ from spintrap.seqlang import (
 )
 from spintrap.spectrum import SweepSpec, simulate_field_sweep
 from spintrap.spincore import (
-    DANGLING_BOND,
     PHOSPHORUS,
     EnsembleSpec,
     Environment,
@@ -62,10 +61,9 @@ def _hahn(tau):
 def test_criterion_01_spectrum_positions():
     start = time.perf_counter()
     step = 2e-5
-    sweep = SweepSpec(8.560, 8.600, int(round((8.600 - 8.560) / step)) + 1)
-    trace = simulate_field_sweep(
-        [(PHOSPHORUS, 1.0), (DANGLING_BOND, 0.05)], Environment(), sweep
-    )
+    sweep = SweepSpec(8.560, 8.600, int(round((8.600 - 8.560) / step)) + 1,
+                      phosphorus_amplitude_amperes=1.0, db_amplitude_ratio=0.05)
+    trace = simulate_field_sweep(PHOSPHORUS, Environment(), sweep)
     peaks = find_dips(trace, 0.02)
     assert len(peaks) == 3
     (db_field, db_depth), (lo_field, lo_depth), (hi_field, hi_depth) = peaks

@@ -499,6 +499,24 @@ class TestRunProgram:
         if swept:
             assert {t.meta["sweep_variable"] for t in traces.values()} == {parse(source).sweep.name}
 
+    def test_coincident_doublet_reads_as_its_singlet(self):
+        # the two lines of `doublet` fall on one float field, so each trajectory
+        # reads exactly what the singlet's does: the standard error must carry
+        # the covariance between the lines, not only each line's own variance
+        doublet = SpinSpecies(1.9985, 1e-16, -0.3, 3e-4)
+        singlet = SpinSpecies(1.9985, 0.0, -0.3, 3e-4)
+        assert len({b for b, _ in resonance_lines(doublet, 240e9)}) == 1
+        source = ("pulse pi/2 +x\ndelay 20us\npulse pi +x\ndelay 20us\nacquire echo\n"
+                  "pulse pi/2 +x\nacquire mz\nacquire charge")
+        cfg, env = self.CONFIG, _resonant_env(singlet)
+        a, b = (run_program(parse(source), env, species, cfg.relaxation, EnsembleSpec(16, 4, 3), cfg.trap)
+                for species in (doublet, singlet))
+        assert sorted(a) == sorted(b) == ["charge", "echo", "mz"]
+        for channel in a:
+            assert a[channel].y_stderr[0] > 0
+            np.testing.assert_allclose(a[channel].y, b[channel].y, rtol=1e-9)
+            np.testing.assert_allclose(a[channel].y_stderr, b[channel].y_stderr, rtol=1e-9)
+
 
 class TestNoiseCalibration:
     """Monte Carlo Wiener-walk amplitudes against the closed-form laws."""

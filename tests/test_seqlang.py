@@ -206,7 +206,7 @@ class TestRoundTripProperty:
         assert parse(unparse(ast)) == ast
 
 
-class TestCompile:
+class TestStatementDuration:
     """``statement_duration``: the seconds each statement occupies at a sweep point."""
 
     def test_inversion_recovery_total_duration(self):

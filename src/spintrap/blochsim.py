@@ -39,9 +39,9 @@ trajectories at once, as a ``(2 * n_free, n_block)`` array.  The engine
 walks the program's statements in order; the ``j``-th free evolution (a
 delay, or the window of an acquire, which records its moments first) takes
 rows ``2j, 2j+1``.  Both hyperfine lines reuse the block's draws, and so
-does every sweep point of a sequence (common random numbers).  Partial
-sums are accumulated per block and reduced in block order, so results
-depend only on the seed and the ensemble layout.
+does every sweep point of a sequence (common random numbers).  Each block's
+sums and its moments centred on its own means are merged in block order,
+so results depend only on the seed and the ensemble layout.
 
 Engine
 ------
@@ -269,16 +269,10 @@ def nutation_curve(
         for lo in range(0, durations.size, rows):
             mz = _rabi_mz(m0, w1, det, durations[lo:lo + rows, None])
             y[lo:lo + rows] += weight * mz.mean(axis=1)
-    return SignalTrace(
-        axis_kind="pulse_duration",
-        x=durations,
-        y=y,
-        units="dimensionless",
-        meta={"rng_seed": ensemble.rng_seed, "n_static": ensemble.n_static},
-    )
+    return SignalTrace("pulse_duration", durations, y)
 
 
-_ACC_FIELDS = 7  # sum_x, sum_y, sum_z, sum_xx, sum_yy, sum_xy, sum_zz
+_ACC_FIELDS = 7  # sum_x, sum_y, sum_z, then the centred m_xx, m_yy, m_xy, m_zz
 
 
 def _evolves_freely(stmt) -> bool:
@@ -287,15 +281,23 @@ def _evolves_freely(stmt) -> bool:
 
 
 def _moments(channel, mx, my, mz):
-    """The ``_ACC_FIELDS`` moment sums of the readout, the sum of the line
-    rows, that an acquire of ``channel`` reads; the rest stay 0."""
+    """The ``_ACC_FIELDS`` moments of the readout, the sum of the line rows,
+    that an acquire of ``channel`` reads: its sums, and the sums of squares
+    and products of its deviations from their mean over the block (centred,
+    so they do not cancel when the spread is small against the mean); the
+    rest stay 0."""
     sums = np.zeros(_ACC_FIELDS)
     if channel == "echo":
         x, y = mx.sum(axis=0), my.sum(axis=0)
-        sums[[0, 1, 3, 4, 5]] = x.sum(), y.sum(), (x * x).sum(), (y * y).sum(), (x * y).sum()
+        sx, sy = x.sum(), y.sum()
+        x -= sx / x.size
+        y -= sy / y.size
+        sums[[0, 1, 3, 4, 5]] = sx, sy, (x * x).sum(), (y * y).sum(), (x * y).sum()
     else:  # mz and charge read mz alone
         z = mz.sum(axis=0)
-        sums[[2, 6]] = z.sum(), (z * z).sum()
+        sz = z.sum()
+        z -= sz / z.size
+        sums[[2, 6]] = sz, (z * z).sum()
     return sums
 
 
@@ -394,9 +396,10 @@ def _run_engine(ast, values, env, species, relax, ensemble):
     m_eq = np.array([[weight * m0] for weight, _ in lines])
     n_traj = ensemble.n_trajectories
 
-    # The lines and every point share each block's draws; partial sums are
-    # added in block order.
+    # The lines and every point share each block's draws; the blocks' moments
+    # are merged in block order.
     sums = np.zeros((len(values), len(ast.acquire_channels), _ACC_FIELDS))
+    n_done = 0  # trajectories in `sums`
     for b, static in enumerate(_block_offsets(ensemble, sigma)):
         draws = None
         if relax.diffusion_constant > 0.0:
@@ -410,16 +413,22 @@ def _run_engine(ast, values, env, species, relax, ensemble):
                       (np.zeros(det.shape), np.zeros(det.shape), np.repeat(m_eq, static.size, axis=1),
                        np.zeros(static.size), 0), block, None, shared, env, m_eq, w1, relax)
         rotations = {}  # a fixed pulse is built at the first point and kept
+        block_sums = np.empty_like(sums)
         for i, value in enumerate(values):
             moments = shared.copy()
             _walk(statements[n_shared:], value, state, block, rotations, moments, env, m_eq, w1, relax)
-            sums[i] += moments
+            block_sums[i] = moments
+        # the centred moments of two sets add, plus the outer product of the
+        # difference of their means times n_a n_b / (n_a + n_b) (Chan, Golub
+        # & LeVeque, Am. Stat. 37, 242 (1983)); the sums add
+        dx, dy, dz = np.moveaxis(block_sums[..., :3] / static.size - sums[..., :3] / max(n_done, 1), -1, 0)
+        sums[..., 3:] += np.stack((dx * dx, dy * dy, dx * dy, dz * dz), axis=-1) * (
+            n_done * static.size / (n_done + static.size))
+        sums += block_sums
+        n_done += static.size
 
-    mean = sums[..., :3] / n_traj
-    mx, my, mz = np.moveaxis(mean, -1, 0)
-    var = sums[..., 3:] / n_traj - np.stack((mx * mx, my * my, mx * my, mz * mz), axis=-1)
-    var[..., [0, 1, 3]] = np.maximum(var[..., [0, 1, 3]], 0.0)  # a covariance may be negative
-    return m0, np.concatenate((mean, var / n_traj), axis=-1)
+    # the means, and the variances of the mean: the centred moments / n^2
+    return m0, np.concatenate((sums[..., :3] / n_traj, sums[..., 3:] / n_traj / n_traj), axis=-1)
 
 
 def _channel_value(acquire, stat, m0, trap):
@@ -454,14 +463,14 @@ def run_program(ast: SequenceAst, env: Environment, species: SpinSpecies, relax:
     one runs all of its points in one engine pass, and its x axis holds the
     sweep values: ``tau`` when a delay takes the sweep variable, else
     ``pulse_duration``.  Each trace's ``y_stderr`` holds the Monte Carlo
-    standard error of each value, and its own meta dict holds the seed, the
-    ensemble layout, the equilibrium mz that echo amplitudes are measured
+    standard error of each value.  Its meta holds only what the run computes
+    or what labels x: the equilibrium mz that echo amplitudes are measured
     against, and a swept program's ``sweep_variable``.  A channel's x column
     must strictly increase, so a swept program that acquires a channel
     twice, or whose sweep values do not increase, raises SequenceError, and
     so does an unswept one that acquires a channel twice at the same time.
     """
-    meta = {"rng_seed": ensemble.rng_seed, "n_static": ensemble.n_static, "n_noise": ensemble.n_noise}
+    meta = {}
     acquires = [s for s in ast.statements if isinstance(s, AcquireStmt)]
     sweep = ast.sweep
     if sweep is None:  # the single point None; x holds each acquire's time

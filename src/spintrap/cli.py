@@ -11,7 +11,8 @@ Subcommands::
 All commands but ``fit`` accept ``--config <json>`` (see
 :mod:`spintrap.config`) and ``--seed <int>``, and all accept ``--out <path>``.  Exit codes: 0 success, 2 invalid
 configuration/usage, 3 sequence error, 4 data error.  Outputs are CSV traces
-(or JSON for ``fit``) stamped with the resolved config hash; identical
+(or JSON for ``fit``) that hold the resolved config, its hash and, from
+``run``, the program; they re-run from those lines alone, and identical
 configuration and seed give byte-identical data sections.
 
 A flag that overrides a config key has that ``section.key`` as its argparse
@@ -101,21 +102,17 @@ def _load_config_file(args) -> RunConfig:
     return load_config(data, overrides)
 
 
-def _base_meta(config: RunConfig) -> dict:
-    from .config import config_hash
+def _write_output(trace: SignalTrace, config: RunConfig, path: str, extra_meta: dict) -> None:
+    """Write ``trace`` to ``path``.  This is the one place that chooses what a
+    file says about its inputs: over the trace's own meta and ``extra_meta``
+    (the command, and for ``run`` the channel and the program), the resolved
+    config as canonical JSON, its hash, the tool version and the time."""
+    from .config import config_hash, config_text
 
-    return {
-        "created": datetime.now(timezone.utc).isoformat(),
-        "config_hash": config_hash(config),
-        "rng_seed": config.ensemble.rng_seed,
-        "tool_version": __version__,
-    }
-
-
-def _write_output(trace: SignalTrace, config: RunConfig, path: str, extra_meta=None) -> None:
-    out = dataclasses.replace(trace, meta={**trace.meta, **_base_meta(config), **(extra_meta or {})})
-    write_trace_csv(out, path)
-    print(f"wrote {path} ({len(out)} points)")
+    write_trace_csv(dataclasses.replace(trace, meta={
+        **trace.meta, **extra_meta, "config": config_text(config), "config_hash": config_hash(config),
+        "created": datetime.now(timezone.utc).isoformat(), "tool_version": __version__}), path)
+    print(f"wrote {path} ({len(trace)} points)")
 
 
 def _require_distinct(grid: np.ndarray, what: str) -> np.ndarray:
@@ -196,10 +193,10 @@ def cmd_run(args) -> int:
     for trace in traces.values():  # refuse before any channel's file is written
         require_finite(trace)
     stem, ext = os.path.splitext(args.out)
+    program = json.dumps(seqlang.unparse(ast))  # the canonical program, on one line
     for channel, trace in traces.items():
         path = f"{stem}_{channel}{ext}" if len(traces) > 1 else args.out
-        _write_output(trace, config, path, {"command": "run", "channel": channel,
-                                            "sequence_file": args.seqfile})
+        _write_output(trace, config, path, {"command": "run", "channel": channel, "program": program})
     return EXIT_OK
 
 

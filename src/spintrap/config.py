@@ -2,22 +2,23 @@
 
 Configuration files are JSON objects whose keys carry their units
 (``t2_seconds``, ``static_field_tesla``); unknown keys are hard errors so
-typos cannot silently fall back to defaults.  One table, ``_SECTIONS``,
-names each section's class.  A section's keys are the fields of its class,
-spelled the same, so loading, hashing and the physics code share one name
-per quantity, the defaults are the class's own, and a refusal names the
-key the user wrote.  Each key takes only its own JSON type: a number,
-finite and neither ``true`` nor ``false`` (``t_s_seconds`` alone also
-takes the string ``"inf"``), or a string for ``spectrum.lineshape``;
-``null`` is refused everywhere.  A ``species.preset`` is not a field: it
-picks the species the other ``species`` keys override.  The ensemble
-counts, the seed and ``spectrum.n_points`` must be integers, and the seed
-must lie in [0, 2**64); an integer literal for any other key is stored as
-a float, so ``400`` and ``400.0`` are one configuration with one hash.
-Every section is optional and defaults to the built-in presets.  The CLI's
-override flags reach :func:`load_config` as ``{"section.key": value}``.  The
-resolved configuration (defaults filled in) is hashed into every output file so
-traces can be matched to the physics that produced them.
+typos cannot silently fall back to defaults.  The types are the schema:
+``_SECTIONS``, the annotations of :class:`RunConfig`, names each section's
+class, whose fields are the section's keys, spelled the same, so loading,
+hashing and the physics code share one name per quantity, the defaults
+are the class's own, and a refusal names the key the user wrote.  A key
+takes only the JSON type of its field's annotation: an integer for ``int``
+(the ensemble counts, the seed, in [0, 2**64), and ``spectrum.n_points``),
+a string for ``str`` (``spectrum.lineshape``), else a finite number, not
+``true`` or ``false`` (``t_s_seconds`` alone also takes ``"inf"``), and
+never ``null``.  A ``species.preset`` is not a field: it picks the species
+the other ``species`` keys override.  An integer literal for a number key
+is stored as a float, so ``400`` and ``400.0`` are one configuration with
+one hash.  Every section is optional and defaults to the built-in presets.
+The CLI's override flags reach :func:`load_config` as ``{"section.key":
+value}``.  Every output file holds :func:`config_text`, the resolved
+configuration as one line of canonical JSON that
+``load_config(json.loads(text))`` rebuilds, and its :func:`config_hash`.
 
 Example::
 
@@ -35,13 +36,14 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .spincore import SPECIES_PRESETS, EnsembleSpec, Environment, RelaxationParams, SpinSpecies
 from .spectrum import SweepSpec
 from .trapdyn import TrapParams
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "config_hash"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "config_text", "config_hash"]
 
 
 @dataclass(frozen=True)
@@ -54,35 +56,26 @@ class RunConfig:
     spectrum: SweepSpec
 
 
-# The schema: section -> its class, whose fields are the section's keys.
-# The sections are also the fields of RunConfig, in the same order.
-_SECTIONS = {
-    "environment": Environment,
-    "species": SpinSpecies,
-    "relaxation": RelaxationParams,
-    "trap": TrapParams,
-    "ensemble": EnsembleSpec,
-    "spectrum": SweepSpec,
-}
-
-_INTEGER_KEYS = {"ensemble.n_static", "ensemble.n_noise", "ensemble.rng_seed", "spectrum.n_points"}
-_STRING_KEYS = {"spectrum.lineshape"}
+# The schema: section -> its class, whose fields are the section's keys and
+# whose annotations (int, str or a number) are their kinds.
+_SECTIONS = get_type_hints(RunConfig)
 
 
 def _section_kwargs(section: str, data: dict, cls: type) -> dict:
+    kinds = get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
         name = f"{section}.{key}"
-        if key not in cls.__dataclass_fields__:
+        if key not in kinds:
             raise ConfigError(f"unknown key {name!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
-        if name in _INTEGER_KEYS:
+        if kinds[key] is int:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
         elif isinstance(value, bool):
             raise ConfigError(f"{name} must not be a boolean, got {json.dumps(value)}")
-        elif name in _STRING_KEYS:
+        elif kinds[key] is str:
             if not isinstance(value, str):
                 raise ConfigError(f"{name} must be a string, got {json.dumps(value)}")
         elif name == "relaxation.t_s_seconds" and isinstance(value, str):
@@ -146,7 +139,13 @@ def _resolved_dict(config: RunConfig) -> dict:
     }
 
 
+def config_text(config: RunConfig) -> str:
+    """The fully resolved configuration as one line of canonical JSON: sorted
+    keys, no spaces, an infinite value as ``"inf"``.  :func:`load_config`
+    of its parsed form gives the same configuration back."""
+    return json.dumps(_resolved_dict(config), sort_keys=True, separators=(",", ":"))
+
+
 def config_hash(config: RunConfig) -> str:
-    """Stable 16-hex-digit digest of the fully resolved configuration."""
-    canonical = json.dumps(_resolved_dict(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    """Stable 16-hex-digit digest of :func:`config_text`."""
+    return hashlib.sha256(config_text(config).encode("utf-8")).hexdigest()[:16]

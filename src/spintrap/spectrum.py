@@ -74,10 +74,4 @@ def simulate_field_sweep(species: SpinSpecies, env: Environment, sweep: SweepSpe
     for source, amplitude in ((species, depth), (DANGLING_BOND, depth * sweep.db_amplitude_ratio)):
         for center, weight in resonance_lines(source, env.mw_frequency_hz):
             di -= amplitude * weight * _unit_peak_line(b, center, source.linewidth_tesla, sweep.lineshape)
-    return SignalTrace(
-        axis_kind="field",
-        x=b,
-        y=di,
-        units="A",
-        meta={"lineshape": sweep.lineshape, "mw_frequency": env.mw_frequency_hz},
-    )
+    return SignalTrace("field", b, di, "A")

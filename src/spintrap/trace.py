@@ -40,7 +40,10 @@ class SignalTrace:
     the arguments; ``x`` must be strictly increasing.  ``units`` names the y
     quantity ("A", "C", or "dimensionless"); the x unit follows from
     ``axis_kind`` (Tesla for "field", seconds otherwise).  ``meta`` holds
-    reproducibility metadata (config hash, rng seed, tool version, ...).
+    string-able ``key=value`` metadata.  A physics function puts there only
+    what it computes or what labels x (``equilibrium_mz``,
+    ``sweep_variable``, ``flip_fraction``); the CLI adds what the file says
+    about its inputs (``config``, ``config_hash``, ``program``, ...).
     """
 
     axis_kind: str

@@ -106,13 +106,7 @@ def transient_response(flip_fraction: float, params: TrapParams, t_grid) -> Sign
     """
     t = np.asarray(t_grid, dtype=float)
     di = -params.coupling_amplitude_amperes * trapped_fraction(flip_fraction, params, t)
-    return SignalTrace(
-        axis_kind="time",
-        x=t,
-        y=di,
-        units="A",
-        meta={"flip_fraction": flip_fraction, "baseline_current": params.baseline_current_amperes},
-    )
+    return SignalTrace("time", t, di, "A", {"flip_fraction": flip_fraction})
 
 
 def flip_fraction_from_state(final_mz: float, equilibrium_mz: float) -> float:

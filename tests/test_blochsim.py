@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 import tracemalloc
@@ -14,10 +16,11 @@ from reference import echo_envelope_analytic, inversion_recovery_curve
 from spintrap import blochsim
 from spintrap.blochsim import nutation_curve, run_program
 from spintrap.config import load_config
-from spintrap.seqlang import PulseStmt, SequenceError, parse, statement_duration, sweep_values
+from spintrap.seqlang import (AcquireStmt, DelayStmt, PulseStmt, SequenceError, parse, statement_duration, sweep_values,
+                              unparse)
 from spintrap.spincore import (PHOSPHORUS, EnsembleSpec, Environment, RelaxationParams, SpinSpecies,
                                gyromagnetic_ratio, resonance_lines, thermal_polarization)
-from spintrap.trapdyn import TrapParams
+from spintrap.trapdyn import TrapParams, boxcar_charge
 from test_seqlang import acquire_statements, delay_statements, pulse_statements
 
 W1 = 2 * math.pi * (1.0 / (2 * 480e-9))  # default drive, rad/s
@@ -490,14 +493,31 @@ class TestRunProgram:
         x = traces["echo" if "echo" in traces else "mz"].x
         # an acquire's time is exactly the running float sum of the durations before it
         assert tuple(x.tolist()) == (pytest.approx(xs, rel=1e-12) if swept else xs)
-        keys = {"rng_seed", "n_static", "n_noise", "equilibrium_mz"}
         for trace in traces.values():
             assert trace.axis_kind == axis_kind
-            assert set(trace.meta) == keys | ({"sweep_variable"} if swept else set())
-            assert (trace.meta["rng_seed"], trace.meta["n_static"], trace.meta["n_noise"]) == (5, 3, 2)
+            # only what the run computes or what labels x; the CLI records the config
+            assert set(trace.meta) == {"equilibrium_mz"} | ({"sweep_variable"} if swept else set())
             assert len(trace.y_stderr) == len(trace)
         if swept:
             assert {t.meta["sweep_variable"] for t in traces.values()} == {parse(source).sweep.name}
+
+    @pytest.mark.parametrize("angle, rtol", [("1deg", 1e-8), ("0.1deg", 1e-5)])
+    @pytest.mark.parametrize("n_static, n_noise", [(20000, 1), (500, 40), (64, 1)])
+    def test_stderr_is_the_two_pass_error_of_the_readouts(self, angle, rtol, n_static, n_noise):
+        # a small flip spreads mz little against its mean, where a one-pass
+        # sum_sq/n - mean^2 cancels (it read 0 at 0.1deg); the reference is
+        # the closed-form readout of each trajectory, its spread taken about
+        # its mean; 20000 trajectories are three blocks
+        cfg = load_config(json.loads((SEQ_DIR / "pulsed_defaults.json").read_text()))
+        ensemble = EnsembleSpec(n_static, n_noise, 3)
+        trace = run_program(parse(f"pulse {angle} +x\nacquire mz"), cfg.environment, cfg.species,
+                            cfg.relaxation, ensemble, cfg.trap)["mz"]
+        m0, w1, sigma, lines = blochsim._ensemble_setup(cfg.environment, cfg.species)
+        offsets = np.concatenate(list(blochsim._block_offsets(ensemble, sigma)))
+        duration = math.radians(float(angle.removesuffix("deg"))) / w1
+        readout = sum(blochsim._rabi_mz(weight * m0, w1, det + offsets, duration) for weight, det in lines)
+        assert trace.y[0] == pytest.approx(readout.mean(), rel=1e-15)
+        assert trace.y_stderr[0] == pytest.approx(readout.std() / math.sqrt(readout.size), rel=rtol, abs=0)
 
     def test_coincident_doublet_reads_as_its_singlet(self):
         # the two lines of `doublet` fall on one float field, so each trajectory
@@ -516,6 +536,88 @@ class TestRunProgram:
             assert a[channel].y_stderr[0] > 0
             np.testing.assert_allclose(a[channel].y, b[channel].y, rtol=1e-9)
             np.testing.assert_allclose(a[channel].y_stderr, b[channel].y_stderr, rtol=1e-9)
+
+
+def _turned(ast):
+    """``ast`` with every pulse phase turned by 90 degrees about z."""
+    turn = {"+x": "+y", "+y": "-x", "-x": "-y", "-y": "+x"}
+    return dataclasses.replace(ast, statements=tuple(
+        dataclasses.replace(s, phase=turn[s.phase]) if isinstance(s, PulseStmt) else s for s in ast.statements))
+
+
+def _split(ast):
+    """``ast`` with every delay of fixed duration split into two halves.
+
+    Halving is exact in binary floating point, so each half's phase is
+    exactly half the whole's, and the relation holds to the rounding of the
+    evolution itself.  An uneven split would round each part's phase by
+    about eps times the phase, 1e-10 rad at a hyperfine line's 3.7e8 rad/s
+    over a millisecond, which would move an echo of two interfering lines
+    by more than the bound."""
+    statements = []
+    for s in ast.statements:
+        if isinstance(s, DelayStmt) and not isinstance(s.duration, str):
+            statements += [DelayStmt(s.duration / 2)] * 2
+        else:
+            statements.append(s)
+    return dataclasses.replace(ast, statements=tuple(statements))
+
+
+class TestMetamorphicRelations:
+    """Two changes to a program that leave its physics alone move no output
+    beyond rounding: turning every pulse phase by 90 degrees (the free
+    evolution, the noise walk and each readout commute with a turn about z),
+    and, without spectral diffusion, splitting a fixed delay in two."""
+
+    NO_DIFFUSION = load_config({"relaxation": {"t_s_seconds": "inf"}})
+
+    @staticmethod
+    def _assert_unmoved(ast, cfg, a, b, tol):
+        """Each channel of ``b`` is within ``tol`` of its full scale of ``a``'s:
+        the equilibrium mz for echo and mz, and the charge of flipping all of
+        it over the acquire's window for charge.  Not its peak: rounding in a
+        state of size m0 stays, and a small flip's (m0 - mz)/2 cancels."""
+        assert a.keys() == b.keys()
+        m0 = next(iter(a.values())).meta["equilibrium_mz"]
+        for acquire in (s for s in ast.statements if isinstance(s, AcquireStmt)):
+            channel, scale = acquire.channel, m0
+            if channel == "charge":
+                scale *= abs(boxcar_charge(cfg.trap, acquire.window or 6.0 / cfg.trap.emission_rate_per_second))
+            assert np.abs(b[channel].y - a[channel].y).max() <= tol * scale, channel
+
+    @staticmethod
+    def _run(ast, cfg, ensemble):
+        return run_program(ast, cfg.environment, cfg.species, cfg.relaxation, ensemble, cfg.trap)
+
+    def _check(self, ast, cfg, ensemble):
+        try:
+            plain = self._run(ast, cfg, ensemble)
+        except SequenceError:  # a channel acquired twice
+            reject()
+        self._assert_unmoved(ast, cfg, plain, self._run(_turned(ast), cfg, ensemble), 1e-14)
+        if cfg.relaxation.diffusion_constant == 0.0:
+            self._assert_unmoved(ast, cfg, plain, self._run(_split(ast), cfg, ensemble), 1e-12)
+
+    @given(source=_swept_programs(), n_static=hs.integers(1, 3), n_noise=hs.integers(1, 3),
+           seed=hs.integers(0, 2**32), diffusion=hs.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_programs(self, source, n_static, n_noise, seed, diffusion):
+        cfg = TestRunProgram.CONFIG if diffusion else self.NO_DIFFUSION
+        self._check(parse(source), cfg, EnsembleSpec(n_static, n_noise, seed))
+
+    @pytest.mark.parametrize("name, config", [
+        ("hahn_echo", "pulsed_defaults"), ("three_pulse_ed_echo", "pulsed_defaults"),
+        ("nutation", "pulsed_defaults"), ("readout_vee", "pulsed_defaults"),
+        ("inversion_recovery", "inversion_recovery")])
+    def test_shipped_sequences(self, name, config):
+        data = json.loads((SEQ_DIR / f"{config}.json").read_text())
+        ensemble = EnsembleSpec(16, 4, 1)
+        ast = parse((SEQ_DIR / f"{name}.seq").read_text())
+        self._check(ast, load_config(data), ensemble)
+        # each sweep point's delays are fixed; split them all, with no diffusion
+        data["relaxation"]["t_s_seconds"] = "inf"
+        for value in sweep_values(ast.sweep)[[0, -1]]:
+            self._check(parse(_point_source(unparse(ast), float(value))), load_config(data), ensemble)
 
 
 class TestNoiseCalibration:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -193,7 +194,8 @@ class TestInputValidation:
             assert main(["run", str(SEQ_DIR / "hahn_echo.seq"), "--config", config, "--out", str(out)]
                         + SMALL) == 0
             lines = _data_section(out).splitlines()
-            sections.append([l for l in lines if not l.startswith("# config_hash=")])  # configs differ
+            # the configs, so their text and hash, differ
+            sections.append([l for l in lines if not l.startswith(("# config=", "# config_hash="))])
         assert sections[0] == sections[1]
 
     @pytest.mark.parametrize("argv", [["transient", "--n-points", "abc"], ["fit", "x.csv"]],
@@ -240,7 +242,7 @@ class TestFileErrors:
         ("fit {dir} --model exp_decay", 4),
         ("fit {undecodable} --model exp_decay", 4),
         ("fit {csv} --model exp_decay --out {dir}", 4),
-        ("run {line_break} --out {out}", 4),
+        ("run {line_break} --out {out}", 0),
     ], ids=["run-directory", "run-undecodable", "fit-directory", "fit-undecodable",
             "fit-out-directory", "run-line-break-in-path"])
     def test_unreadable_file_exit_3_or_4(self, tmp_path, capsys, argv, code):
@@ -249,7 +251,7 @@ class TestFileErrors:
             "undecodable": tmp_path / "undecodable",
             "csv": tmp_path / "ok.csv",
             "out": tmp_path / "x.csv",
-            # a path the output's "# sequence_file=" line cannot hold
+            # a legal path that no "#" line could hold; the output records the program instead
             "line_break": tmp_path / "a\nb,c.seq",
         }
         paths["dir"].mkdir()
@@ -257,6 +259,9 @@ class TestFileErrors:
         paths["line_break"].write_text("pulse pi +x\nacquire mz\n")
         paths["csv"].write_text("x,y\n1e-5,1.0\n2e-5,0.8\n3e-5,0.6\n4e-5,0.5\n5e-5,0.4\n")
         assert main([arg.format(**paths) for arg in argv.split()]) == code
+        if code == 0:
+            assert json.loads(read_trace_csv(str(paths["out"])).meta["program"]) == "pulse pi +x\nacquire mz\n"
+            return
         assert _single_error_line(capsys).out == ""
         assert not paths["out"].exists()
         assert not any(paths["dir"].iterdir())
@@ -462,7 +467,7 @@ class TestRunCommand:
         written = {}
         write_output = cli._write_output
 
-        def record(trace, config, path, extra_meta=None):
+        def record(trace, config, path, extra_meta):
             written[path] = trace
             write_output(trace, config, path, extra_meta)
 
@@ -474,7 +479,8 @@ class TestRunCommand:
             assert main(["run", str(seq), "--config", str(SEQ_DIR / "pulsed_defaults.json"),
                          "--out", out] + SMALL) == 0
             meta = read_trace_csv(out).meta
-            assert (meta["n_static"], meta["n_noise"]) == ("16", "4")
+            ensemble = json.loads(meta["config"])["ensemble"]
+            assert (ensemble["n_static"], ensemble["n_noise"]) == (16, 4)
             assert float(meta["equilibrium_mz"]) == pytest.approx(0.968, abs=1e-3)
             assert ("sweep_variable" in meta) == swept
             assert "sweep_value" not in meta
@@ -491,6 +497,51 @@ class TestRunCommand:
         main(["run", str(SEQ_DIR / "hahn_echo.seq"), "--config", config,
               "--out", str(b), "--seed", "2"] + SMALL)
         assert _data_section(a) != _data_section(b)
+
+
+class TestFileNamesItsInputs:
+    """Every file holds the resolved config as canonical JSON (``config=``),
+    and a ``run`` file the canonical program (``program=``): those lines
+    alone run it again."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name, config_name", [
+        ("hahn_echo", "pulsed_defaults"), ("three_pulse_ed_echo", "pulsed_defaults"),
+        ("nutation", "pulsed_defaults"), ("readout_vee", "pulsed_defaults"),
+        ("inversion_recovery", "inversion_recovery")])
+    def test_rerun_from_its_own_lines(self, tmp_path, name, config_name, seed):
+        first, again = tmp_path / "first", tmp_path / "again"
+        first.mkdir()
+        again.mkdir()
+        assert main(["run", str(SEQ_DIR / f"{name}.seq"), "--config", str(SEQ_DIR / f"{config_name}.json"),
+                     "--seed", str(seed), "--out", str(first / "run.csv")]) == 0
+        written = sorted(p.name for p in first.iterdir())
+        meta = read_trace_csv(str(first / written[0])).meta
+        (tmp_path / "config.json").write_text(meta["config"])
+        (tmp_path / "program.seq").write_text(json.loads(meta["program"]))
+        assert main(["run", str(tmp_path / "program.seq"), "--config", str(tmp_path / "config.json"),
+                     "--out", str(again / "run.csv")]) == 0
+        assert sorted(p.name for p in again.iterdir()) == written
+        for file_name in written:
+            assert _data_section(again / file_name) == _data_section(first / file_name)
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["spectrum", "--n-points", "11"], set()),
+        (["transient", "--n-points", "11"], {"flip_fraction"}),
+        (["nutation", "--n-points", "11"], set()),
+        (["run", str(SEQ_DIR / "hahn_echo.seq")] + SMALL, {"channel", "equilibrium_mz", "program", "sweep_variable"}),
+    ], ids=["spectrum", "transient", "nutation", "run"])
+    def test_config_hash_is_the_hash_of_the_config_line(self, tmp_path, argv, keys):
+        # an infinite value, written as "inf", and a seed that is not the default
+        cfg = _write_config(tmp_path, {"relaxation": {"t_s_seconds": "inf"}, "ensemble": {"rng_seed": 9}})
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+        meta = read_trace_csv(str(out)).meta
+        assert set(meta) == {"axis_kind", "command", "config", "config_hash", "created", "tool_version",
+                             "units"} | keys
+        digest = hashlib.sha256(meta["config"].encode("utf-8")).hexdigest()[:16]
+        assert meta["config_hash"] == digest == config.config_hash(config.load_config(json.loads(meta["config"])))
+        assert json.loads(meta["config"])["ensemble"]["rng_seed"] == 9
 
 
 class TestNutationCommand:

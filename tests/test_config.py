@@ -7,12 +7,16 @@ from pathlib import Path
 import pytest
 
 from spintrap.cli import main
-from spintrap.config import (_INTEGER_KEYS, _SECTIONS, _STRING_KEYS, ConfigError, _resolved_dict, config_hash,
-                             load_config)
+from spintrap.config import _SECTIONS, ConfigError, _resolved_dict, config_hash, load_config
 from spintrap.spincore import EnsembleSpec
 from spintrap.trace import read_trace_csv
 
 SEQ_DIR = Path(__file__).resolve().parents[1] / "src" / "spintrap" / "sequences" / "v1"
+
+# the keys that take an integer, and a string, spelled out here as the
+# oracle for the kinds the config types' annotations give
+_INTEGER_KEYS = {"ensemble.n_static", "ensemble.n_noise", "ensemble.rng_seed", "spectrum.n_points"}
+_STRING_KEYS = {"spectrum.lineshape"}
 
 _CONFIGS = {
     "defaults": {},

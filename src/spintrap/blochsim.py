@@ -56,7 +56,10 @@ which differ only by the line's own detuning.  So a free evolution takes
 the cosine and sine of the phase the lines share once per trajectory, and
 turns each line by its scalar ``decay e^{i delta T}`` by angle addition.
 Every pulse is the per-trajectory 3x3 rotation about its effective field,
-applied as nine multiplies and six adds.
+applied as nine multiplies and six adds.  When no walk acts (no free
+evolution, or ``t_s = inf``) a static sample's ``n_noise`` trajectories
+would be copies, so each sample runs once: the layout ``n_static x 1``,
+with the same offsets and the variance taken over the samples.
 
 Sweeps
 ------
@@ -256,20 +259,24 @@ def nutation_curve(
     The oscillation frequency equals the Rabi frequency; static detuning
     inhomogeneity (the species linewidth) damps the oscillations.  Relaxation
     is suspended during pulses, so the curve is closed-form per trajectory
-    (:func:`_rabi_mz`) and needs no stochastic sampling.
+    (:func:`_rabi_mz`) and needs no noise walk.  ``y_stderr`` is the Monte
+    Carlo error of the mean over the ``n_static`` offsets, from the spread of
+    each offset's readout, the sum of the lines.
     """
     durations = np.asarray(pulse_durations, dtype=float)
     m0, w1, sigma, lines = _ensemble_setup(env, species)
     offsets = _philox(ensemble.rng_seed, _STATIC_STREAM).standard_normal(ensemble.n_static) * sigma
 
     rows = max(1, _NUTATION_CHUNK // ensemble.n_static)  # durations per chunk
-    y = np.zeros_like(durations)
-    for weight, line_det in lines:
-        det = line_det + offsets
-        for lo in range(0, durations.size, rows):
-            mz = _rabi_mz(m0, w1, det, durations[lo:lo + rows, None])
+    y, se = np.zeros_like(durations), np.empty_like(durations)
+    for lo in range(0, durations.size, rows):
+        readout = 0.0
+        for weight, line_det in lines:
+            mz = _rabi_mz(m0, w1, line_det + offsets, durations[lo:lo + rows, None])
             y[lo:lo + rows] += weight * mz.mean(axis=1)
-    return SignalTrace("pulse_duration", durations, y)
+            readout += weight * mz
+        se[lo:lo + rows] = readout.std(axis=1) / math.sqrt(ensemble.n_static)
+    return SignalTrace("pulse_duration", durations, y, y_stderr=se)
 
 
 _ACC_FIELDS = 7  # sum_x, sum_y, sum_z, then the centred m_xx, m_yy, m_xy, m_zz
@@ -390,6 +397,9 @@ def _run_engine(ast, values, env, species, relax, ensemble):
     n_shared = next((i for i, s in enumerate(statements[:end])
                      if not isinstance(s, AcquireStmt) and s.duration == name), end)
     n_free = sum(map(_evolves_freely, statements))
+    walked = n_free > 0 and relax.diffusion_constant > 0.0
+    if not walked:  # a sample's n_noise trajectories would be copies
+        ensemble = EnsembleSpec(ensemble.n_static, 1, ensemble.rng_seed)
 
     m0, w1, sigma, lines = _ensemble_setup(env, species)
     line_det = np.array([[d] for _, d in lines])
@@ -402,7 +412,7 @@ def _run_engine(ast, values, env, species, relax, ensemble):
     n_done = 0  # trajectories in `sums`
     for b, static in enumerate(_block_offsets(ensemble, sigma)):
         draws = None
-        if relax.diffusion_constant > 0.0:
+        if walked:
             stream = _philox(ensemble.rng_seed, _NOISE_STREAM_BASE + b)
             draws = stream.standard_normal((2 * n_free, static.size))
         det = line_det + static
@@ -463,7 +473,8 @@ def run_program(ast: SequenceAst, env: Environment, species: SpinSpecies, relax:
     one runs all of its points in one engine pass, and its x axis holds the
     sweep values: ``tau`` when a delay takes the sweep variable, else
     ``pulse_duration``.  Each trace's ``y_stderr`` holds the Monte Carlo
-    standard error of each value.  Its meta holds only what the run computes
+    standard error of each value; with no noise walk, ``n_noise`` does not
+    enter it (see Engine).  Its meta holds only what the run computes
     or what labels x: the equilibrium mz that echo amplitudes are measured
     against, and a swept program's ``sweep_variable``.  A channel's x column
     must strictly increase, so a swept program that acquires a channel

@@ -75,10 +75,11 @@ MIN_POINT_WORK = 1024
 
 # Longest grid of `spectrum`, `transient` and `nutation`, and largest
 # `nutation` ensemble; `nutation` also keeps points x n_static within
-# MAX_SWEEP_WORK.  At the bound a command peaks at 44-48 MB: 33-36 MB for
+# MAX_SWEEP_WORK.  At the bound a command peaks at 44-50 MB: 33-36 MB for
 # the interpreter and imports, about 6 MB for the Python floats of the two
 # columns that the CSV writer formats, and the rest for float64 arrays of
-# 0.8 MB each.  `nutation` runs about 12 s.  Larger requests exit 2 before
+# 0.8 MB each (`nutation` also holds its y_stderr, 50 MB in all).
+# `nutation` runs about 12 s.  Larger requests exit 2 before
 # anything is allocated.
 MAX_POINTS = 10**5
 

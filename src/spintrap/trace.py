@@ -2,10 +2,10 @@
 
 A :class:`SignalTrace` is the common currency between the simulation modules,
 the fitting toolkit, and the command line: read-only float64 columns ``x``,
-``y`` and, from the pulse engine, ``y_stderr``.  On disk it is a plain CSV
-with ``#``-prefixed ``key=value`` metadata lines, one ``x,y`` header row, and
-data rows printed at full double precision (17 significant digits), so two
-runs with the same configuration and seed produce byte-identical data
+``y`` and, from the pulse engine and nutation, ``y_stderr``.  On disk it is a
+plain CSV with ``#``-prefixed ``key=value`` metadata lines, one ``x,y`` header
+row, and data rows printed at full double precision (17 significant digits),
+so two runs with the same configuration and seed produce byte-identical data
 sections.  ``y_stderr`` is kept in memory only; the file holds ``x,y``.
 """
 

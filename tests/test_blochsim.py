@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as hs
 from scipy.linalg import expm
+from scipy.stats import chi2
 
 from reference import echo_envelope_analytic, inversion_recovery_curve
 from spintrap import blochsim
@@ -262,6 +263,20 @@ class TestNutation:
         trace = nutation_curve(durations, env, species, ensemble)
         assert np.array_equal(trace.y, expected)
 
+    def test_stderr_is_the_two_pass_error_of_the_offsets(self):
+        # 1000 offsets make chunks of 65 durations, so 200 durations end in a
+        # partial chunk; each offset's readout is the sum of the two lines
+        cfg = load_config(json.loads((SEQ_DIR / "pulsed_defaults.json").read_text()))
+        env, species = cfg.environment, cfg.species
+        durations = np.linspace(0, 6e-6, 200)
+        trace = nutation_curve(durations, env, species, EnsembleSpec(1000, 1, 9))
+        m0, w1, sigma, lines = blochsim._ensemble_setup(env, species)
+        offsets = blochsim._philox(9, blochsim._STATIC_STREAM).standard_normal(1000) * sigma
+        readout = sum(blochsim._rabi_mz(weight * m0, w1, det + offsets, durations[:, None]) for weight, det in lines)
+        expected = np.sqrt(((readout - readout.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)) / 1000
+        np.testing.assert_allclose(trace.y_stderr, expected, rtol=1e-9, atol=0)
+        assert (trace.y_stderr[1:] > 0).all()
+
     def test_inhomogeneity_damps_oscillations(self):
         species = SpinSpecies(1.9985, 0.0, 0.0, 3e-5)
         env = _resonant_env(species)
@@ -440,7 +455,9 @@ class TestRotationBuilds:
             per_block = values
         else:  # each pulse once; the readout pi/2 is not rebuilt at each of the 61 points
             per_block = [statement_duration(p, cfg.environment) for p in pulses]
-        ensemble = EnsembleSpec(3, 4000, 1)  # 12 000 trajectories: two blocks
+        # 12 000 trajectories: two blocks (nutation has no free evolution, so
+        # it runs one trajectory per static sample)
+        ensemble = EnsembleSpec(12000, 1, 1)
         with mock.patch.object(blochsim, "_pulse_rotation", wraps=blochsim._pulse_rotation) as build:
             blochsim._run_engine(ast, values, cfg.environment, cfg.species, cfg.relaxation, ensemble)
         assert [c.args[3] for c in build.call_args_list] == 2 * per_block
@@ -507,13 +524,13 @@ class TestRunProgram:
         # a small flip spreads mz little against its mean, where a one-pass
         # sum_sq/n - mean^2 cancels (it read 0 at 0.1deg); the reference is
         # the closed-form readout of each trajectory, its spread taken about
-        # its mean; 20000 trajectories are three blocks
+        # its mean; 20000 trajectories are three blocks.  No walk acts, so
+        # each static sample is one readout, whatever n_noise is
         cfg = load_config(json.loads((SEQ_DIR / "pulsed_defaults.json").read_text()))
-        ensemble = EnsembleSpec(n_static, n_noise, 3)
         trace = run_program(parse(f"pulse {angle} +x\nacquire mz"), cfg.environment, cfg.species,
-                            cfg.relaxation, ensemble, cfg.trap)["mz"]
+                            cfg.relaxation, EnsembleSpec(n_static, n_noise, 3), cfg.trap)["mz"]
         m0, w1, sigma, lines = blochsim._ensemble_setup(cfg.environment, cfg.species)
-        offsets = np.concatenate(list(blochsim._block_offsets(ensemble, sigma)))
+        offsets = np.concatenate(list(blochsim._block_offsets(EnsembleSpec(n_static, 1, 3), sigma)))
         duration = math.radians(float(angle.removesuffix("deg"))) / w1
         readout = sum(blochsim._rabi_mz(weight * m0, w1, det + offsets, duration) for weight, det in lines)
         assert trace.y[0] == pytest.approx(readout.mean(), rel=1e-15)
@@ -536,6 +553,64 @@ class TestRunProgram:
             assert a[channel].y_stderr[0] > 0
             np.testing.assert_allclose(a[channel].y, b[channel].y, rtol=1e-9)
             np.testing.assert_allclose(a[channel].y_stderr, b[channel].y_stderr, rtol=1e-9)
+
+
+class TestSamplesWithoutWalk:
+    """With no free evolution, or at ``t_s = inf``, no noise walk acts, so
+    the ``n_noise`` trajectories of a static sample would be copies: the
+    engine runs each sample once, and the error is taken over the samples."""
+
+    CONFIG = load_config(json.loads((SEQ_DIR / "pulsed_defaults.json").read_text()))
+    HAHN = (SEQ_DIR / "hahn_echo.seq").read_text()
+
+    def _run(self, source, t_s, ensemble):
+        """The traces, and how many trajectories the engine propagated."""
+        cfg = self.CONFIG
+        relax = dataclasses.replace(cfg.relaxation, t_s_seconds=t_s)
+        with mock.patch.object(blochsim, "_block_offsets", wraps=blochsim._block_offsets) as offsets:
+            traces = run_program(parse(source), cfg.environment, cfg.species, relax, ensemble, cfg.trap)
+        (call,) = offsets.call_args_list
+        return traces, call.args[0].n_trajectories
+
+    @pytest.mark.parametrize("source, t_s", [
+        ((SEQ_DIR / "nutation.seq").read_text(), 200e-6),
+        ("pulse 1deg +x\nacquire mz", 200e-6),
+        (HAHN, math.inf),
+    ], ids=["nutation", "1deg-mz", "hahn_echo-t_s-inf"])
+    def test_equals_one_trajectory_per_sample(self, source, t_s):
+        two_level, n_run = self._run(source, t_s, EnsembleSpec(24, 5, 7))
+        one_level, _ = self._run(source, t_s, EnsembleSpec(24, 1, 7))
+        assert two_level.keys() == one_level.keys()
+        for channel, trace in one_level.items():
+            assert two_level[channel].y_stderr.tolist() == trace.y_stderr.tolist()
+            assert two_level[channel].y.tolist() == trace.y.tolist()
+        assert n_run == 24
+
+    def test_walked_program_runs_every_trajectory(self):
+        assert self._run(self.HAHN, 200e-6, EnsembleSpec(24, 5, 7))[1] == 120
+
+    @pytest.mark.parametrize("name, channel", [("nutation", "mz"), ("hahn_echo", "echo")])
+    def test_stderr_calibrated_across_seeds(self, name, channel):
+        # a two-level layout over 200 seeds: at each point more than 5 errors
+        # from zero, the seed SD over the reported error lies in the
+        # chi-square interval of the seed count, at a family-wise level of
+        # 1e-3 over those points (Bonferroni).  The reported error is the
+        # root mean square over the seeds: at 64 samples a skewed point's
+        # median error understates its spread (a nutation point read 1.31).
+        # Counting the 8 copies of a sample as independent reads sqrt(8).
+        cfg = self.CONFIG
+        relax = dataclasses.replace(cfg.relaxation, t_s_seconds=math.inf)
+        ast = parse((SEQ_DIR / f"{name}.seq").read_text())
+        runs = [run_program(ast, cfg.environment, cfg.species, relax, EnsembleSpec(64, 8, seed), cfg.trap)[channel]
+                for seed in range(1, 201)]
+        y = np.array([trace.y for trace in runs])
+        reported = np.sqrt(np.mean([trace.y_stderr ** 2 for trace in runs], axis=0))
+        far = np.abs(y.mean(axis=0)) > 5 * reported
+        assert far.sum() >= 20
+        ratio = y.std(axis=0, ddof=1)[far] / reported[far]
+        level = 1e-3 / far.sum()
+        low, high = np.sqrt(chi2.ppf([level / 2, 1 - level / 2], len(runs) - 1) / (len(runs) - 1))
+        assert low <= ratio.min() and ratio.max() <= high, (ratio.min(), ratio.max(), low, high)
 
 
 def _turned(ast):

@@ -513,5 +513,5 @@ def run_program(ast: SequenceAst, env: Environment, species: SpinSpecies, relax:
             y, se = _channel_value(acquire, stat, m0, trap)
             values.append(y)
             ses.append(se)
-    return {channel: SignalTrace(axis_kind, xs, values, _CHANNEL_UNITS[channel], dict(meta), y_stderr=ses)
+    return {channel: SignalTrace(axis_kind, xs, values, _CHANNEL_UNITS[channel], meta, y_stderr=ses)
             for channel, (xs, values, ses) in sorted(columns.items())}

@@ -18,6 +18,11 @@ configuration and seed give byte-identical data sections.
 A flag that overrides a config key has that ``section.key`` as its argparse
 ``dest``, which ``-h`` shows as its metavar; the dotted dests that are set
 reach :func:`spintrap.config.load_config` as its ``overrides``.
+
+A call runs in one thread, numpy's BLAS included: importing this module sets
+``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set.  Importing the
+other ``spintrap`` modules sets nothing.
 """
 
 from __future__ import annotations
@@ -30,12 +35,13 @@ import gc
 # collector never looks), they are not walked by a later collection or by
 # the one at interpreter exit either.  Each command imports the modules
 # only it runs (config, engine, sequence language, fitter) in its own body,
-# so a call pays for no module it does not use.
+# so a call pays for no module it does not use.  The value types subclass
+# errors.Value, not dataclasses, so no call imports `dataclasses` or pays
+# its millisecond of class building per type.
 _collecting = gc.isenabled()
 gc.disable()
 try:
     import argparse
-    import dataclasses
     import json
     import math
     import os
@@ -43,6 +49,12 @@ try:
     from datetime import datetime, timezone
     from typing import TYPE_CHECKING
 
+    # A call computes in one thread: the engine and the fits run no BLAS in
+    # parallel.  OpenBLAS would still start a worker thread when numpy loads,
+    # which costs a rested call about 70 ms of CPU and wall time (2 vCPU), so
+    # it is kept to one thread unless the user set a thread count.
+    if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     import numpy as np
 
     from . import __version__
@@ -110,7 +122,7 @@ def _write_output(trace: SignalTrace, config: RunConfig, path: str, extra_meta: 
     config as canonical JSON, its hash, the tool version and the time."""
     from .config import config_hash, config_text
 
-    write_trace_csv(dataclasses.replace(trace, meta={
+    write_trace_csv(trace.replace(meta={
         **trace.meta, **extra_meta, "config": config_text(config), "config_hash": config_hash(config),
         "created": datetime.now(timezone.utc).isoformat(), "tool_version": __version__}), path)
     print(f"wrote {path} ({len(trace)} points)")
@@ -304,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("seqfile")
     _add_common(p, "run.csv")
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; has no effect (the engine runs in one thread)")
+                   help="accepted for compatibility; has no effect (the whole call runs in one thread)")
     p.add_argument("--n-static", type=int, dest="ensemble.n_static", help="override ensemble.n_static")
     p.add_argument("--n-noise", type=int, dest="ensemble.n_noise", help="override ensemble.n_noise")
     p.add_argument("--linewidth", type=float, dest="species.linewidth_tesla",

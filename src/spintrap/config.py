@@ -35,10 +35,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
 from typing import get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, Value
 from .spincore import SPECIES_PRESETS, EnsembleSpec, Environment, RelaxationParams, SpinSpecies
 from .spectrum import SweepSpec
 from .trapdyn import TrapParams
@@ -46,8 +45,7 @@ from .trapdyn import TrapParams
 __all__ = ["ConfigError", "RunConfig", "load_config", "config_text", "config_hash"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Value):
     environment: Environment
     species: SpinSpecies
     relaxation: RelaxationParams
@@ -117,7 +115,7 @@ def load_config(data: dict | None = None, overrides: dict | None = None) -> RunC
         raise ConfigError(
             f"unknown species.preset {preset_name!r}; expected one of {sorted(SPECIES_PRESETS)}"
         )
-    data["species"] = {**asdict(SPECIES_PRESETS[preset_name]), **species}
+    data["species"] = {**SPECIES_PRESETS[preset_name].as_dict(), **species}
 
     sections = {}
     for section, cls in _SECTIONS.items():
@@ -134,7 +132,7 @@ def _resolved_dict(config: RunConfig) -> dict:
         return "inf" if isinstance(value, float) and math.isinf(value) else value
 
     return {
-        section: {key: resolved(getattr(getattr(config, section), key)) for key in cls.__dataclass_fields__}
+        section: {key: resolved(getattr(getattr(config, section), key)) for key in cls.fields}
         for section, cls in _SECTIONS.items()
     }
 

@@ -43,12 +43,11 @@ trace the models cannot fit raises :class:`DegenerateDataError` in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, Value
 from .trace import SignalTrace
 
 __all__ = [
@@ -74,8 +73,7 @@ _XTOL = 1e-10
 _MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Value):
     model_id: str
     params: dict
     param_uncertainties: dict  # inf for a parameter the data do not constrain
@@ -92,16 +90,14 @@ class FitResult:
         return self
 
 
-@dataclass(frozen=True)
-class ModelComparison:
+class ModelComparison(Value):
     preferred: str
     delta_criterion: float  # criterion(model_a) - criterion(model_b)
     fit_a: FitResult
     fit_b: FitResult
 
 
-@dataclass(frozen=True)
-class _ModelDef:
+class _ModelDef(Value):
     param_names: tuple[str, ...]  # the amplitude a, then the nonlinear q
     shape: Callable  # (x, q) -> (g, dg): model a * g, dg[:, j] = d g / d log q_j
     start: Callable  # decade-spaced time guess t -> start values of q

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SequenceError
+from .errors import SequenceError, Value
 from .spincore import Environment
 
 __all__ = [
@@ -62,34 +61,29 @@ _MAX_SWEEP_STEPS = 10**9 - 1
 _STEPS_RE = re.compile(r"0*[1-9][0-9]{0,8}")
 
 
-@dataclass(frozen=True)
-class PulseStmt:
+class PulseStmt(Value):
     angle_deg: float
     phase: str
     duration: float | str = AUTO  # seconds, "auto", or a sweep-variable name
 
 
-@dataclass(frozen=True)
-class DelayStmt:
+class DelayStmt(Value):
     duration: float | str  # seconds or a sweep-variable name
 
 
-@dataclass(frozen=True)
-class AcquireStmt:
+class AcquireStmt(Value):
     channel: str
     window: float | None = None
 
 
-@dataclass(frozen=True)
-class SweepDecl:
+class SweepDecl(Value):
     name: str
     start: float
     stop: float
     steps: int
 
 
-@dataclass(frozen=True)
-class SequenceAst:
+class SequenceAst(Value):
     statements: tuple  # the pulses, delays and acquires, in order
     sweep: SweepDecl | None = None
 

@@ -11,10 +11,9 @@ a species' depth is the depth of its lines summed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .errors import Value
 from .spincore import DANGLING_BOND, Environment, SpinSpecies, resonance_lines
 from .trace import SignalTrace
 
@@ -23,8 +22,7 @@ __all__ = ["SweepSpec", "simulate_field_sweep"]
 LINESHAPES = ("gaussian", "lorentzian")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Value):
     """Field axis and lineshape of one synthesized spectrum, by default over
     the preset lines, plus the display amplitudes of those lines (the
     config's ``spectrum`` section)."""

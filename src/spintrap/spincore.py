@@ -27,7 +27,8 @@ for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .errors import Value
 
 __all__ = [
     "PLANCK_H",
@@ -54,8 +55,7 @@ BOHR_MAGNETON = 9.2740100783e-24  # J/T
 BOLTZMANN_K = 1.380649e-23  # J/K
 
 
-@dataclass(frozen=True)
-class SpinSpecies:
+class SpinSpecies(Value):
     """One resonant line family.
 
     Parameters
@@ -92,8 +92,7 @@ class SpinSpecies:
             raise ValueError(f"linewidth_tesla must be > 0, got {self.linewidth_tesla}")
 
 
-@dataclass(frozen=True)
-class Environment:
+class Environment(Value):
     """Static field, temperature, and drive settings of one experiment."""
 
     static_field_tesla: float = 8.58
@@ -107,8 +106,7 @@ class Environment:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class RelaxationParams:
+class RelaxationParams(Value):
     """T1, T2 and the spectral-diffusion time T_S in seconds, by default the
     preset 2.5 ms, 160 us and 200 us; an infinite ``t_s_seconds`` turns
     spectral diffusion off."""
@@ -140,8 +138,7 @@ class RelaxationParams:
             return math.inf
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(Value):
     """Monte Carlo ensemble layout.
 
     ``n_static`` static-detuning samples (Gaussian, sigma from the species

@@ -12,11 +12,10 @@ sections.  ``y_stderr`` is kept in memory only; the file holds ``x,y``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CsvFormatError, MixedConfigHashError
+from .errors import CsvFormatError, MixedConfigHashError, Value
 
 __all__ = [
     "AXIS_KINDS",
@@ -31,8 +30,7 @@ __all__ = [
 AXIS_KINDS = ("time", "field", "tau", "pulse_duration")
 
 
-@dataclass(frozen=True, eq=False)
-class SignalTrace:
+class SignalTrace(Value):
     """Sampled signal versus a time-like or field axis.
 
     ``x``, ``y`` and the optional ``y_stderr`` (the Monte Carlo standard error
@@ -40,22 +38,28 @@ class SignalTrace:
     the arguments; ``x`` must be strictly increasing.  ``units`` names the y
     quantity ("A", "C", or "dimensionless"); the x unit follows from
     ``axis_kind`` (Tesla for "field", seconds otherwise).  ``meta`` holds
-    string-able ``key=value`` metadata.  A physics function puts there only
-    what it computes or what labels x (``equilibrium_mz``,
-    ``sweep_variable``, ``flip_fraction``); the CLI adds what the file says
-    about its inputs (``config``, ``config_hash``, ``program``, ...).
+    string-able ``key=value`` metadata, in the trace's own copy of the
+    argument.  A physics function puts there only what it computes or what
+    labels x (``equilibrium_mz``, ``sweep_variable``, ``flip_fraction``); the
+    CLI adds what the file says about its inputs (``config``,
+    ``config_hash``, ``program``, ...).  A trace is equal only to itself.
     """
 
     axis_kind: str
     x: np.ndarray
     y: np.ndarray
     units: str = "dimensionless"
-    meta: dict = field(default_factory=dict)
+    meta: dict = {}  # copied per instance, so never shared
     y_stderr: np.ndarray | None = None
+
+    # equal only to itself: array columns do not compare to one truth value
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self) -> None:
         if self.axis_kind not in AXIS_KINDS:
             raise ValueError(f"axis_kind must be one of {AXIS_KINDS}, got {self.axis_kind!r}")
+        object.__setattr__(self, "meta", dict(self.meta))
         for name in ("x", "y") if self.y_stderr is None else ("x", "y", "y_stderr"):
             # a copy, so freezing it leaves the caller's array writeable
             column = np.array(getattr(self, name), dtype=float)

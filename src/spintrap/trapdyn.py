@@ -25,10 +25,10 @@ model is built to reproduce.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import Value
 from .trace import SignalTrace
 
 __all__ = [
@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrapParams:
+class TrapParams(Value):
     """Rates and electrical coupling of the capture/reemission process.
 
     The defaults encode the preset operating point: spin-allowed capture in

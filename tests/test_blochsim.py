@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -566,7 +565,7 @@ class TestSamplesWithoutWalk:
     def _run(self, source, t_s, ensemble):
         """The traces, and how many trajectories the engine propagated."""
         cfg = self.CONFIG
-        relax = dataclasses.replace(cfg.relaxation, t_s_seconds=t_s)
+        relax = cfg.relaxation.replace(t_s_seconds=t_s)
         with mock.patch.object(blochsim, "_block_offsets", wraps=blochsim._block_offsets) as offsets:
             traces = run_program(parse(source), cfg.environment, cfg.species, relax, ensemble, cfg.trap)
         (call,) = offsets.call_args_list
@@ -599,7 +598,7 @@ class TestSamplesWithoutWalk:
         # median error understates its spread (a nutation point read 1.31).
         # Counting the 8 copies of a sample as independent reads sqrt(8).
         cfg = self.CONFIG
-        relax = dataclasses.replace(cfg.relaxation, t_s_seconds=math.inf)
+        relax = cfg.relaxation.replace(t_s_seconds=math.inf)
         ast = parse((SEQ_DIR / f"{name}.seq").read_text())
         runs = [run_program(ast, cfg.environment, cfg.species, relax, EnsembleSpec(64, 8, seed), cfg.trap)[channel]
                 for seed in range(1, 201)]
@@ -616,8 +615,8 @@ class TestSamplesWithoutWalk:
 def _turned(ast):
     """``ast`` with every pulse phase turned by 90 degrees about z."""
     turn = {"+x": "+y", "+y": "-x", "-x": "-y", "-y": "+x"}
-    return dataclasses.replace(ast, statements=tuple(
-        dataclasses.replace(s, phase=turn[s.phase]) if isinstance(s, PulseStmt) else s for s in ast.statements))
+    return ast.replace(statements=tuple(
+        s.replace(phase=turn[s.phase]) if isinstance(s, PulseStmt) else s for s in ast.statements))
 
 
 def _split(ast):
@@ -635,7 +634,7 @@ def _split(ast):
             statements += [DelayStmt(s.duration / 2)] * 2
         else:
             statements.append(s)
-    return dataclasses.replace(ast, statements=tuple(statements))
+    return ast.replace(statements=tuple(statements))
 
 
 class TestMetamorphicRelations:

@@ -769,10 +769,12 @@ for argv in {calls!r}:
     _run_python(script, tmp_path)
 
 
-def _run_python(script, cwd):
-    """Run ``script`` in a fresh interpreter that imports spintrap from this checkout."""
+def _run_python(script, cwd, env=None):
+    """Run ``script`` in a fresh interpreter that imports spintrap from this
+    checkout, in ``env`` (by default this process's environment)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -787,27 +789,61 @@ def _run_python(script, cwd):
      {"fitkit"}, {"seqlang", "blochsim", "config", "spectrum", "trapdyn"}),
     (["run", str(SEQ_DIR / "hahn_echo.seq"), *SMALL, "--out", "run.csv"],
      {"seqlang", "blochsim"}, {"fitkit"}),
-], ids=["spectrum", "fit", "run"])
+    (["transient", "--n-points", "101", "--out", "transient.csv"],
+     {"config", "blochsim", "trapdyn"}, {"fitkit"}),
+    (["nutation", "--n-points", "21", "--out", "nutation.csv"],
+     {"config", "blochsim"}, {"fitkit"}),
+], ids=["spectrum", "fit", "run", "transient", "nutation"])
 def test_command_imports_only_its_modules(tmp_path, argv, loaded, absent):
     """A fresh process loads the modules its command runs and not the others,
-    and the heap its imports left is frozen out of the collector."""
+    imports neither ``dataclasses`` nor ``copy`` (the value types cost no
+    class-building time), and the heap its imports left is frozen out of the
+    collector."""
     script = f"""
 import gc, sys
 from spintrap.cli import main
 
 assert gc.get_freeze_count() > 0
 assert main({argv!r}) == 0
+assert "dataclasses" not in sys.modules and "copy" not in sys.modules
 print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("spintrap."))))
 """
     modules = set(_run_python(script, tmp_path).splitlines()[-1].split())
     assert loaded <= modules and not absent & modules, modules
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"},
+                                   {"OMP_NUM_THREADS": "2"}], ids=["unset", "openblas", "goto", "omp"])
+def test_cli_starts_no_blas_worker_unless_told(tmp_path, given):
+    """Importing the CLI keeps OpenBLAS to one thread, so a call starts no
+    BLAS worker; a thread count the user set is left as set.  The child's
+    environment is built here: this process has imported the CLI, so its own
+    environment already holds the CLI's setting."""
+    env = {key: value for key, value in os.environ.items() if key not in _THREAD_VARS}
+    script = f"""
+import json, os, sys
+import spintrap.cli
+
+threads = None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status") as fh:
+        threads = next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+print(json.dumps([{{key: os.environ[key] for key in {_THREAD_VARS!r} if key in os.environ}}, threads]))
+"""
+    seen, threads = json.loads(_run_python(script, tmp_path, {**env, **given}).splitlines()[-1])
+    assert seen == (given or {"OPENBLAS_NUM_THREADS": "1"})
+    if not given and threads is not None:
+        assert threads == 1
+
+
 # Every key of config's schema table, and values of every JSON type: numbers
 # small, huge and non-finite (json.dumps writes NaN and Infinity, which
 # json.load reads back), strings, null, arrays and objects.
 _CONFIG_KEYS = [(section, key) for section, cls in config._SECTIONS.items()
-                for key in cls.__dataclass_fields__]
+                for key in cls.fields]
 _CONFIG_KEYS += [("species", "preset")]
 _JSON_VALUES = hs.one_of(
     hs.integers(min_value=-3, max_value=40),

@@ -76,7 +76,7 @@ def test_override_flag_sets_its_key(tmp_path, command, flag, section, key, value
     assert read_trace_csv(str(out)).meta["config_hash"] == expected
 
 
-_KEYS = [f"{section}.{key}" for section, cls in _SECTIONS.items() for key in cls.__dataclass_fields__]
+_KEYS = [f"{section}.{key}" for section, cls in _SECTIONS.items() for key in cls.fields]
 
 
 @pytest.mark.parametrize("name", _KEYS + ["species.preset"])

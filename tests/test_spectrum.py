@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ SWEEP = SweepSpec(8.560, 8.600, 2001)  # 2e-5 T resolution
 def _depths(sweep, amplitude, db_ratio=0.0):
     """``sweep`` with the species' line depth ``amplitude`` and the dangling-bond
     line at ``db_ratio`` of it (0 leaves the dangling bond out)."""
-    return dataclasses.replace(sweep, phosphorus_amplitude_amperes=amplitude, db_amplitude_ratio=db_ratio)
+    return sweep.replace(phosphorus_amplitude_amperes=amplitude, db_amplitude_ratio=db_ratio)
 
 
 def _phosphorus(pol):

@@ -241,16 +241,12 @@ def cmd_fit(args) -> int:
     else:
         result = fitkit.fit(args.model, trace).require_constrained()
     report = {
-        "model_id": result.model_id,
-        "params": result.params,
+        **result.as_dict(),
         # null: a parameter the data do not constrain (reported only with --compare-with)
         "param_uncertainties": {
             name: sigma if math.isfinite(sigma) else None
             for name, sigma in result.param_uncertainties.items()
         },
-        "rss": result.rss,
-        "n_points": result.n_points,
-        "converged": result.converged,
         "config_hash": trace.meta.get("config_hash"),
         "tool_version": __version__,
     }

@@ -135,12 +135,11 @@ def _echo_cubic_shape(x, q):
 
 def _trap_biexp_shape(x, q):
     k_e, k_c = q
-    e_c = np.exp(-k_c * x)
-    if math.isclose(k_e, k_c, rel_tol=1e-12):
-        g = -k_c * x * e_c
-        return g, np.column_stack((np.zeros_like(x), g * (1.0 - k_c * x)))
     e_e = np.exp(-k_e * x)
-    return -(e_e - e_c), np.column_stack((k_e * x * e_e, -k_c * x * e_c))
+    e_c = np.exp(-k_c * x)
+    # e_c - e_e as e^{-k_slow x} (e^{-|k_c - k_e| x} - 1), so near-equal rates lose no digits
+    g = math.copysign(1.0, k_c - k_e) * (e_e if k_e < k_c else e_c) * np.expm1(-abs(k_c - k_e) * x)
+    return g, np.column_stack((k_e * x * e_e, -k_c * x * e_c))
 
 
 def _trap_biexp_normalize(p):

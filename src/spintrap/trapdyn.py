@@ -75,24 +75,31 @@ class TrapParams(Value):
 
 
 def _peak_trapped_fraction(k_c: float, k_e: float) -> float:
-    if math.isclose(k_c, k_e, rel_tol=1e-12):
+    d = k_c - k_e
+    if d == 0.0:
         return math.exp(-1.0)  # k t e^{-kt} peaks at 1/e
-    t_star = math.log(k_c / k_e) / (k_c - k_e)
-    return k_c / (k_c - k_e) * (math.exp(-k_e * t_star) - math.exp(-k_c * t_star))
+    t_star = math.log1p(d / k_e) / d  # ln(k_c/k_e)/(k_c - k_e)
+    return k_c / d * (math.exp(-k_e * t_star) * -math.expm1(-d * t_star))
+
+
+def _rise(d: float, t):
+    """``(1 - e^{-d t})/d`` for ``d >= 0`` without cancellation: ``t`` at ``d = 0``."""
+    return -np.expm1(-d * t) / d if d else t
 
 
 def trapped_fraction(flip_fraction: float, params: TrapParams, t) -> np.ndarray:
     """D- population versus time after an instantaneous flip at t=0.
 
-    Biexponential solution of the two-compartment rate equations; the
-    degenerate case ``k_c = k_e`` uses the confluent limit ``f k t e^{-kt}``.
+    Biexponential solution of the two-compartment rate equations,
+    ``f k_c/(k_c - k_e) (e^{-k_e t} - e^{-k_c t})``, evaluated as
+    ``f k_c e^{-k t} (1 - e^{-d t})/d`` with ``k = min(k_c, k_e)`` and
+    ``d = |k_c - k_e|``: no two near-equal terms are subtracted, so it holds
+    to rounding at and near ``k_c = k_e``, where it is ``f k t e^{-kt}``.
     """
     t = np.asarray(t, dtype=float)
     k_c = params.capture_rate_per_second
     k_e = params.emission_rate_per_second
-    if math.isclose(k_c, k_e, rel_tol=1e-12):
-        return flip_fraction * k_c * t * np.exp(-k_c * t)
-    return flip_fraction * k_c / (k_c - k_e) * (np.exp(-k_e * t) - np.exp(-k_c * t))
+    return flip_fraction * k_c * np.exp(-min(k_c, k_e) * t) * _rise(abs(k_c - k_e), t)
 
 
 def transient_response(flip_fraction: float, params: TrapParams, t_grid) -> SignalTrace:
@@ -124,19 +131,15 @@ def boxcar_charge(params: TrapParams, window: float) -> float:
 
     The charge is linear in the flip fraction, so a fraction ``f`` gives
     ``f`` times this.  It is the exact integral of :func:`transient_response`
-    over ``[0, window]``:
+    over ``[0, window]``,
     ``-coupling k_c/(k_c - k_e) [(1 - e^{-k_e W})/k_e - (1 - e^{-k_c W})/k_c]``,
-    or ``-coupling [1 - e^{-kW}(1 + kW)]/k`` in the confluent case
-    ``k_c = k_e``.  The trapezoidal integral of a transient sampled across
-    the window is the numerical reference.
+    evaluated as ``-coupling k_c [1 - e^{-kW} - k e^{-kW} (1 - e^{-dW})/d] / (k K)``
+    with ``k = min(k_c, k_e)``, ``K = max(k_c, k_e)`` and ``d = K - k``, which
+    holds to rounding at and near ``k_c = k_e``.  The trapezoidal integral of a
+    transient sampled across the window is the numerical reference.
     """
     k_c = params.capture_rate_per_second
     k_e = params.emission_rate_per_second
-    scale = -params.coupling_amplitude_amperes
-    if math.isclose(k_c, k_e, rel_tol=1e-12):
-        x = k_c * window
-        return scale * (-math.expm1(-x) - x * math.exp(-x)) / k_c
-    # integral_0^W e^{-k t} dt for each rate
-    area_e = -math.expm1(-k_e * window) / k_e
-    area_c = -math.expm1(-k_c * window) / k_c
-    return scale * k_c / (k_c - k_e) * (area_e - area_c)
+    k, k_fast = min(k_c, k_e), max(k_c, k_e)
+    bracket = -math.expm1(-k * window) - k * math.exp(-k * window) * _rise(k_fast - k, window)
+    return float(-params.coupling_amplitude_amperes * k_c * bracket / (k * k_fast))

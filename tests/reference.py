@@ -4,6 +4,8 @@ No command runs these; they are closed forms (and a scipy peak search) that
 give the numbers the engine, the fitter and the spectrum must reproduce.
 """
 
+from decimal import Context, Decimal, localcontext
+
 import numpy as np
 from scipy.signal import find_peaks
 
@@ -67,6 +69,57 @@ def spin_recovery_curve(params: TrapParams, t_grid, flip_fraction: float = 1.0) 
         units="dimensionless",
         meta={"flip_fraction": flip_fraction},
     )
+
+
+# 50 significant digits: the two-rate closed forms below subtract terms that
+# agree to 11 digits near k_c = k_e and keep over 35 of them
+_EXACT = Context(prec=50)
+
+
+def exact_exp_difference(a: float, b: float, t) -> np.ndarray:
+    """``e^{-a t} - e^{-b t}`` at each t, in 50-digit decimal arithmetic from
+    the exact float inputs, rounded to float."""
+    with localcontext(_EXACT):
+        a, b = Decimal(a), Decimal(b)
+        return np.array([float((-a * Decimal(ti)).exp() - (-b * Decimal(ti)).exp())
+                         for ti in np.asarray(t, dtype=float).ravel().tolist()])
+
+
+def exact_trapped_fraction(flip_fraction: float, k_c: float, k_e: float, t) -> np.ndarray:
+    """The trapped fraction ``f k_c/(k_c - k_e) (e^{-k_e t} - e^{-k_c t})``, and
+    ``f k t e^{-kt}`` at ``k_c = k_e``, in 50-digit decimal arithmetic."""
+    with localcontext(_EXACT):
+        f, kc, ke = Decimal(flip_fraction), Decimal(k_c), Decimal(k_e)
+        out = []
+        for ti in map(Decimal, np.asarray(t, dtype=float).ravel().tolist()):
+            if kc == ke:
+                out.append(f * kc * ti * (-kc * ti).exp())
+            else:
+                out.append(f * kc / (kc - ke) * ((-ke * ti).exp() - (-kc * ti).exp()))
+        return np.array([float(v) for v in out])
+
+
+def exact_trapped_charge(k_c: float, k_e: float, window: float) -> float:
+    """Integral over ``[0, window]`` of the trapped fraction after a full flip,
+    ``k_c/(k_c - k_e) [(1 - e^{-k_e W})/k_e - (1 - e^{-k_c W})/k_c]``, and
+    ``[1 - e^{-kW} (1 + kW)]/k`` at ``k_c = k_e``, in 50-digit decimal arithmetic."""
+    with localcontext(_EXACT):
+        kc, ke, w = Decimal(k_c), Decimal(k_e), Decimal(window)
+        if kc == ke:
+            return float((1 - (-kc * w).exp() * (1 + kc * w)) / kc)
+        return float(kc / (kc - ke) * ((1 - (-ke * w).exp()) / ke - (1 - (-kc * w).exp()) / kc))
+
+
+def exact_peak_trapped_fraction(k_c: float, k_e: float) -> float:
+    """Maximum over t of the trapped fraction after a full flip, at
+    ``t* = ln(k_c/k_e)/(k_c - k_e)`` (``1/k`` at ``k_c = k_e``), in 50-digit
+    decimal arithmetic."""
+    with localcontext(_EXACT):
+        kc, ke = Decimal(k_c), Decimal(k_e)
+        if kc == ke:
+            return float(Decimal(-1).exp())
+        t_star = (kc / ke).ln() / (kc - ke)
+        return float(kc / (kc - ke) * ((-ke * t_star).exp() - (-kc * t_star).exp()))
 
 
 def model_predict(model_id: str, x, params: dict) -> np.ndarray:

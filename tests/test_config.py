@@ -33,7 +33,11 @@ _CONFIGS = {
     ("dangling-bond-inf", "d335f2fb1e378db1"),
 ])
 def test_pinned_hash(name, digest):
-    # every golden and every trace already written carries one of these
+    # the shipped configs as they stand; the goldens are written with
+    # --seed 31415 (the run goldens also with --n-static and --n-noise), so
+    # they carry other hashes (e50c8fcb89a28386, b97385144bec7c4e,
+    # d21fbaee42bb76ce) that test_golden compares on regeneration.  Both
+    # move with any change to what a resolved config holds
     assert config_hash(load_config(_CONFIGS[name])) == digest
 
 

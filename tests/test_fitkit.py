@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from reference import model_predict
+from reference import exact_exp_difference, model_predict
 from spintrap import fitkit
 from spintrap.fitkit import (
     DegenerateDataError,
@@ -54,6 +54,20 @@ class TestRefitIdempotence:
         assert res.params["emission_rate_per_second"] == pytest.approx(400.0, rel=1e-3)
         assert res.params["capture_rate_per_second"] == pytest.approx(1e4, rel=1e-3)
         assert res.params["amplitude"] == pytest.approx(0.6e-9, rel=1e-3)
+
+
+@pytest.mark.parametrize("k_e, k_c", [
+    (400.0, 400.0 * (1 + 1e-11)),
+    (400.0, 400.0),
+    (400.0 * (1 + 1e-11), 400.0),
+    (400.0, 1e4),
+], ids=["near_equal", "equal", "swapped", "preset"])
+def test_trap_biexp_shape_against_exact(k_e, k_c):
+    # the model's bracket e^{-k_c x} - e^{-k_e x} holds to rounding at any rates,
+    # and is 0 where they are equal
+    x = np.linspace(0.0, 15e-3, 301)
+    g, _ = fitkit._trap_biexp_shape(x, (k_e, k_c))
+    np.testing.assert_allclose(g, exact_exp_difference(k_c, k_e, x), rtol=1e-12, atol=0)
 
 
 class TestHeadlineValues:

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from reference import spin_recovery_curve
+from reference import (
+    exact_peak_trapped_fraction,
+    exact_trapped_charge,
+    exact_trapped_fraction,
+    spin_recovery_curve,
+)
 from spintrap.trapdyn import (
     TrapParams,
     boxcar_charge,
@@ -13,6 +18,7 @@ from spintrap.trapdyn import (
 )
 
 PRESET = TrapParams()  # k0 = 1e4/s, k_e = 400/s
+NEAR_CONFLUENT = 400.0 * (1 + 1e-11)  # one rate 1e-11 above the other: no longer equal
 
 
 def rate_equation_oracle(flip_fraction, k_c, k_e, t_end, n_steps):
@@ -63,11 +69,14 @@ class TestTransientResponse:
         assert -1.0 / slope == pytest.approx(2.5e-3, rel=1e-3)
 
     def test_degenerate_rates_limit(self):
-        params = TrapParams(capture_rate_per_second=400.0, emission_rate_per_second=400.0)
+        # at k_c = k_e the confluent f k t e^{-kt}; next to it, in either
+        # order, no digits lost
         t = np.linspace(0, 20e-3, 2001)
-        frac = trapped_fraction(0.7, params, t)
-        expected = 0.7 * 400.0 * t * np.exp(-400.0 * t)
-        assert np.allclose(frac, expected, rtol=1e-9, atol=1e-15)
+        for k_c, k_e in [(400.0, 400.0), (NEAR_CONFLUENT, 400.0), (400.0, NEAR_CONFLUENT)]:
+            params = TrapParams(capture_rate_per_second=k_c, emission_rate_per_second=k_e)
+            frac = trapped_fraction(0.7, params, t)
+            np.testing.assert_allclose(frac, exact_trapped_fraction(0.7, k_c, k_e, t), rtol=1e-12, atol=0,
+                                       err_msg=f"k_c={k_c!r} k_e={k_e!r}")
 
     def test_against_rate_equation_oracle(self):
         # fixed-step integration with dt <= 1/(100 k_c) agrees within 0.1%
@@ -118,17 +127,33 @@ class TestTransientCharge:
         assert q == pytest.approx(closed, rel=1e-3)
 
 
+_BOXCAR_PARAMS = pytest.mark.parametrize(
+    "params",
+    [
+        PRESET,
+        TrapParams(capture_rate_per_second=400.0, emission_rate_per_second=400.0),
+        TrapParams(capture_rate_per_second=NEAR_CONFLUENT, emission_rate_per_second=400.0),
+    ],
+    ids=["preset", "confluent_kc_equals_ke", "near_confluent"],
+)
+
+
 class TestBoxcarCharge:
     @pytest.mark.parametrize("window", [1e-3, 10e-3])
-    @pytest.mark.parametrize(
-        "params",
-        [PRESET, TrapParams(capture_rate_per_second=400.0, emission_rate_per_second=400.0)],
-        ids=["preset", "confluent_kc_equals_ke"],
-    )
+    @_BOXCAR_PARAMS
     def test_matches_trapezoid_reference(self, params, window):
         grid = np.linspace(0.0, window, 400_001)
         reference = _charge(transient_response(0.7, params, grid))
         assert 0.7 * boxcar_charge(params, window) == pytest.approx(reference, rel=1e-8)
+
+    @pytest.mark.parametrize("window", [1e-3, 10e-3])
+    @_BOXCAR_PARAMS
+    def test_matches_exact_integral(self, params, window):
+        # the trapezoid above integrates the same float transient, so a digit
+        # lost in both closed forms alike would pass it; this reference cannot
+        k_c, k_e = params.capture_rate_per_second, params.emission_rate_per_second
+        expected = -params.coupling_amplitude_amperes * exact_trapped_charge(k_c, k_e, window)
+        assert boxcar_charge(params, window) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestFlipFraction:
@@ -189,6 +214,17 @@ class TestTrapParams:
         t = np.linspace(0, 2e-3, 20001)
         di = transient_response(1.0, PRESET, t).y
         assert np.min(di) == pytest.approx(-0.01 * PRESET.baseline_current_amperes, rel=1e-4)
+
+    @pytest.mark.parametrize("k_c, k_e", [
+        (1e4, 400.0),
+        (400.0, 400.0),
+        (NEAR_CONFLUENT, 400.0),
+        (400.0, NEAR_CONFLUENT),
+    ], ids=["preset", "equal", "near_equal", "near_equal_swapped"])
+    def test_coupling_against_exact_peak(self, k_c, k_e):
+        params = TrapParams(capture_rate_per_second=k_c, emission_rate_per_second=k_e)
+        expected = 0.01 * params.baseline_current_amperes / exact_peak_trapped_fraction(k_c, k_e)
+        assert params.coupling_amplitude_amperes == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -12,8 +12,10 @@ All commands but ``fit`` accept ``--config <json>`` (see
 :mod:`spintrap.config`) and ``--seed <int>``, and all accept ``--out <path>``.  Exit codes: 0 success, 2 invalid
 configuration/usage, 3 sequence error, 4 data error.  Outputs are CSV traces
 (or JSON for ``fit``) that hold the resolved config, its hash and, from
-``run``, the program; they re-run from those lines alone, and identical
-configuration and seed give byte-identical data sections.
+``run``, the program.  A ``run`` or ``spectrum`` file re-runs from those lines alone; a
+``transient`` or ``nutation`` file does not, as its ``--t-max`` and ``--n-points`` (and
+``transient``'s ``--pulse-angle-deg``, ``--field-offset-tesla`` and ``--flip-fraction``) are
+on no line.  Identical configuration and seed give byte-identical data sections.
 
 A flag that overrides a config key has that ``section.key`` as its argparse
 ``dest``, which ``-h`` shows as its metavar; the dotted dests that are set

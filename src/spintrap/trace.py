@@ -119,8 +119,8 @@ def read_trace_csv(path: str, allow_mixed_hash: bool = False) -> SignalTrace:
     """Parse a trace CSV, tolerating concatenated sections.
 
     Repeated ``x,y`` header rows are accepted (they appear when files are
-    concatenated), but distinct ``config_hash`` metadata values are rejected
-    unless ``allow_mixed_hash`` is set.  Errors carry the offending row.
+    concatenated).  Distinct ``config_hash`` values are refused unless ``allow_mixed_hash``
+    is set, which leaves them and ``config`` out of the meta.  Errors carry the offending row.
     """
     xs: list[float] = []
     ys: list[float] = []
@@ -162,11 +162,12 @@ def read_trace_csv(path: str, allow_mixed_hash: bool = False) -> SignalTrace:
         raise CsvFormatError("missing 'x,y' header row")
     if not xs:
         raise CsvFormatError("no data rows")
-    if len(set(hashes)) > 1 and not allow_mixed_hash:
-        raise MixedConfigHashError(
-            f"file mixes {len(set(hashes))} distinct config_hash values; "
-            "pass --force to fit anyway"
-        )
+    if len(set(hashes)) > 1:
+        if not allow_mixed_hash:
+            raise MixedConfigHashError(f"file mixes {len(set(hashes))} distinct config_hash values; "
+                                       "pass --force to fit anyway")
+        # the sections name no single config, so the trace names none
+        meta = {key: value for key, value in meta.items() if key not in ("config_hash", "config")}
     diffs = np.diff(np.asarray(xs))
     if np.any(diffs <= 0):
         raise CsvFormatError("x values not strictly increasing", rows[int(np.argmax(diffs <= 0)) + 1])

@@ -8,8 +8,8 @@ spin-allowed rate ``k0``; aligned donors are blocked and never enter the
 model.  The minimal model matching the two observed timescales is a
 two-compartment linear system: flipped donors capture an electron at rate
 ``k_c = k0`` (D0 -> D-), trapped electrons are reemitted at rate ``k_e``
-(D- -> D0), and each trapped electron reduces the current by the coupling
-amplitude.
+(D- -> D0), and each trapped electron reduces the current by a coupling
+amplitude derived from the rates and the baseline photocurrent, the one scale.
 
 Reemission randomizes the donor spin between the two anticorrelated pair
 states.  In the operating regime ``k_c >> k_e`` the anti-parallel branch of
@@ -41,11 +41,11 @@ __all__ = [
 
 
 class TrapParams(Value):
-    """Rates and electrical coupling of the capture/reemission process.
+    """Rates and current scale of the capture/reemission process.
 
     The defaults encode the preset operating point: spin-allowed capture in
-    ~100 us, reemission in 2.5 ms, 60 nA baseline photocurrent, and a
-    coupling amplitude normalized so a fully flipped donor ensemble dips the
+    ~100 us, reemission in 2.5 ms, and 60 nA baseline photocurrent, the one
+    current scale: the coupling is derived so a fully flipped donor ensemble dips the
     current by 1% of baseline at the transient extremum (a plotting default,
     the measured quantity is relative).
     """
@@ -53,25 +53,23 @@ class TrapParams(Value):
     capture_rate_per_second: float = 1.0e4  # spin-allowed capture rate k0
     emission_rate_per_second: float = 400.0  # net release rate (2.5 ms)
     baseline_current_amperes: float = 60e-9
-    coupling_amplitude_amperes: float | None = None  # per unit trapped fraction
 
     def __post_init__(self) -> None:
         for name in ("capture_rate_per_second", "emission_rate_per_second", "baseline_current_amperes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.coupling_amplitude_amperes is None:
-            try:
-                coupling = 0.01 * self.baseline_current_amperes / _peak_trapped_fraction(
-                    self.capture_rate_per_second, self.emission_rate_per_second)
-            except (ValueError, ArithmeticError):  # a rate ratio past the float range
-                coupling = math.nan
-            if not 0.0 < coupling < math.inf:
-                raise ValueError("capture_rate_per_second and emission_rate_per_second give no finite "
-                                 "positive coupling_amplitude_amperes; set coupling_amplitude_amperes "
-                                 "explicitly")
-            object.__setattr__(self, "coupling_amplitude_amperes", coupling)
-        elif self.coupling_amplitude_amperes <= 0:
-            raise ValueError(f"coupling_amplitude_amperes must be > 0, got {self.coupling_amplitude_amperes}")
+        try:
+            coupling = self.coupling_amplitude_amperes
+        except (ValueError, ArithmeticError):  # a rate ratio past the float range
+            coupling = math.nan
+        if not 0.0 < coupling < math.inf:
+            raise ValueError("capture_rate_per_second and emission_rate_per_second give no finite coupling")
+
+    @property
+    def coupling_amplitude_amperes(self) -> float:
+        """Current dip per unit trapped fraction: 1% of baseline over the rates' peak trapped fraction."""
+        return 0.01 * self.baseline_current_amperes / _peak_trapped_fraction(
+            self.capture_rate_per_second, self.emission_rate_per_second)
 
 
 def _peak_trapped_fraction(k_c: float, k_e: float) -> float:

@@ -64,12 +64,14 @@ class TestSpectrumCommand:
         assert "b_start" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
-        # a typo, and keys that were removed because no output read them
+        # a typo, and keys that were removed because no output read them or,
+        # for the coupling, because the baseline current already sets it
         for section, key, value in (
             ("spectrum", "b_strat_tesla", 8.5),
             ("trap", "conduction_polarization", -0.968),
             ("trap", "donor_density_per_cm3", 1e15),
             ("ensemble", "manifold_weights", [0.5, 0.5]),
+            ("trap", "coupling_amplitude_amperes", 7e-10),
         ):
             cfg = _write_config(tmp_path, {section: {key: value}})
             rc = main(["spectrum", "--out", str(tmp_path / "x.csv"), "--config", cfg])
@@ -714,7 +716,10 @@ class TestFitCommand:
                 shifted.append(f"{float(x) + 1.0!r},{y}")  # keep x increasing
         merged.write_text(a.read_text() + "\n".join(shifted) + "\n")
         assert main(["fit", str(merged), "--model", "exp_decay"]) == 4
-        assert main(["fit", str(merged), "--model", "exp_decay", "--force"]) == 0
+        report = tmp_path / "fit.json"
+        assert main(["fit", str(merged), "--model", "exp_decay", "--force", "--out", str(report)]) == 0
+        # the report names neither section's config
+        assert json.loads(report.read_text())["config_hash"] is None
 
 
 # y from 1e-300 to 1e300 in size, either sign, and zero

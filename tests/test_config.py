@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from spintrap.cli import main
-from spintrap.config import _SECTIONS, ConfigError, _resolved_dict, config_hash, load_config
+from spintrap.config import _SECTIONS, ConfigError, _resolved_dict, config_hash, config_text, load_config
 from spintrap.spincore import EnsembleSpec
 from spintrap.trace import read_trace_csv
 
@@ -27,17 +27,14 @@ _CONFIGS = {
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("defaults", "bcf899d5b3f13113"),
-    ("pulsed_defaults", "28348f1404287655"),
-    ("inversion_recovery", "83128cc5457c3acf"),
-    ("dangling-bond-inf", "d335f2fb1e378db1"),
+    ("defaults", "49d6276d737de6a5"),
+    ("pulsed_defaults", "077c605f46a00025"),
+    ("inversion_recovery", "1690907ccaea82bb"),
+    ("dangling-bond-inf", "c42584c93c1ed6fd"),
 ])
 def test_pinned_hash(name, digest):
-    # the shipped configs as they stand; the goldens are written with
-    # --seed 31415 (the run goldens also with --n-static and --n-noise), so
-    # they carry other hashes (e50c8fcb89a28386, b97385144bec7c4e,
-    # d21fbaee42bb76ce) that test_golden compares on regeneration.  Both
-    # move with any change to what a resolved config holds
+    # the shipped configs as they stand; a digest moves with any change to
+    # what a resolved config holds
     assert config_hash(load_config(_CONFIGS[name])) == digest
 
 
@@ -45,6 +42,17 @@ def test_pinned_hash(name, digest):
 def test_resolved_dict_round_trips(name):
     resolved = _resolved_dict(load_config(_CONFIGS[name]))
     assert _resolved_dict(load_config(resolved)) == resolved
+
+
+def test_edited_config_line_rederives_the_coupling():
+    # a file's config line holds the rates and the baseline, not the
+    # coupling they set, so editing a rate there moves the coupling as
+    # stating that rate alone does
+    edited = json.loads(config_text(load_config()))
+    edited["trap"]["capture_rate_per_second"] = 5e3
+    alone = load_config({"trap": {"capture_rate_per_second": 5e3}})
+    assert load_config(edited).trap.coupling_amplitude_amperes == alone.trap.coupling_amplitude_amperes
+    assert alone.trap.coupling_amplitude_amperes != load_config().trap.coupling_amplitude_amperes
 
 
 # flag, the commands that take it, the config key it sets, and a value that
@@ -99,7 +107,7 @@ _INVALID = {
     "species.nuclear_polarization": 1.5, "species.linewidth_tesla": 0,
     "relaxation.t1_seconds": -1, "relaxation.t2_seconds": 1, "relaxation.t_s_seconds": 0,
     "trap.capture_rate_per_second": 0, "trap.emission_rate_per_second": -400,
-    "trap.baseline_current_amperes": 0, "trap.coupling_amplitude_amperes": -1,
+    "trap.baseline_current_amperes": 0,
     "ensemble.n_static": 0, "ensemble.n_noise": 0, "ensemble.rng_seed": -1,
     "spectrum.b_start_tesla": 9, "spectrum.b_stop_tesla": 8, "spectrum.n_points": 1,
     "spectrum.lineshape": "voigt", "spectrum.phosphorus_amplitude_amperes": -1,
@@ -121,14 +129,14 @@ def test_refusal_names_its_key(tmp_path, capsys, name):
                          ids=["rate-ratio-underflows", "rate-ratio-overflows"])
 def test_underivable_coupling_names_the_keys(tmp_path, capsys, capture, emission):
     # the rates' peak trapped fraction is not a positive finite number, so
-    # the default coupling cannot be derived from it
+    # the coupling cannot be derived from it
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"trap": {"capture_rate_per_second": capture,
                                          "emission_rate_per_second": emission}}))
     assert main(["transient", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    for key in ("coupling_amplitude_amperes", "capture_rate_per_second", "emission_rate_per_second"):
+    for key in ("capture_rate_per_second", "emission_rate_per_second"):
         assert key in err
     assert not (tmp_path / "x.csv").exists()
 
@@ -137,8 +145,7 @@ def test_underivable_coupling_names_the_keys(tmp_path, capsys, capture, emission
 @pytest.mark.parametrize("kind", ["other-scalar", "null", "list", "object"])
 def test_wrong_json_type_refused(tmp_path, capsys, name, kind):
     # a string for a number key (a number for a string key), null, a list or
-    # an object: refused with exit 2 and one line naming the key; a null
-    # coupling does not mean the derived default
+    # an object: refused with exit 2 and one line naming the key
     section, key = name.split(".")
     value = {"other-scalar": 8.6 if name in _STRING_KEYS else "8.6", "null": None, "list": [1],
              "object": {"a": 1}}[kind]

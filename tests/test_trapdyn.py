@@ -226,8 +226,14 @@ class TestTrapParams:
         expected = 0.01 * params.baseline_current_amperes / exact_peak_trapped_fraction(k_c, k_e)
         assert params.coupling_amplitude_amperes == pytest.approx(expected, rel=1e-12, abs=0)
 
+    def test_replace_rederives_the_coupling(self):
+        edited = PRESET.replace(capture_rate_per_second=5e3)
+        alone = TrapParams(capture_rate_per_second=5e3)
+        assert edited.coupling_amplitude_amperes == alone.coupling_amplitude_amperes
+        assert edited.coupling_amplitude_amperes != PRESET.coupling_amplitude_amperes
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrapParams(capture_rate_per_second=-1.0)
         with pytest.raises(ValueError):
-            TrapParams(coupling_amplitude_amperes=0.0)
+            TrapParams(baseline_current_amperes=0.0)

@@ -157,7 +157,7 @@ def test_config_schema_keys():
         "species.linewidth_tesla",
         "relaxation.t1_seconds", "relaxation.t2_seconds", "relaxation.t_s_seconds",
         "trap.capture_rate_per_second", "trap.emission_rate_per_second",
-        "trap.baseline_current_amperes", "trap.coupling_amplitude_amperes",
+        "trap.baseline_current_amperes",
         "ensemble.n_static", "ensemble.n_noise", "ensemble.rng_seed",
         "spectrum.b_start_tesla", "spectrum.b_stop_tesla", "spectrum.n_points", "spectrum.lineshape",
         "spectrum.phosphorus_amplitude_amperes", "spectrum.db_amplitude_ratio",

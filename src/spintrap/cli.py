@@ -23,8 +23,15 @@ reach :func:`spintrap.config.load_config` as its ``overrides``.
 
 A call runs in one thread, numpy's BLAS included: importing this module sets
 ``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS``,
-``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set.  Importing the
-other ``spintrap`` modules sets nothing.
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set.  A call maps no
+OpenSSL either: importing this module marks OpenSSL's ``_hashlib`` absent in
+``sys.modules`` unless it is already loaded, so ``hashlib`` and ``hmac``
+(which ``numpy.random`` imports through ``secrets``) fall back to CPython's
+builtin digests, which give the same SHA-256.  That takes 3.4 MB of
+``libcrypto`` off every call's peak RSS.  A process that loaded ``_hashlib``
+before importing this module keeps it; one that did not has, from then on,
+only the builtin ``hashlib`` algorithms.  Importing the other ``spintrap``
+modules sets nothing.
 """
 
 from __future__ import annotations
@@ -57,6 +64,12 @@ try:
     # it is kept to one thread unless the user set a thread count.
     if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    # No command uses OpenSSL, but numpy.random loads it (secrets -> hmac ->
+    # _hashlib) and config's hashlib would too: _hashlib maps libcrypto, 3.4 MB
+    # of a call's 37 MB peak RSS and 2-6 ms of loading.  Marked absent, it
+    # leaves hashlib and hmac to CPython's builtin digests, which give the
+    # same SHA-256; a process that has already loaded it keeps it.
+    sys.modules.setdefault("_hashlib", None)
     import numpy as np
 
     from . import __version__
@@ -89,12 +102,12 @@ MIN_POINT_WORK = 1024
 
 # Longest grid of `spectrum`, `transient` and `nutation`, and largest
 # `nutation` ensemble; `nutation` also keeps points x n_static within
-# MAX_SWEEP_WORK.  At the bound a command peaks at 44-50 MB: 33-36 MB for
-# the interpreter and imports, about 6 MB for the Python floats of the two
-# columns that the CSV writer formats, and the rest for float64 arrays of
-# 0.8 MB each (`nutation` also holds its y_stderr, 50 MB in all).
-# `nutation` runs about 12 s.  Larger requests exit 2 before
-# anything is allocated.
+# MAX_SWEEP_WORK.  At the bound a command peaks at 35-39 MB (`spectrum`
+# 34.8, `transient` 35.3, `nutation` with n_static 1000 38.9): 29-32 MB for
+# the interpreter and imports (the same command at 101 points), 5-7 MB for
+# float64 arrays of 0.8 MB each, and under 0.3 MB for the Python floats of
+# the one 4096-row chunk that the CSV writer formats at a time.  `nutation`
+# runs 4-7 s.  Larger requests exit 2 before anything is allocated.
 MAX_POINTS = 10**5
 
 

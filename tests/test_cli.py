@@ -802,7 +802,8 @@ def _run_python(script, cwd, env=None):
 def test_command_imports_only_its_modules(tmp_path, argv, loaded, absent):
     """A fresh process loads the modules its command runs and not the others,
     imports neither ``dataclasses`` nor ``copy`` (the value types cost no
-    class-building time), and the heap its imports left is frozen out of the
+    class-building time) nor OpenSSL's ``_hashlib`` (and, on Linux, maps no
+    libcrypto), and the heap its imports left is frozen out of the
     collector."""
     script = f"""
 import gc, sys
@@ -811,10 +812,39 @@ from spintrap.cli import main
 assert gc.get_freeze_count() > 0
 assert main({argv!r}) == 0
 assert "dataclasses" not in sys.modules and "copy" not in sys.modules
+assert sys.modules.get("_hashlib") is None, sys.modules["_hashlib"]
+if sys.platform.startswith("linux"):
+    with open("/proc/self/maps") as fh:
+        assert "libcrypto" not in fh.read()
 print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("spintrap."))))
 """
     modules = set(_run_python(script, tmp_path).splitlines()[-1].split())
     assert loaded <= modules and not absent & modules, modules
+
+
+def test_openssl_loaded_first_is_kept_and_changes_no_output(tmp_path):
+    """A process that imported ``hashlib`` (and with it OpenSSL's ``_hashlib``)
+    before the CLI keeps it, and its ``run`` writes the same data section and
+    ``config_hash`` as a default child, which digests with CPython's builtin
+    SHA-256.  That hash is the prefix of the digest of the file's ``config=``
+    line computed here, where pytest has loaded OpenSSL."""
+    argv = ["run", str(SEQ_DIR / "hahn_echo.seq"), *SMALL, "--seed", "1", "--out"]
+    outputs = {}
+    for case, first in (("default", ""), ("hashlib_first", "import hashlib")):
+        script = f"""
+{first}
+import sys
+from spintrap.cli import main
+
+assert main({argv + [case + ".csv"]!r}) == 0
+print(type(sys.modules.get("_hashlib")).__name__)
+"""
+        outputs[case] = _run_python(script, tmp_path).splitlines()[-1]
+    assert outputs == {"default": "NoneType", "hashlib_first": "module"}
+    default = tmp_path / "default.csv"
+    assert _data_section(default) == _data_section(tmp_path / "hashlib_first.csv")
+    meta = read_trace_csv(str(default)).meta
+    assert meta["config_hash"] == hashlib.sha256(meta["config"].encode("utf-8")).hexdigest()[:16]
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

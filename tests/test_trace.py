@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spintrap import trace as trace_module
 from spintrap.trace import CsvFormatError, SignalTrace, read_trace_csv, write_trace_csv
 
 
@@ -50,6 +51,17 @@ class TestCsvRoundTrip:
         back = read_trace_csv(path)
         assert back.x.tobytes() == x.tobytes()
         assert back.y.tobytes() == y.tobytes()  # keeps the sign of -0.0
+
+    def test_rows_across_write_chunks(self, tmp_path):
+        """The writer formats the rows in chunks; a trace that ends one row
+        past two full chunks is written row for row, each at 17 digits."""
+        n = 2 * trace_module._CHUNK_ROWS + 1
+        rng = np.random.default_rng(7)
+        x, y = np.cumsum(rng.uniform(0.1, 1.0, n)), rng.standard_normal(n)
+        path = tmp_path / "long.csv"
+        write_trace_csv(SignalTrace("time", x, y), str(path))
+        rows = path.read_text().split("x,y\n", 1)[1]
+        assert rows == "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x.tolist(), y.tolist()))
 
     def test_y_stderr_is_not_written(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -56,10 +56,19 @@ which differ only by the line's own detuning.  So a free evolution takes
 the cosine and sine of the phase the lines share once per trajectory, and
 turns each line by its scalar ``decay e^{i delta T}`` by angle addition.
 Every pulse is the per-trajectory 3x3 rotation about its effective field,
-applied as nine multiplies and six adds.  When no walk acts (no free
-evolution, or ``t_s = inf``) a static sample's ``n_noise`` trajectories
-would be copies, so each sample runs once: the layout ``n_static x 1``,
-with the same offsets and the variance taken over the samples.
+each row applied as three multiplies and two adds.  The engine computes only
+what the final acquire reads.  Echo reads x and y; mz and charge read z.
+Working back from it, once per program, a free evolution needs the
+components it outputs, and a pulse or an earlier acquire needs all three
+(:func:`_live_components`).  So the readout pi/2 before a charge or mz
+acquire builds and applies the z row of its rotation alone, the evolution
+before a final echo does not relax z, and the noise walk is not advanced
+past the last free evolution that reads it.  Every element still computed
+takes the same operations in the same order, so no number moves.  When no
+walk acts (no free evolution, or ``t_s = inf``) a static sample's
+``n_noise`` trajectories would be copies, so each sample runs once: the
+layout ``n_static x 1``, with the same offsets and the variance taken over
+the samples.
 
 Sweeps
 ------
@@ -69,12 +78,13 @@ sweep variable, and the walk resolves each statement's duration at the
 point's value (:func:`seqlang.statement_duration`).  Each block draws its
 static offsets (continuing one stream-0 generator) and its noise once for
 every point.  The statements before the first swept one are walked once
-per block, for both lines together; each point then walks the rest from
-that state to the last acquire in one walk.  A pulse after them is built at
-the first point and kept for the block, unless its duration names the sweep
-variable: that one is rebuilt at each point.  Nothing reads the state after
-the last acquire, so the walk takes it without its window: the window is
-never evolved and its draw rows are not drawn.  None of this moves a draw:
+per block, each pulse among them built and applied one line at a time in
+one buffer; each point then walks the rest from that state, which it never
+writes, to the last acquire in one walk.  A pulse after them is built for
+both lines at the first point and kept for the block, unless its duration
+names the sweep variable: that one is rebuilt at each point.  Nothing reads
+the state after the last acquire, so the walk takes it without its window:
+the window is never evolved and its draw rows are not drawn.  None of this moves a draw:
 the RNG layout above is unchanged and a swept point gives the same numbers
 as the unswept program with its value written in.
 """
@@ -86,20 +96,13 @@ import math
 import numpy as np
 
 from . import trapdyn
-from .errors import CsvFormatError, SequenceError
+from .errors import SequenceError
 from .seqlang import AcquireStmt, DelayStmt, PulseStmt, SequenceAst, statement_duration, sweep_values
-from .spincore import (
-    EnsembleSpec,
-    Environment,
-    RelaxationParams,
-    SpinSpecies,
-    gyromagnetic_ratio,
-    resonance_lines,
-    thermal_polarization,
-)
+from .spincore import (_STATIC_STREAM, EnsembleSpec, Environment, RelaxationParams, SpinSpecies, _ensemble_setup,
+                       _philox)
 from .trace import SignalTrace
 
-__all__ = ["pulse_flip_fraction", "nutation_curve", "run_program"]
+__all__ = ["run_program"]
 
 _PHASE_ANGLES = {"+x": 0.0, "+y": 0.5 * math.pi, "-x": math.pi, "-y": 1.5 * math.pi}
 
@@ -108,27 +111,27 @@ _PHASE_ANGLES = {"+x": 0.0, "+y": 0.5 * math.pi, "-x": math.pi, "-y": 1.5 * math
 # the results.
 _BLOCK = 8192
 
-_STATIC_STREAM = 0
 _NOISE_STREAM_BASE = 1
 
 
-def _philox(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+_XYZ = (0, 1, 2)  # all three components (mx, my, mz): the rows of a whole rotation
 
 
-def _pulse_rotation(det, w1, phase, duration, out=None):
-    """Each trajectory's rotation by one pulse: ``out[3 i + j]`` is element
-    ``(i, j)`` of its 3x3 matrix, shaped like ``det``.
+def _pulse_rotation(det, w1, phase, duration, out=None, rows=_XYZ):
+    """Rows ``rows`` of each trajectory's rotation by one pulse: ``out[3 k +
+    j]`` is element ``(rows[k], j)`` of its 3x3 matrix, shaped like ``det``.
 
     The axis is the unit effective field ``a = (w1 cos phi, w1 sin phi, det) /
     weff`` and the angle ``weff * duration``: Rodrigues' formula ``c I + s
-    [a]x + (1 - c) a a^T``.  ``out`` (a new array when None) is filled in
-    place, so that a swept pulse refills one buffer at every point and few
-    temporaries are alive at once: a fresh rotation and its temporaries at
-    each point made the heap return and re-fault its pages, point by point.
+    [a]x + (1 - c) a a^T``.  An element takes the same operations in the same
+    order whichever rows are built.  ``out`` (a new array when None) is
+    filled in place, so that a swept pulse refills one buffer at every point
+    and few temporaries are alive at once: a fresh rotation and its
+    temporaries at each point made the heap return and re-fault its pages,
+    point by point.
     """
-    r = np.empty((9,) + det.shape) if out is None else out
+    r = np.empty((3 * len(rows),) + det.shape) if out is None else out
+    at = {(i, j): 3 * n + j for n, i in enumerate(rows) for j in _XYZ}  # element (i, j) -> its row of r
     phi = _PHASE_ANGLES[phase]
     weff = np.sqrt(w1 * w1 + det * det)
     inv = 1.0 / np.where(weff > 0.0, weff, 1.0)
@@ -137,29 +140,44 @@ def _pulse_rotation(det, w1, phase, duration, out=None):
     c = np.cos(weff)
     s = np.sin(weff, out=weff)
     k = np.subtract(1.0, c, out=inv)  # 1 - c, in the buffer of 1/weff
-    for i, ai in enumerate(a):
+    for i in rows:
         for j, aj in enumerate(a):
-            np.multiply(k, ai, out=r[3 * i + j])
-            r[3 * i + j] *= aj
-        r[4 * i] += c
+            np.multiply(k, a[i], out=r[at[i, j]])
+            r[at[i, j]] *= aj
+        r[at[i, i]] += c
     sa = c  # the diagonal is done; c's buffer holds s a_m
-    # s a_m enters the element at `plus` and leaves the one at `minus`
-    for am, plus, minus in zip(a, (7, 2, 3), (5, 6, 1)):
-        np.multiply(s, am, out=sa)
-        r[plus] += sa
-        r[minus] -= sa
+    # s a_m enters element `plus` and leaves element `minus`
+    for am, plus, minus in zip(a, ((2, 1), (0, 2), (1, 0)), ((1, 2), (2, 0), (0, 1))):
+        if plus in at or minus in at:
+            np.multiply(s, am, out=sa)
+        if plus in at:
+            r[at[plus]] += sa
+        if minus in at:
+            r[at[minus]] -= sa
     return r
 
 
-def _apply_rotation(r, mx, my, mz):
-    """``r`` from :func:`_pulse_rotation` applied to ``(mx, my, mz)``: nine
-    multiplies and six adds per trajectory."""
+def _apply_rotation(r, mx, my, mz, out=None):
+    """``r`` from :func:`_pulse_rotation` applied to ``(mx, my, mz)``: three
+    multiplies and two adds per row and trajectory, into ``out`` (new arrays
+    when None), one per row of ``r``."""
     rotated = []
-    for i in (0, 3, 6):
-        v = r[i] * mx
-        v += r[i + 1] * my
-        v += r[i + 2] * mz
+    for k in range(len(r) // 3):
+        v = np.multiply(r[3 * k], mx, out=None if out is None else out[k])
+        v += r[3 * k + 1] * my
+        v += r[3 * k + 2] * mz
         rotated.append(v)
+    return rotated
+
+
+def _rotate_lines(det, w1, phase, duration, rows, mx, my, mz):
+    """Components ``rows`` of ``(mx, my, mz)`` after one pulse, whose
+    rotation rows are built and applied one line at a time in one buffer
+    that holds one line's rotation and is freed on return."""
+    rotated, rotation = [np.empty(det.shape) for _ in rows], None
+    for line, out in enumerate(zip(*rotated)):
+        rotation = _pulse_rotation(det[line], w1, phase, duration, rotation, rows)
+        _apply_rotation(rotation, mx[line], my[line], mz[line], out)
     return rotated
 
 
@@ -170,113 +188,29 @@ def _free(mx, my, mz, psi, line_det, duration, relax, m_eq):
     Trajectory ``t`` of line ``l`` turns by ``psi[t] + line_det[l] *
     duration``.  ``cos psi`` and ``sin psi`` are taken once for all lines;
     each line's scalar ``decay e^{i line_det duration}`` joins them by angle
-    addition.  ``line_det`` and ``m_eq`` have shape ``(n_lines, 1)``.
+    addition.  ``line_det`` and ``m_eq`` have shape ``(n_lines, 1)``.  With
+    ``psi`` None, x and y are not evolved, and with ``mz`` None z is not;
+    each comes back None.
     """
-    decay = np.exp(-duration / relax.t2_seconds)
-    turn = line_det * duration
-    c, s = decay * np.cos(turn), decay * np.sin(turn)
-    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
-    cos_t = cos_psi * c
-    cos_t -= sin_psi * s
-    sin_t = sin_psi * c
-    sin_t += cos_psi * s
-    x = mx * cos_t
-    x -= my * sin_t
-    y = mx * sin_t
-    y += my * cos_t
-    z = mz - m_eq
-    z *= np.exp(-duration / relax.t1_seconds)
-    z += m_eq
+    x = y = z = None
+    if psi is not None:
+        decay = np.exp(-duration / relax.t2_seconds)
+        turn = line_det * duration
+        c, s = decay * np.cos(turn), decay * np.sin(turn)
+        cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+        cos_t = cos_psi * c
+        cos_t -= sin_psi * s
+        sin_t = sin_psi * c
+        sin_t += cos_psi * s
+        x = mx * cos_t
+        x -= my * sin_t
+        y = mx * sin_t
+        y += my * cos_t
+    if mz is not None:
+        z = mz - m_eq
+        z *= np.exp(-duration / relax.t1_seconds)
+        z += m_eq
     return x, y, z
-
-
-def _ensemble_setup(env: Environment, species: SpinSpecies):
-    """``(m0, w1, sigma, lines)``: equilibrium mz, on-resonance drive rate, the
-    standard deviation of the static detuning offsets (drawn from stream 0),
-    and each resonance line's ``(weight, detuning)``, the detuning (rad/s)
-    positive when the static field sits above the line."""
-    m0 = thermal_polarization(species.g_factor, env.static_field_tesla, env.temperature_kelvin)
-    w1 = 2.0 * math.pi * env.rabi_frequency_hz
-    gamma = gyromagnetic_ratio(species.g_factor)
-    sigma = gamma * species.linewidth_tesla
-    lines = [(weight, gamma * (env.static_field_tesla - b_res))
-             for b_res, weight in resonance_lines(species, env.mw_frequency_hz)]
-    return m0, w1, sigma, lines
-
-
-def _rabi_flip(w1, det, duration):
-    """``(w1/weff)^2 sin^2(weff t / 2)`` with ``weff = sqrt(w1^2 + det^2)``: the
-    share of the polarization one +x pulse of ``duration`` at detuning ``det``
-    turns over, by the generalized Rabi formula.  Broadcasts over ``det`` and
-    ``duration``."""
-    weff2 = w1 * w1 + det * det
-    return (w1 * w1 / weff2) * np.sin(np.sqrt(weff2) * duration / 2.0) ** 2
-
-
-def _rabi_mz(m0, w1, det, duration):
-    """mz ``m0 (1 - 2 flip)`` after one +x pulse from ``(0, 0, m0)``, with
-    ``flip`` from :func:`_rabi_flip`; :func:`_pulse_rotation` computes the
-    same by rotation."""
-    return m0 * (1.0 - 2.0 * _rabi_flip(w1, det, duration))
-
-
-def pulse_flip_fraction(angle_deg: float, field_offset: float, env: Environment,
-                        species: SpinSpecies) -> float:
-    """Fraction of the donors flipped by one +x pulse from thermal equilibrium.
-
-    The pulse lasts as long as an on-resonance pulse of ``angle_deg`` and
-    meets a static field ``field_offset`` tesla off resonance.  The fraction
-    is ``m0`` times :func:`_rabi_flip`, clipped to [0, 1]; formed without the
-    difference ``(m0 - mz)/2``, it keeps its digits for a small flip.  The
-    arithmetic is in numpy floats, so a drive so weak that the pulse never
-    ends, or an offset whose detuning overflows, gives a non-finite fraction
-    (not a Python arithmetic error), which raises :class:`CsvFormatError`.
-    """
-    m0, w1, _, _ = _ensemble_setup(env, species)
-    w1 = np.float64(w1)
-    duration = np.radians(angle_deg) / w1
-    det = np.float64(gyromagnetic_ratio(species.g_factor)) * field_offset
-    fraction = m0 * _rabi_flip(w1, det, duration)
-    if not math.isfinite(fraction):
-        raise CsvFormatError(f"refusing to write a transient: the pulse flips a fraction {fraction}")
-    return float(np.clip(fraction, 0.0, 1.0))
-
-
-# Elements of one (durations x offsets) chunk of `nutation_curve`: large
-# enough that the per-chunk numpy calls cost nothing, small enough that the
-# chunk's temporaries stay well under a megabyte each.
-_NUTATION_CHUNK = 2**16
-
-
-def nutation_curve(
-    pulse_durations,
-    env: Environment,
-    species: SpinSpecies,
-    ensemble: EnsembleSpec,
-) -> SignalTrace:
-    """Ensemble-averaged mz after one resonant pulse of each duration.
-
-    The oscillation frequency equals the Rabi frequency; static detuning
-    inhomogeneity (the species linewidth) damps the oscillations.  Relaxation
-    is suspended during pulses, so the curve is closed-form per trajectory
-    (:func:`_rabi_mz`) and needs no noise walk.  ``y_stderr`` is the Monte
-    Carlo error of the mean over the ``n_static`` offsets, from the spread of
-    each offset's readout, the sum of the lines.
-    """
-    durations = np.asarray(pulse_durations, dtype=float)
-    m0, w1, sigma, lines = _ensemble_setup(env, species)
-    offsets = _philox(ensemble.rng_seed, _STATIC_STREAM).standard_normal(ensemble.n_static) * sigma
-
-    rows = max(1, _NUTATION_CHUNK // ensemble.n_static)  # durations per chunk
-    y, se = np.zeros_like(durations), np.empty_like(durations)
-    for lo in range(0, durations.size, rows):
-        readout = 0.0
-        for weight, line_det in lines:
-            mz = _rabi_mz(m0, w1, line_det + offsets, durations[lo:lo + rows, None])
-            y[lo:lo + rows] += weight * mz.mean(axis=1)
-            readout += weight * mz
-        se[lo:lo + rows] = readout.std(axis=1) / math.sqrt(ensemble.n_static)
-    return SignalTrace("pulse_duration", durations, y, y_stderr=se)
 
 
 _ACC_FIELDS = 7  # sum_x, sum_y, sum_z, then the centred m_xx, m_yy, m_xy, m_zz
@@ -308,9 +242,53 @@ def _moments(channel, mx, my, mz):
     return sums
 
 
-def _walk(statements, value, state, block, rotations, moments, env, m_eq, w1, relax):
-    """Propagate ``state = (mx, my, mz, walk, j)`` through ``statements`` at
-    sweep value ``value``; each acquire appends its moment sums to ``moments``.
+def _shared_phase(static, walk, draws, duration, diffusion, advance):
+    """The phase the lines share over a free evolution of ``duration``, and
+    the walk at its end: advanced by its increment if ``advance``, else as
+    it was.  ``draws`` holds the evolution's two rows of standard normals,
+    or is None without spectral diffusion."""
+    if draws is None:
+        return static * duration, walk
+    # exact joint update of the walk end and its time integral
+    increment = math.sqrt(diffusion * duration) * draws[0]
+    bridge = math.sqrt(diffusion * np.float64(duration) ** 3 / 12.0) * draws[1]
+    psi = (static + walk) * duration + 0.5 * duration * increment + bridge
+    return psi, walk + increment if advance else walk
+
+
+def _live_components(statements):
+    """For each of ``statements``, which end in the final acquire: the
+    components of the state (0, 1, 2 for mx, my, mz) it must output for that
+    acquire, and whether a later free evolution reads the noise walk it
+    leaves.
+
+    The final acquire reads x and y (echo) or z (mz and charge) and outputs
+    nothing.  A free evolution turns x and y into x and y and relaxes z into
+    z, so it needs the components it outputs; it reads the walk when it
+    outputs x and y.  A pulse mixes all three, and an earlier acquire reads
+    them all, so each needs all three.
+    """
+    live = (0, 1) if statements[-1].channel == "echo" else (2,)
+    walk_read = False
+    steps = [((), False)]
+    for stmt in reversed(statements[:-1]):
+        steps.append((live, walk_read))
+        walk_read |= _evolves_freely(stmt) and live[0] == 0
+        if not isinstance(stmt, DelayStmt):  # a pulse or an earlier acquire
+            live = _XYZ
+    return steps[::-1]
+
+
+def _components(live, values):
+    """``(mx, my, mz)`` with the arrays ``values`` of the components ``live``
+    in place, and None for the others."""
+    by_index = dict(zip(live, values))
+    return by_index.get(0), by_index.get(1), by_index.get(2)
+
+
+def _walk(steps, value, state, block, rotations, moments, env, m_eq, w1, relax):
+    """Propagate ``state = (mx, my, mz, walk, j)`` through ``steps`` at sweep
+    value ``value``; each acquire appends its moment sums to ``moments``.
 
     ``mx, my, mz`` are ``(n_lines, n)`` arrays, one row per resonance line,
     which carries its line's weight and relaxes toward its row of ``m_eq``.
@@ -319,40 +297,52 @@ def _walk(statements, value, state, block, rotations, moments, env, m_eq, w1, re
     ``block = (static, line_det, det, draws)``: the block's static offsets
     ``(n,)``, the lines' detunings ``(n_lines, 1)``, their sum ``det``, and
     the standard normals, rows ``2j, 2j+1`` for the ``j``-th free evolution
-    (None when there is no spectral diffusion).  ``rotations`` keeps each
-    pulse's rotation and the duration it was built for, by statement, for
-    the next point, which rebuilds it (in place) only if the duration
-    changed; None keeps nothing.  An acquire records its moments
-    (:func:`_moments`) and then evolves freely over its window.  No array of
-    ``state`` is written in place, so each point may start from the same one.
+    (None when there is no spectral diffusion).
+
+    Each step is ``(statement, live, walk_read)`` from
+    :func:`_live_components`: the statement outputs only the components
+    ``live`` that the final acquire needs from it (the others come out
+    None), so a pulse builds and applies only those rows of its rotation, and
+    the walk is advanced only where a later free evolution reads it.
+    ``rotations`` keeps each pulse's rotation rows and the duration they were
+    built for, by step, for the next point, which rebuilds them (in place)
+    only if the duration changed.  None keeps nothing: a pulse walked once
+    is built and applied one line at a time (:func:`_rotate_lines`).  An
+    acquire records its moments (:func:`_moments`) and then evolves freely
+    over its window.  Every statement writes its output to new arrays, never
+    into ``state``, so each point may start from the same one; the walk
+    drops ``state`` at once, so a start state that its caller does not keep
+    is freed as soon as the walk has moved past it.
     """
     mx, my, mz, walk, j = state
+    del state  # so a start state the caller does not keep is freed once moved past
     static, line_det, det, draws = block
-    diffusion = relax.diffusion_constant
-    for stmt in statements:
+    for i, (stmt, live, walk_read) in enumerate(steps):
         duration = statement_duration(stmt, env, value)
         if isinstance(stmt, PulseStmt):
-            built, rotation = (None, None) if rotations is None else rotations.get(stmt, (None, None))
+            if rotations is None:
+                mx, my, mz = _components(live, _rotate_lines(det, w1, stmt.phase, duration, live, mx, my, mz))
+                continue
+            built, rotation = rotations.get(i, (None, None))
             if built != duration:  # never built, or swept
-                rotation = _pulse_rotation(det, w1, stmt.phase, duration, rotation)
-                if rotations is not None:
-                    rotations[stmt] = duration, rotation
-            mx, my, mz = _apply_rotation(rotation, mx, my, mz)
+                rotation = _pulse_rotation(det, w1, stmt.phase, duration, rotation, live)
+                rotations[i] = duration, rotation
+            mx, my, mz = _components(live, _apply_rotation(rotation, mx, my, mz))
             continue
         if isinstance(stmt, AcquireStmt):
             moments.append(_moments(stmt.channel, mx, my, mz))
         if not _evolves_freely(stmt):
             continue
-        # the phase the lines share; each line adds its own line_det * duration
-        psi = static * duration
-        if draws is not None:
-            # exact joint update of the walk end and its time integral
-            increment = math.sqrt(diffusion * duration) * draws[2 * j]
-            bridge = math.sqrt(diffusion * np.float64(duration) ** 3 / 12.0) * draws[2 * j + 1]
-            psi = (static + walk) * duration + 0.5 * duration * increment + bridge
-            walk = walk + increment
+        # x and y turn by the phase the lines share; each line adds its own
+        # line_det * duration.  A free evolution that outputs no x and y has
+        # no later one that does, so no later one reads the walk it skips.
+        psi = None
+        if live[0] == 0:
+            psi, walk = _shared_phase(static, walk, None if draws is None else draws[2 * j:2 * j + 2],
+                                      duration, relax.diffusion_constant, walk_read)
         j += 1
-        mx, my, mz = _free(mx, my, mz, psi, line_det, duration, relax, m_eq)
+        mx, my, mz = _free(mx, my, mz if live[-1] == 2 else None, psi, line_det, duration, relax, m_eq)
+        del psi  # not held through the next pulse
     return mx, my, mz, walk, j
 
 
@@ -396,6 +386,7 @@ def _run_engine(ast, values, env, species, relax, ensemble):
     name = ast.sweep.name if ast.sweep is not None else None
     n_shared = next((i for i, s in enumerate(statements[:end])
                      if not isinstance(s, AcquireStmt) and s.duration == name), end)
+    steps = [(stmt, *live) for stmt, live in zip(statements, _live_components(statements))]
     n_free = sum(map(_evolves_freely, statements))
     walked = n_free > 0 and relax.diffusion_constant > 0.0
     if not walked:  # a sample's n_noise trajectories would be copies
@@ -419,14 +410,14 @@ def _run_engine(ast, values, env, species, relax, ensemble):
         block = (static, line_det, det, draws)
         shared = []  # the moments of the acquires in the prefix
         # the prefix is walked once, so it keeps no rotation, and its start state is not kept
-        state = _walk(statements[:n_shared], None,
+        state = _walk(steps[:n_shared], None,
                       (np.zeros(det.shape), np.zeros(det.shape), np.repeat(m_eq, static.size, axis=1),
                        np.zeros(static.size), 0), block, None, shared, env, m_eq, w1, relax)
         rotations = {}  # a fixed pulse is built at the first point and kept
         block_sums = np.empty_like(sums)
         for i, value in enumerate(values):
             moments = shared.copy()
-            _walk(statements[n_shared:], value, state, block, rotations, moments, env, m_eq, w1, relax)
+            _walk(steps[n_shared:], value, state, block, rotations, moments, env, m_eq, w1, relax)
             block_sums[i] = moments
         # the centred moments of two sets add, plus the outer product of the
         # difference of their means times n_a n_b / (n_a + n_b) (Chan, Golub

@@ -103,7 +103,7 @@ MIN_POINT_WORK = 1024
 # Longest grid of `spectrum`, `transient` and `nutation`, and largest
 # `nutation` ensemble; `nutation` also keeps points x n_static within
 # MAX_SWEEP_WORK.  At the bound a command peaks at 35-39 MB (`spectrum`
-# 34.8, `transient` 35.3, `nutation` with n_static 1000 38.9): 29-32 MB for
+# 34.6, `transient` 34.6, `nutation` with n_static 1000 38.9): 29-32 MB for
 # the interpreter and imports (the same command at 101 points), 5-7 MB for
 # float64 arrays of 0.8 MB each, and under 0.3 MB for the Python floats of
 # the one 4096-row chunk that the CSV writer formats at a time.  `nutation`
@@ -184,15 +184,15 @@ def cmd_transient(args) -> int:
     if args.pulse_angle_deg < 0:
         raise ConfigError(f"--pulse-angle-deg must be >= 0, got {args.pulse_angle_deg}")
     config = _load_config_file(args)
-    from . import blochsim, trapdyn
+    from . import rabi, trapdyn
 
     if args.flip_fraction is not None:
         fraction = args.flip_fraction
         if not 0.0 <= fraction <= 1.0:
             raise ConfigError(f"--flip-fraction must lie in [0, 1], got {fraction}")
     else:
-        fraction = blochsim.pulse_flip_fraction(args.pulse_angle_deg, args.field_offset_tesla,
-                                                config.environment, config.species)
+        fraction = rabi.pulse_flip_fraction(args.pulse_angle_deg, args.field_offset_tesla,
+                                            config.environment, config.species)
     trace = trapdyn.transient_response(fraction, config.trap, grid)
     _write_output(trace, config, args.out, {"command": "transient"})
     return EXIT_OK
@@ -235,9 +235,9 @@ def cmd_nutation(args) -> int:
     if n_static > MAX_POINTS or len(durations) * n_static > MAX_SWEEP_WORK:
         raise ConfigError(f"nutation of {len(durations)} points x {n_static} static offsets: n_static "
                           f"must be <= {MAX_POINTS} and points x n_static <= {MAX_SWEEP_WORK:.0e}")
-    from . import blochsim
+    from . import rabi
 
-    trace = blochsim.nutation_curve(durations, config.environment, config.species, config.ensemble)
+    trace = rabi.nutation_curve(durations, config.environment, config.species, config.ensemble)
     _write_output(trace, config, args.out, {"command": "nutation"})
     return EXIT_OK
 

@@ -6,7 +6,9 @@ Si:P sample (the phosphorus donor doublet and the broad dangling-bond line),
 thermal electron polarization, and the resonance lines of a species.
 The relaxation times and the Monte Carlo ensemble layout that
 :mod:`spintrap.blochsim` runs with are defined here too, so a configuration
-can be built without importing the engine.
+can be built without importing the engine, and so are the ensemble's drive,
+lines and static-offset stream, which the engine and the closed forms of
+:mod:`spintrap.rabi` share.
 
 Conventions
 -----------
@@ -27,6 +29,8 @@ for concurrent use.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import Value
 
@@ -215,3 +219,28 @@ def resonance_lines(species: SpinSpecies, f_mw: float) -> tuple[tuple[float, flo
         return ((center, 1.0),)
     half, p = species.hyperfine_splitting_tesla / 2.0, species.nuclear_polarization
     return ((center - half, (1.0 + p) / 2.0), (center + half, (1.0 - p) / 2.0))
+
+
+# Stream 0 of the Philox key draws the static detuning offsets; the engine's
+# noise streams follow it (see spintrap.blochsim).
+_STATIC_STREAM = 0
+
+
+def _philox(seed: int, stream: int) -> np.random.Generator:
+    """The counter-based generator of stream ``stream`` under ``seed``."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _ensemble_setup(env: Environment, species: SpinSpecies):
+    """``(m0, w1, sigma, lines)``: equilibrium mz, on-resonance drive rate, the
+    standard deviation of the static detuning offsets (drawn from stream 0),
+    and each resonance line's ``(weight, detuning)``, the detuning (rad/s)
+    positive when the static field sits above the line."""
+    m0 = thermal_polarization(species.g_factor, env.static_field_tesla, env.temperature_kelvin)
+    w1 = 2.0 * math.pi * env.rabi_frequency_hz
+    gamma = gyromagnetic_ratio(species.g_factor)
+    sigma = gamma * species.linewidth_tesla
+    lines = [(weight, gamma * (env.static_field_tesla - b_res))
+             for b_res, weight in resonance_lines(species, env.mw_frequency_hz)]
+    return m0, w1, sigma, lines

@@ -39,14 +39,16 @@ class SignalTrace(Value):
 
     ``x``, ``y`` and the optional ``y_stderr`` (the Monte Carlo standard error
     of each value) are read-only float64 arrays of one length, copied from
-    the arguments; ``x`` must be strictly increasing.  ``units`` names the y
-    quantity ("A", "C", or "dimensionless"); the x unit follows from
-    ``axis_kind`` (Tesla for "field", seconds otherwise).  ``meta`` holds
-    string-able ``key=value`` metadata, in the trace's own copy of the
-    argument.  A physics function puts there only what it computes or what
-    labels x (``equilibrium_mz``, ``sweep_variable``, ``flip_fraction``); the
-    CLI adds what the file says about its inputs (``config``,
-    ``config_hash``, ``program``, ...).  A trace is equal only to itself.
+    the arguments, except that a read-only float64 array that owns its data
+    (another trace's column) is shared; ``x`` must be strictly increasing.
+    ``units`` names the y quantity ("A", "C", or "dimensionless"); the x
+    unit follows from ``axis_kind`` (Tesla for "field", seconds otherwise).
+    ``meta`` holds string-able ``key=value`` metadata, in the trace's own
+    copy of the argument.  A physics function puts there only what it
+    computes or what labels x (``equilibrium_mz``, ``sweep_variable``,
+    ``flip_fraction``); the CLI adds what the file says about its inputs
+    (``config``, ``config_hash``, ``program``, ...).  A trace is equal only
+    to itself.
     """
 
     axis_kind: str
@@ -65,10 +67,15 @@ class SignalTrace(Value):
             raise ValueError(f"axis_kind must be one of {AXIS_KINDS}, got {self.axis_kind!r}")
         object.__setattr__(self, "meta", dict(self.meta))
         for name in ("x", "y") if self.y_stderr is None else ("x", "y", "y_stderr"):
-            # a copy, so freezing it leaves the caller's array writeable
-            column = np.array(getattr(self, name), dtype=float)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            column = getattr(self, name)
+            # a frozen float64 array that owns its data (another trace's
+            # column) is kept; anything else is copied, so freezing the copy
+            # leaves the caller's array writeable
+            if not (isinstance(column, np.ndarray) and column.dtype == np.float64
+                    and column.base is None and not column.flags.writeable):
+                column = np.array(column, dtype=float)
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
             if len(column) != len(self.x):
                 raise ValueError(f"len({name})={len(column)} != len(x)={len(self.x)}")
         if not np.all(np.diff(self.x) > 0):

@@ -13,9 +13,10 @@ from scipy.linalg import expm
 from scipy.stats import chi2
 
 from reference import echo_envelope_analytic, inversion_recovery_curve
-from spintrap import blochsim
-from spintrap.blochsim import nutation_curve, run_program
+from spintrap import blochsim, rabi, spincore
+from spintrap.blochsim import run_program
 from spintrap.config import load_config
+from spintrap.rabi import nutation_curve
 from spintrap.seqlang import (AcquireStmt, DelayStmt, PulseStmt, SequenceError, parse, statement_duration, sweep_values,
                               unparse)
 from spintrap.spincore import (PHOSPHORUS, EnsembleSpec, Environment, RelaxationParams, SpinSpecies,
@@ -96,7 +97,7 @@ class TestPulseRotation:
         m0 = 1.0 - rng.uniform(0.0, 1.0, n)  # (0, 1]
         det = rng.uniform(-10.0, 10.0, n) * W1
         duration = rng.uniform(0.0, 4.0 * math.pi, n) / W1
-        closed = blochsim._rabi_mz(m0, W1, det, duration)
+        closed = rabi._rabi_mz(m0, W1, det, duration)
         kernel = [pulse((0, 0, m0[i]), W1, "+x", duration[i], det[i])[2] for i in range(n)]
         assert np.max(np.abs(closed - kernel)) <= 1e-12
 
@@ -107,7 +108,7 @@ class TestPulseRotation:
         m0 = thermal_polarization(PHOSPHORUS.g_factor, env.static_field_tesla, env.temperature_kelvin)
         for angle_deg in (1e-3, 1e-6, 90.0, 180.0):
             expected = m0 * math.sin(math.radians(angle_deg) / 2) ** 2
-            fraction = blochsim.pulse_flip_fraction(angle_deg, 0.0, env, PHOSPHORUS)
+            fraction = rabi.pulse_flip_fraction(angle_deg, 0.0, env, PHOSPHORUS)
             assert fraction == pytest.approx(expected, rel=1e-14)
 
     def test_against_matrix_exponential_on_random_inputs(self):
@@ -250,8 +251,8 @@ class TestNutation:
         env = _resonant_env(species)
         durations = np.linspace(0, 6e-6, 200)
         ensemble = EnsembleSpec(1000, 1, 9)
-        m0, w1, sigma, _ = blochsim._ensemble_setup(env, species)
-        offsets = blochsim._philox(9, blochsim._STATIC_STREAM).standard_normal(1000) * sigma
+        m0, w1, sigma, _ = spincore._ensemble_setup(env, species)
+        offsets = spincore._philox(9, spincore._STATIC_STREAM).standard_normal(1000) * sigma
         expected = np.zeros_like(durations)
         for b_res, weight in resonance_lines(species, env.mw_frequency_hz):
             det = gyromagnetic_ratio(species.g_factor) * (env.static_field_tesla - b_res) + offsets
@@ -269,9 +270,9 @@ class TestNutation:
         env, species = cfg.environment, cfg.species
         durations = np.linspace(0, 6e-6, 200)
         trace = nutation_curve(durations, env, species, EnsembleSpec(1000, 1, 9))
-        m0, w1, sigma, lines = blochsim._ensemble_setup(env, species)
-        offsets = blochsim._philox(9, blochsim._STATIC_STREAM).standard_normal(1000) * sigma
-        readout = sum(blochsim._rabi_mz(weight * m0, w1, det + offsets, durations[:, None]) for weight, det in lines)
+        m0, w1, sigma, lines = spincore._ensemble_setup(env, species)
+        offsets = spincore._philox(9, spincore._STATIC_STREAM).standard_normal(1000) * sigma
+        readout = sum(rabi._rabi_mz(weight * m0, w1, det + offsets, durations[:, None]) for weight, det in lines)
         expected = np.sqrt(((readout - readout.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)) / 1000
         np.testing.assert_allclose(trace.y_stderr, expected, rtol=1e-9, atol=0)
         assert (trace.y_stderr[1:] > 0).all()
@@ -419,7 +420,7 @@ class TestSweepEngine:
     @pytest.mark.parametrize("n_static, n_noise", [(300, 30), (3, 4000), (20000, 1), (1, 9000), (4, 8192)])
     def test_block_offsets_equal_one_full_draw(self, n_static, n_noise):
         ensemble = EnsembleSpec(n_static, n_noise, 77)
-        full = blochsim._philox(77, blochsim._STATIC_STREAM).standard_normal(n_static) * 2.5
+        full = spincore._philox(77, spincore._STATIC_STREAM).standard_normal(n_static) * 2.5
         blocks = list(blochsim._block_offsets(ensemble, 2.5))
         assert [b.size for b in blocks[:-1]] == [blochsim._BLOCK] * (len(blocks) - 1)
         assert np.array_equal(np.concatenate(blocks), full[np.arange(ensemble.n_trajectories) // n_noise])
@@ -437,10 +438,66 @@ class TestSweepEngine:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_engine_working_set(self):
+        # three_pulse_ed_echo at its shipped 128 x 32 held 1.76 MB when every
+        # pulse kept its whole rotation for both lines; the readout pi/2 now
+        # keeps the z row alone and the prefix pulses one line's rotation at a
+        # time.  A first run loads what numpy imports lazily, untraced.
+        cfg = load_config(json.loads((SEQ_DIR / "pulsed_defaults.json").read_text()))
+        ast = parse((SEQ_DIR / "three_pulse_ed_echo.seq").read_text())
+        values = [float(v) for v in sweep_values(ast.sweep)]
+        args = (cfg.environment, cfg.species, cfg.relaxation, cfg.ensemble)
+        blochsim._run_engine(ast, values[:1], *args)
+        tracemalloc.start()
+        try:
+            blochsim._run_engine(ast, values, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * 2**20
+
+
+class TestLiveComponents:
+    """The engine computes only what the final acquire reads, and no number moves for it."""
+
+    @given(source=_swept_programs(), n_static=hs.integers(1, 4), n_noise=hs.integers(1, 4),
+           seed=hs.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_final_acquire_as_with_every_component_live(self, source, n_static, n_noise, seed):
+        # one more acquire of another channel after the final one makes every
+        # component of every statement before it live.  The final acquire's
+        # window is dropped, as the engine never evolves it, so the extra
+        # acquire moves no draw row and no layout.
+        cfg = TestSweepEngine.CONFIG
+        ast = parse(source)
+        *body, last = ast.statements
+        extra = AcquireStmt("mz" if last.channel == "echo" else "echo")
+        longer = ast.replace(statements=(*body, AcquireStmt(last.channel), extra))
+        values = [float(v) for v in sweep_values(ast.sweep)]
+        args = (cfg.environment, cfg.species, cfg.relaxation, EnsembleSpec(n_static, n_noise, seed))
+        _, stats = blochsim._run_engine(ast, values, *args)
+        _, every_live = blochsim._run_engine(longer, values, *args)
+        # each acquire's value and y_stderr follow from its row of stats,
+        # which repr shows to every bit
+        assert repr(stats.tolist()) == repr(every_live[:, :-1].tolist())
+
+    @pytest.mark.parametrize("name, live", [
+        ("three_pulse_ed_echo", [(0, 1, 2)] * 4 + [(2,), ()]),
+        ("readout_vee", [(0, 1, 2)] * 2 + [(2,), ()]),
+        ("hahn_echo", [(0, 1, 2)] * 2 + [(0, 1)] * 2 + [()]),
+        ("nutation", [(2,), ()]),
+    ])
+    def test_shipped_sequences(self, name, live):
+        # the readout pi/2 builds 3 of its 9 rotation rows, the Hahn pi 6
+        statements = parse((SEQ_DIR / f"{name}.seq").read_text()).statements
+        assert [components for components, _ in blochsim._live_components(statements)] == live
+
 
 class TestRotationBuilds:
-    """The engine builds a pulse's rotation once per block, for all lines at
-    once, unless the pulse's duration names the sweep variable."""
+    """The engine builds a pulse's rotation once per block, unless the
+    pulse's duration names the sweep variable: a pulse after the shared
+    prefix for all lines at once, and one in the prefix, which is walked
+    once, one line at a time."""
 
     CONFIG = load_config({})
 
@@ -454,16 +511,21 @@ class TestRotationBuilds:
             per_block = values
         else:  # each pulse once; the readout pi/2 is not rebuilt at each of the 61 points
             per_block = [statement_duration(p, cfg.environment) for p in pulses]
+        # the pulses before the first swept statement are in the shared prefix
+        swept = next(i for i, s in enumerate(ast.statements) if getattr(s, "duration", None) == ast.sweep.name)
+        n_prefix = sum(isinstance(s, PulseStmt) for s in ast.statements[:swept])
         # 12 000 trajectories: two blocks (nutation has no free evolution, so
         # it runs one trajectory per static sample)
         ensemble = EnsembleSpec(12000, 1, 1)
         with mock.patch.object(blochsim, "_pulse_rotation", wraps=blochsim._pulse_rotation) as build:
             blochsim._run_engine(ast, values, cfg.environment, cfg.species, cfg.relaxation, ensemble)
-        assert [c.args[3] for c in build.call_args_list] == 2 * per_block
-        # one call per block holds both hyperfine lines
-        shapes = [c.args[0].shape for c in build.call_args_list]
-        blocks = [(2, blochsim._BLOCK), (2, 12000 - blochsim._BLOCK)]
-        assert shapes == [shape for shape in blocks for _ in per_block]
+        # per block, a prefix pulse is one call per hyperfine line, on that
+        # line's trajectories; any other is one call that holds both lines
+        expected = [(d, (size,)) if k < n_prefix else (d, (2, size))
+                    for size in (blochsim._BLOCK, 12000 - blochsim._BLOCK)
+                    for k, d in enumerate(per_block) for _ in range(2 if k < n_prefix else 1)]
+        assert [c.args[3] for c in build.call_args_list] == [d for d, _ in expected]
+        assert [c.args[0].shape for c in build.call_args_list] == [shape for _, shape in expected]
 
 
 class TestRunProgram:
@@ -528,10 +590,10 @@ class TestRunProgram:
         cfg = load_config(json.loads((SEQ_DIR / "pulsed_defaults.json").read_text()))
         trace = run_program(parse(f"pulse {angle} +x\nacquire mz"), cfg.environment, cfg.species,
                             cfg.relaxation, EnsembleSpec(n_static, n_noise, 3), cfg.trap)["mz"]
-        m0, w1, sigma, lines = blochsim._ensemble_setup(cfg.environment, cfg.species)
+        m0, w1, sigma, lines = spincore._ensemble_setup(cfg.environment, cfg.species)
         offsets = np.concatenate(list(blochsim._block_offsets(EnsembleSpec(n_static, 1, 3), sigma)))
         duration = math.radians(float(angle.removesuffix("deg"))) / w1
-        readout = sum(blochsim._rabi_mz(weight * m0, w1, det + offsets, duration) for weight, det in lines)
+        readout = sum(rabi._rabi_mz(weight * m0, w1, det + offsets, duration) for weight, det in lines)
         assert trace.y[0] == pytest.approx(readout.mean(), rel=1e-15)
         assert trace.y_stderr[0] == pytest.approx(readout.std() / math.sqrt(readout.size), rel=rtol, abs=0)
 

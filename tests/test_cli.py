@@ -793,11 +793,11 @@ def _run_python(script, cwd, env=None):
       "--compare-with", "exp_decay", "--out", "fit.json"],
      {"fitkit"}, {"seqlang", "blochsim", "config", "spectrum", "trapdyn"}),
     (["run", str(SEQ_DIR / "hahn_echo.seq"), *SMALL, "--out", "run.csv"],
-     {"seqlang", "blochsim"}, {"fitkit"}),
+     {"seqlang", "blochsim"}, {"fitkit", "rabi"}),
     (["transient", "--n-points", "101", "--out", "transient.csv"],
-     {"config", "blochsim", "trapdyn"}, {"fitkit"}),
+     {"config", "rabi", "trapdyn"}, {"fitkit", "blochsim", "seqlang"}),
     (["nutation", "--n-points", "21", "--out", "nutation.csv"],
-     {"config", "blochsim"}, {"fitkit"}),
+     {"config", "rabi"}, {"fitkit", "blochsim", "seqlang"}),
 ], ids=["spectrum", "fit", "run", "transient", "nutation"])
 def test_command_imports_only_its_modules(tmp_path, argv, loaded, absent):
     """A fresh process loads the modules its command runs and not the others,

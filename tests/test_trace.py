@@ -29,6 +29,21 @@ class TestColumns:
         assert trace.x.tolist() == [0.0, 1.0]
         assert trace.y.tolist() == [2.0, 3.0]
         assert trace.y_stderr.tolist() == [0.1, 0.2]
+        assert not any(np.shares_memory(a, b) for a, b in ((x, trace.x), (y, trace.y), (se, trace.y_stderr)))
+
+    def test_replace_shares_the_columns(self):
+        trace = _trace(y_stderr=[1, 2, 3])
+        other = trace.replace(meta={"config_hash": "0"})
+        for name in ("x", "y", "y_stderr"):
+            assert np.shares_memory(getattr(other, name), getattr(trace, name))
+
+    def test_frozen_view_or_other_dtype_is_copied(self):
+        # only a read-only float64 array that owns its data is shared
+        view, ints = np.array([0.0, 1.0, 2.0])[:2], np.array([0, 1])
+        for column in (view, ints):
+            column.flags.writeable = False
+            trace = SignalTrace("time", column, column)
+            assert not np.shares_memory(trace.x, column) and trace.x.dtype == np.float64
 
     @pytest.mark.parametrize("y_stderr", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], []])
     def test_y_stderr_length_must_match_x(self, y_stderr):

@@ -91,10 +91,10 @@ EXIT_DATA = 4
 
 # Largest `run`: sweep points times trajectories per point, with each point
 # counted as at least MIN_POINT_WORK trajectories.  Walking a point's own
-# statements and converting its values take about 0.13 ms, as much as
-# propagating 500-800 trajectories through it (a swept Hahn echo on 2
-# vCPU, at about 0.2 us per trajectory and point, both hyperfine lines
-# together).  1e8 is under half a minute of engine time on one core;
+# statements takes about 0.1 ms, paid once per chunk of 2048 trajectories,
+# as much as propagating about 600 trajectories through it (a swept Hahn
+# echo on 2 vCPU, at 0.16-0.21 us per trajectory and point, both hyperfine
+# lines together).  1e8 is under half a minute of engine time on one core;
 # anything larger exits 3 before the sweep grid or any ensemble is
 # allocated.
 MAX_SWEEP_WORK = 10**8

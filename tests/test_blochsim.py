@@ -55,7 +55,8 @@ def free(state, duration, relax, det, m_eq, shared=0.0):
     mx, my, mz = (np.full((1, 1), v) for v in state)
     psi = np.full(1, shared * duration)
     line_det = np.full((1, 1), det - shared)
-    return np.array(blochsim._free(mx, my, mz, psi, line_det, duration, relax, m_eq))[:, 0, 0]
+    factors = blochsim._free_factors(DelayStmt(duration), duration, (0, 1, 2), line_det, relax)
+    return np.array(blochsim._free(mx, my, mz, psi, factors, m_eq))[:, 0, 0]
 
 
 def _narrow_species():
@@ -439,22 +440,59 @@ class TestSweepEngine:
         assert peak < 4 * 2**20
 
     def test_engine_working_set(self):
-        # three_pulse_ed_echo at its shipped 128 x 32 held 1.76 MB when every
-        # pulse kept its whole rotation for both lines; the readout pi/2 now
-        # keeps the z row alone and the prefix pulses one line's rotation at a
-        # time.  A first run loads what numpy imports lazily, untraced.
+        # At the shipped 128 x 32 the engine peaks at 0.77 MiB on
+        # three_pulse_ed_echo and 0.86 MiB on hahn_echo (1.20 and 1.42 when a
+        # whole block was walked at once).  128 x 64 is one full
+        # 8192-trajectory block: its draws and offsets add 0.14 MiB (0.90 and
+        # 1.00 MiB), but each chunk still holds 2048 trajectories, so the
+        # chunk, not the block, bounds the peak (a whole block walked at once
+        # held 2.39 and 2.82 MiB).  1.1 MiB is the highest of the four plus
+        # a 0.1 MiB margin.  A first run loads what numpy imports lazily,
+        # untraced.
         cfg = load_config(json.loads((SEQ_DIR / "pulsed_defaults.json").read_text()))
-        ast = parse((SEQ_DIR / "three_pulse_ed_echo.seq").read_text())
-        values = [float(v) for v in sweep_values(ast.sweep)]
-        args = (cfg.environment, cfg.species, cfg.relaxation, cfg.ensemble)
-        blochsim._run_engine(ast, values[:1], *args)
-        tracemalloc.start()
-        try:
-            blochsim._run_engine(ast, values, *args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.4 * 2**20
+        peaks = {}
+        for name in ("three_pulse_ed_echo", "hahn_echo"):
+            ast = parse((SEQ_DIR / f"{name}.seq").read_text())
+            values = [float(v) for v in sweep_values(ast.sweep)]
+            for n_noise in (32, 64):
+                args = (cfg.environment, cfg.species, cfg.relaxation, EnsembleSpec(128, n_noise, cfg.ensemble.rng_seed))
+                blochsim._run_engine(ast, values[:1], *args)
+                tracemalloc.start()
+                try:
+                    blochsim._run_engine(ast, values, *args)
+                    peaks[name, n_noise] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert max(peaks.values()) <= 1.1 * 2**20, peaks
+
+    @pytest.mark.parametrize("source", [
+        pytest.param((SEQ_DIR / "hahn_echo.seq").read_text(), id="hahn_echo"),
+        pytest.param((SEQ_DIR / "three_pulse_ed_echo.seq").read_text(), id="three_pulse_ed_echo"),
+        pytest.param("sweep tau 10us 50us 5\npulse pi/2 +x\ndelay 20us\nacquire echo\npulse pi +x\ndelay tau\n"
+                     "acquire mz window=5us\npulse pi/2 +x\nacquire charge window=10ms", id="echo-mz-charge"),
+    ])
+    @pytest.mark.parametrize("n_static", [128, 375])
+    def test_chunks_match_one_pass(self, source, n_static):
+        # Walking each block in chunks moves no draw.  At 4096 trajectories
+        # (128 x 32) numpy's pairwise sum over the block already adds two
+        # halves of 2048, so every mean, and so every value, is the same bit
+        # for bit; the centred moments differ by rounding.  At 12000 (375 x
+        # 32: two blocks, the second ending in a partial chunk) the sums
+        # also differ by rounding, within 1e-15 of the trace's largest value.
+        cfg = load_config(json.loads((SEQ_DIR / "pulsed_defaults.json").read_text()))
+        ensemble = EnsembleSpec(n_static, 32, cfg.ensemble.rng_seed)
+        args = (parse(source), cfg.environment, cfg.species, cfg.relaxation, ensemble, cfg.trap)
+        chunked = run_program(*args)
+        with mock.patch.object(blochsim, "_CHUNK", blochsim._BLOCK):
+            one_pass = run_program(*args)
+        assert chunked.keys() == one_pass.keys()
+        for channel, trace in one_pass.items():
+            if n_static == 128:
+                assert np.array_equal(chunked[channel].y, trace.y)
+            for column in ("y", "y_stderr"):
+                want = getattr(trace, column)
+                np.testing.assert_allclose(getattr(chunked[channel], column), want, rtol=0,
+                                           atol=1e-15 * np.abs(want).max())
 
 
 class TestLiveComponents:
@@ -494,10 +532,10 @@ class TestLiveComponents:
 
 
 class TestRotationBuilds:
-    """The engine builds a pulse's rotation once per block, unless the
-    pulse's duration names the sweep variable: a pulse after the shared
-    prefix for all lines at once, and one in the prefix, which is walked
-    once, one line at a time."""
+    """The engine builds a pulse's rotation once per chunk of a block,
+    unless the pulse's duration names the sweep variable: a pulse after the
+    shared prefix for all lines at once, and one in the prefix, which is
+    walked once, one line at a time."""
 
     CONFIG = load_config({})
 
@@ -508,22 +546,26 @@ class TestRotationBuilds:
         values = [float(v) for v in sweep_values(ast.sweep)]
         pulses = [s for s in ast.statements if isinstance(s, PulseStmt)]
         if any(p.duration == ast.sweep.name for p in pulses):  # nutation: one build per point
-            per_block = values
+            per_chunk = values
         else:  # each pulse once; the readout pi/2 is not rebuilt at each of the 61 points
-            per_block = [statement_duration(p, cfg.environment) for p in pulses]
+            per_chunk = [statement_duration(p, cfg.environment) for p in pulses]
         # the pulses before the first swept statement are in the shared prefix
         swept = next(i for i, s in enumerate(ast.statements) if getattr(s, "duration", None) == ast.sweep.name)
         n_prefix = sum(isinstance(s, PulseStmt) for s in ast.statements[:swept])
-        # 12 000 trajectories: two blocks (nutation has no free evolution, so
-        # it runs one trajectory per static sample)
+        # 12 000 trajectories: two blocks, walked in chunks of 2048, the last
+        # one partial (nutation has no free evolution, so it runs one
+        # trajectory per static sample)
         ensemble = EnsembleSpec(12000, 1, 1)
+        chunks = [min(blochsim._CHUNK, size - lo) for size in (blochsim._BLOCK, 12000 - blochsim._BLOCK)
+                  for lo in range(0, size, blochsim._CHUNK)]
+        assert chunks == [2048] * 5 + [1760]
         with mock.patch.object(blochsim, "_pulse_rotation", wraps=blochsim._pulse_rotation) as build:
             blochsim._run_engine(ast, values, cfg.environment, cfg.species, cfg.relaxation, ensemble)
-        # per block, a prefix pulse is one call per hyperfine line, on that
+        # per chunk, a prefix pulse is one call per hyperfine line, on that
         # line's trajectories; any other is one call that holds both lines
         expected = [(d, (size,)) if k < n_prefix else (d, (2, size))
-                    for size in (blochsim._BLOCK, 12000 - blochsim._BLOCK)
-                    for k, d in enumerate(per_block) for _ in range(2 if k < n_prefix else 1)]
+                    for size in chunks
+                    for k, d in enumerate(per_chunk) for _ in range(2 if k < n_prefix else 1)]
         assert [c.args[3] for c in build.call_args_list] == [d for d, _ in expected]
         assert [c.args[0].shape for c in build.call_args_list] == [shape for _, shape in expected]
 

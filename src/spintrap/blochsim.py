@@ -470,13 +470,15 @@ def _run_engine(ast, values, env, species, relax, ensemble):
     return m0, np.concatenate((sums[..., :3] / n_traj, sums[..., 3:] / n_traj / n_traj), axis=-1)
 
 
-def _channel_value(acquire, stat, m0, trap):
-    """(value, stderr) of one acquire statement from its row of engine stats."""
+def _channel_value(channel, stat, m0, unit_charge):
+    """(value, stderr) of one acquire statement from its row of engine stats;
+    a charge acquire's ``unit_charge`` is the charge per flipped donor over
+    its window."""
     mean = stat[:3]
     vx, vy, cxy, vz = stat[3:]
-    if acquire.channel == "mz":
+    if channel == "mz":
         return mean[2], math.sqrt(vz)
-    if acquire.channel == "echo":
+    if channel == "echo":
         amp = math.hypot(mean[0], mean[1])
         if amp > 0:
             ux, uy = mean[0] / amp, mean[1] / amp
@@ -485,7 +487,6 @@ def _channel_value(acquire, stat, m0, trap):
         se = math.sqrt(max(ux * ux * vx + 2 * ux * uy * cxy + uy * uy * vy, 0.0))
         return amp, se
     # the charge channel; a NaN mz gives a NaN charge, refused where the trace is written
-    unit_charge = trapdyn.boxcar_charge(trap, acquire.window or 6.0 / trap.emission_rate_per_second)
     se = abs(unit_charge) * math.sqrt(vz) / 2.0  # charge is linear in mz
     return unit_charge * trapdyn.flip_fraction_from_state(mean[2], m0), se
 
@@ -494,6 +495,7 @@ def _channel_value(acquire, stat, m0, trap):
 _CHANNEL_UNITS = {"mz": "dimensionless", "echo": "dimensionless", "charge": "C"}
 
 
+@np.errstate(all="ignore")  # a non-finite value is refused where the trace is written
 def run_program(ast: SequenceAst, env: Environment, species: SpinSpecies, relax: RelaxationParams,
                 ensemble: EnsembleSpec, trap: trapdyn.TrapParams) -> dict[str, SignalTrace]:
     """Run a parsed pulse program; one trace per acquisition channel.
@@ -536,10 +538,13 @@ def run_program(ast: SequenceAst, env: Environment, species: SpinSpecies, relax:
 
     m0, stats = _run_engine(ast, points, env, species, relax, ensemble)
     meta["equilibrium_mz"] = m0
+    # a charge acquire's charge per flipped donor is set by its window, the same at every point
+    unit_charges = [trapdyn.boxcar_charge(trap, acquire.window or 6.0 / trap.emission_rate_per_second)
+                    if acquire.channel == "charge" else None for acquire in acquires]
     for point_stats in stats:
-        for acquire, stat in zip(acquires, point_stats):
+        for acquire, unit_charge, stat in zip(acquires, unit_charges, point_stats):
             _, values, ses = columns[acquire.channel]
-            y, se = _channel_value(acquire, stat, m0, trap)
+            y, se = _channel_value(acquire.channel, stat, m0, unit_charge)
             values.append(y)
             ses.append(se)
     return {channel: SignalTrace(axis_kind, xs, values, _CHANNEL_UNITS[channel], meta, y_stderr=ses)

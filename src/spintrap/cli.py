@@ -21,36 +21,44 @@ A flag that overrides a config key has that ``section.key`` as its argparse
 ``dest``, which ``-h`` shows as its metavar; the dotted dests that are set
 reach :func:`spintrap.config.load_config` as its ``overrides``.
 
+Importing this module loads no numpy.  ``spectrum`` and ``transient`` are
+closed forms on Python floats and never load it; ``run``, ``nutation`` and
+``fit`` compute on arrays and import it in their own bodies, with the rest of
+their modules (see :func:`_imported`).
+
 A call runs in one thread, numpy's BLAS included: importing this module sets
 ``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS``,
-``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set.  A call maps no
-OpenSSL either: importing this module marks OpenSSL's ``_hashlib`` absent in
-``sys.modules`` unless it is already loaded, so ``hashlib`` and ``hmac``
-(which ``numpy.random`` imports through ``secrets``) fall back to CPython's
-builtin digests, which give the same SHA-256.  That takes 3.4 MB of
-``libcrypto`` off every call's peak RSS.  A process that loaded ``_hashlib``
-before importing this module keeps it; one that did not has, from then on,
-only the builtin ``hashlib`` algorithms.  Importing the other ``spintrap``
-modules sets nothing.
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set, so the setting
+is in place whenever numpy loads.  A call maps no OpenSSL either: importing
+this module marks OpenSSL's ``_hashlib`` absent in ``sys.modules`` unless it
+is already loaded, so ``hashlib`` and ``hmac`` (which ``numpy.random``
+imports through ``secrets``) fall back to CPython's builtin digests, which
+give the same SHA-256.  That takes 3.4 MB of ``libcrypto`` off every call's
+peak RSS.  A process that loaded ``_hashlib`` before importing this module
+keeps it; one that did not has, from then on, only the builtin ``hashlib``
+algorithms.  Importing the other ``spintrap`` modules sets nothing.
 """
 
 from __future__ import annotations
 
 import gc
 
-# Every call is a fresh process whose imports leave some 30k objects that
-# live until exit.  With the collector paused while the imports make them,
-# no collection pass walks them then; frozen afterwards (moved where the
-# collector never looks), they are not walked by a later collection or by
-# the one at interpreter exit either.  Each command imports the modules
-# only it runs (config, engine, sequence language, fitter) in its own body,
-# so a call pays for no module it does not use.  The value types subclass
-# errors.Value, not dataclasses, so no call imports `dataclasses` or pays
-# its millisecond of class building per type.
+# Every call is a fresh process whose imports leave tens of thousands of
+# objects that live until exit (numpy's import alone some 30k).  With the
+# collector paused while the imports make them, no collection pass walks
+# them then; frozen afterwards (moved where the collector never looks), they
+# are not walked by a later collection or by the one at interpreter exit
+# either.  Each command imports the modules only it runs (config, engine,
+# sequence language, fitter, numpy) in its own body the same way, through
+# `_imported`, so a call pays for no module it does not use: without the
+# pause and the freeze, numpy's import would cost a call about 6 ms more.
+# The value types subclass errors.Value, not dataclasses, so no call imports
+# `dataclasses` or pays its millisecond of class building per type.
 _collecting = gc.isenabled()
 gc.disable()
 try:
     import argparse
+    import importlib
     import json
     import math
     import os
@@ -70,12 +78,11 @@ try:
     # leaves hashlib and hmac to CPython's builtin digests, which give the
     # same SHA-256; a process that has already loaded it keeps it.
     sys.modules.setdefault("_hashlib", None)
-    import numpy as np
 
     from . import __version__
     from .errors import (ConfigError, CsvFormatError, DegenerateDataError, MixedConfigHashError,
                          SequenceError)
-    from .trace import SignalTrace, read_trace_csv, require_finite, write_trace_csv
+    from .trace import linspace, read_trace_csv, require_finite, write_trace_csv
 finally:
     if _collecting:
         gc.enable()
@@ -83,6 +90,7 @@ gc.freeze()
 
 if TYPE_CHECKING:
     from .config import RunConfig
+    from .trace import SignalTrace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,18 +110,35 @@ MIN_POINT_WORK = 1024
 
 # Longest grid of `spectrum`, `transient` and `nutation`, and largest
 # `nutation` ensemble; `nutation` also keeps points x n_static within
-# MAX_SWEEP_WORK.  At the bound a command peaks at 35-39 MB (`spectrum`
-# 34.6, `transient` 34.6, `nutation` with n_static 1000 38.9): 29-32 MB for
-# the interpreter and imports (the same command at 101 points), 5-7 MB for
-# float64 arrays of 0.8 MB each, and under 0.3 MB for the Python floats of
-# the one 4096-row chunk that the CSV writer formats at a time.  `nutation`
-# runs 4-7 s.  Larger requests exit 2 before anything is allocated.
+# MAX_SWEEP_WORK.  At the bound `spectrum` and `transient` peak at 22.9 MB:
+# 15.3 MB for the interpreter and imports, numpy not among them (the same
+# command at 101 points), and the rest for their columns of Python floats,
+# 3.2 MB each.  `nutation` with n_static 1000 peaks at 39.8 MB: 31.8 MB for
+# the interpreter and imports, 5-7 MB for float64 arrays of 0.8 MB each,
+# and about 1 MB that its time grid's Python floats leave behind; the CSV
+# writer formats an array column 4096 rows at a time, under 0.3 MB of
+# Python floats.  `nutation` runs 4-7 s.  Larger requests exit 2 before
+# anything is allocated.
 MAX_POINTS = 10**5
 
 
-def _load_config_file(args) -> RunConfig:
-    from .config import load_config
+def _imported(*names: str) -> list:
+    """The modules ``names`` (``".blochsim"`` for a spintrap module), imported
+    as this module's own imports are: with the collector paused, and the
+    objects the imports made frozen afterwards."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        modules = [importlib.import_module(name, __package__) for name in names]
+    finally:
+        if collecting:
+            gc.enable()
+    gc.freeze()
+    return modules
 
+
+def _load_config_file(args) -> RunConfig:
+    (config,) = _imported(".config")
     data = {}
     if getattr(args, "config", None):
         try:
@@ -127,51 +152,55 @@ def _load_config_file(args) -> RunConfig:
             raise ConfigError(f"config file must hold a JSON object, got {json.dumps(data)[:40]}")
     # an override flag's dest is the "section.key" it sets
     overrides = {dest: value for dest, value in vars(args).items() if "." in dest and value is not None}
-    return load_config(data, overrides)
+    return config.load_config(data, overrides)
 
 
-def _write_output(trace: SignalTrace, config: RunConfig, path: str, extra_meta: dict) -> None:
-    """Write ``trace`` to ``path``.  This is the one place that chooses what a
-    file says about its inputs: over the trace's own meta and ``extra_meta``
-    (the command, and for ``run`` the channel and the program), the resolved
-    config as canonical JSON, its hash, the tool version and the time."""
-    from .config import config_hash, config_text
+def _write_output(path: str, x, y, meta: dict, config: RunConfig) -> None:
+    """Write the columns ``x`` and ``y`` to ``path``.  This is the one place
+    that chooses what a file says about its inputs: over ``meta`` (the axis
+    kind, the units, what the computation labels x with, the command, and
+    for ``run`` the channel and the program), the resolved config as
+    canonical JSON, its hash, the tool version and the time."""
+    (schema,) = _imported(".config")
+    write_trace_csv(path, x, y, {
+        **meta, "config": schema.config_text(config), "config_hash": schema.config_hash(config),
+        "created": datetime.now(timezone.utc).isoformat(), "tool_version": __version__})
+    print(f"wrote {path} ({len(x)} points)")
 
-    write_trace_csv(trace.replace(meta={
-        **trace.meta, **extra_meta, "config": config_text(config), "config_hash": config_hash(config),
-        "created": datetime.now(timezone.utc).isoformat(), "tool_version": __version__}), path)
-    print(f"wrote {path} ({len(trace)} points)")
+
+def _trace_meta(trace: SignalTrace) -> dict:
+    """What a trace's file says about the trace itself: its meta, axis kind and units."""
+    return {**trace.meta, "axis_kind": trace.axis_kind, "units": trace.units}
 
 
-def _require_distinct(grid: np.ndarray, what: str) -> np.ndarray:
+def _require_distinct(grid: list[float], what: str) -> list[float]:
     """``grid``, whose points become the x axis of a trace, which must
     strictly increase; a grid too fine for floats to tell apart exits 2."""
-    if not (np.diff(grid) > 0).all():
+    if not all(a < b for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"{what} are too close for floats to tell apart")
     return grid
 
 
-def _time_grid(args) -> np.ndarray:
+def _time_grid(args) -> list[float]:
     """``--n-points`` evenly spaced times from 0 to ``--t-max``."""
     if not (math.isfinite(args.t_max) and args.t_max > 0):
         raise ConfigError(f"--t-max must be finite and > 0, got {args.t_max}")
     if not 1 <= args.n_points <= MAX_POINTS:
         raise ConfigError(f"--n-points must lie in [1, {MAX_POINTS}], got {args.n_points}")
-    return _require_distinct(np.linspace(0.0, args.t_max, args.n_points),
+    return _require_distinct(linspace(0.0, args.t_max, args.n_points),
                              f"{args.n_points} times from 0 to --t-max {args.t_max!r} s")
 
 
 def cmd_spectrum(args) -> int:
     config = _load_config_file(args)
-    from . import spectrum
-
+    (spectrum,) = _imported(".spectrum")
     sweep = config.spectrum
     if sweep.n_points > MAX_POINTS:
         raise ConfigError(f"spectrum.n_points must be <= {MAX_POINTS}, got {sweep.n_points}")
     _require_distinct(sweep.field_axis(),
                       f"{sweep.n_points} fields from {sweep.b_start_tesla!r} to {sweep.b_stop_tesla!r} T")
-    trace = spectrum.simulate_field_sweep(config.species, config.environment, sweep)
-    _write_output(trace, config, args.out, {"command": "spectrum"})
+    fields, di = spectrum.simulate_field_sweep(config.species, config.environment, sweep)
+    _write_output(args.out, fields, di, {"axis_kind": "field", "units": "A", "command": "spectrum"}, config)
     return EXIT_OK
 
 
@@ -184,8 +213,7 @@ def cmd_transient(args) -> int:
     if args.pulse_angle_deg < 0:
         raise ConfigError(f"--pulse-angle-deg must be >= 0, got {args.pulse_angle_deg}")
     config = _load_config_file(args)
-    from . import rabi, trapdyn
-
+    rabi, trapdyn = _imported(".rabi", ".trapdyn")
     if args.flip_fraction is not None:
         fraction = args.flip_fraction
         if not 0.0 <= fraction <= 1.0:
@@ -193,15 +221,15 @@ def cmd_transient(args) -> int:
     else:
         fraction = rabi.pulse_flip_fraction(args.pulse_angle_deg, args.field_offset_tesla,
                                             config.environment, config.species)
-    trace = trapdyn.transient_response(fraction, config.trap, grid)
-    _write_output(trace, config, args.out, {"command": "transient"})
+    di = trapdyn.transient_response(fraction, config.trap, grid)
+    _write_output(args.out, grid, di, {"axis_kind": "time", "units": "A", "flip_fraction": fraction,
+                                       "command": "transient"}, config)
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
     config = _load_config_file(args)
-    from . import blochsim, seqlang
-
+    blochsim, seqlang, _ = _imported(".blochsim", ".seqlang", "numpy.random")
     try:
         with open(args.seqfile, "r", encoding="utf-8") as fh:
             source = fh.read()
@@ -219,12 +247,13 @@ def cmd_run(args) -> int:
     traces = blochsim.run_program(ast, config.environment, config.species, config.relaxation,
                                   ensemble, config.trap)
     for trace in traces.values():  # refuse before any channel's file is written
-        require_finite(trace)
+        require_finite(trace.x, trace.y)
     stem, ext = os.path.splitext(args.out)
     program = json.dumps(seqlang.unparse(ast))  # the canonical program, on one line
     for channel, trace in traces.items():
         path = f"{stem}_{channel}{ext}" if len(traces) > 1 else args.out
-        _write_output(trace, config, path, {"command": "run", "channel": channel, "program": program})
+        _write_output(path, trace.x, trace.y,
+                      {**_trace_meta(trace), "command": "run", "channel": channel, "program": program}, config)
     return EXIT_OK
 
 
@@ -235,16 +264,16 @@ def cmd_nutation(args) -> int:
     if n_static > MAX_POINTS or len(durations) * n_static > MAX_SWEEP_WORK:
         raise ConfigError(f"nutation of {len(durations)} points x {n_static} static offsets: n_static "
                           f"must be <= {MAX_POINTS} and points x n_static <= {MAX_SWEEP_WORK:.0e}")
-    from . import rabi
-
+    rabi, np, _ = _imported(".rabi", "numpy", "numpy.random")
+    # held as an array while the curve is computed, the grid takes a quarter of a list's memory
+    durations = np.array(durations)
     trace = rabi.nutation_curve(durations, config.environment, config.species, config.ensemble)
-    _write_output(trace, config, args.out, {"command": "nutation"})
+    _write_output(args.out, trace.x, trace.y, {**_trace_meta(trace), "command": "nutation"}, config)
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    from . import fitkit
-
+    (fitkit,) = _imported(".fitkit")
     for flag, model in (("--model", args.model), ("--compare-with", args.compare_with)):
         if model is not None and model not in fitkit.MODEL_IDS:
             raise ConfigError(f"{flag} must be one of {', '.join(fitkit.MODEL_IDS)}, got {model!r}")
@@ -359,10 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # a non-finite result is refused where it would be written, so numpy's
-        # overflow and invalid-value warnings would only add stray stderr lines
-        with np.errstate(all="ignore"):
-            return args.func(args)
+        return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,14 +6,13 @@ from the generalized Rabi formula instead of the engine of
 :mod:`spintrap.blochsim`.  Its rotation convention and its static offsets
 (stream 0 of :func:`spintrap.spincore._philox`) are the engine's, and a test
 holds :func:`_rabi_mz` to the engine's rotation.  Neither command loads the
-engine or the sequence language.
+engine or the sequence language.  ``transient``'s one flip is computed on
+Python floats; numpy is imported by the functions that compute on arrays.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import CsvFormatError
 from .spincore import (_STATIC_STREAM, EnsembleSpec, Environment, SpinSpecies, _ensemble_setup, _philox,
@@ -28,6 +27,8 @@ def _rabi_flip(w1, det, duration):
     share of the polarization one +x pulse of ``duration`` at detuning ``det``
     turns over, by the generalized Rabi formula.  Broadcasts over ``det`` and
     ``duration``."""
+    import numpy as np
+
     weff2 = w1 * w1 + det * det
     return (w1 * w1 / weff2) * np.sin(np.sqrt(weff2) * duration / 2.0) ** 2
 
@@ -46,19 +47,23 @@ def pulse_flip_fraction(angle_deg: float, field_offset: float, env: Environment,
     The pulse lasts as long as an on-resonance pulse of ``angle_deg`` and
     meets a static field ``field_offset`` tesla off resonance.  The fraction
     is ``m0`` times :func:`_rabi_flip`, clipped to [0, 1]; formed without the
-    difference ``(m0 - mz)/2``, it keeps its digits for a small flip.  The
-    arithmetic is in numpy floats, so a drive so weak that the pulse never
-    ends, or an offset whose detuning overflows, gives a non-finite fraction
-    (not a Python arithmetic error), which raises :class:`CsvFormatError`.
+    difference ``(m0 - mz)/2``, it keeps its digits for a small flip.  It is
+    :func:`_rabi_flip` written out on one float, in the same operation
+    order.  A drive so weak that the pulse never ends, or an offset whose
+    detuning overflows, has no finite flip: that raises
+    :class:`CsvFormatError`, checked before ``math.sin``, which would raise
+    on an infinite angle, and the quotient, which would on a zero ``weff2``.
     """
     m0, w1, _, _ = _ensemble_setup(env, species)
-    w1 = np.float64(w1)
-    duration = np.radians(angle_deg) / w1
-    det = np.float64(gyromagnetic_ratio(species.g_factor)) * field_offset
-    fraction = m0 * _rabi_flip(w1, det, duration)
-    if not math.isfinite(fraction):
-        raise CsvFormatError(f"refusing to write a transient: the pulse flips a fraction {fraction}")
-    return float(np.clip(fraction, 0.0, 1.0))
+    duration = math.radians(angle_deg) / w1
+    det = gyromagnetic_ratio(species.g_factor) * field_offset
+    weff2 = w1 * w1 + det * det
+    half_angle = math.sqrt(weff2) * duration / 2.0
+    if not (weff2 > 0.0 and math.isfinite(half_angle)):
+        raise CsvFormatError("refusing to write a transient: the pulse flips no finite fraction")
+    sin_half = math.sin(half_angle)
+    fraction = m0 * ((w1 * w1 / weff2) * (sin_half * sin_half))
+    return min(max(fraction, 0.0), 1.0)
 
 
 # Elements of one (durations x offsets) chunk of `nutation_curve`: large
@@ -82,17 +87,21 @@ def nutation_curve(
     Carlo error of the mean over the ``n_static`` offsets, from the spread of
     each offset's readout, the sum of the lines.
     """
+    import numpy as np
+
     durations = np.asarray(pulse_durations, dtype=float)
     m0, w1, sigma, lines = _ensemble_setup(env, species)
     offsets = _philox(ensemble.rng_seed, _STATIC_STREAM).standard_normal(ensemble.n_static) * sigma
 
     rows = max(1, _NUTATION_CHUNK // ensemble.n_static)  # durations per chunk
     y, se = np.zeros_like(durations), np.empty_like(durations)
-    for lo in range(0, durations.size, rows):
-        readout = 0.0
-        for weight, line_det in lines:
-            mz = _rabi_mz(m0, w1, line_det + offsets, durations[lo:lo + rows, None])
-            y[lo:lo + rows] += weight * mz.mean(axis=1)
-            readout += weight * mz
-        se[lo:lo + rows] = readout.std(axis=1) / math.sqrt(ensemble.n_static)
+    # a non-finite value is refused where the trace is written
+    with np.errstate(all="ignore"):
+        for lo in range(0, durations.size, rows):
+            readout = 0.0
+            for weight, line_det in lines:
+                mz = _rabi_mz(m0, w1, line_det + offsets, durations[lo:lo + rows, None])
+                y[lo:lo + rows] += weight * mz.mean(axis=1)
+                readout += weight * mz
+            se[lo:lo + rows] = readout.std(axis=1) / math.sqrt(ensemble.n_static)
     return SignalTrace("pulse_duration", durations, y, y_stderr=se)

@@ -29,10 +29,12 @@ for concurrent use.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import Value
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PLANCK_H",
@@ -228,6 +230,8 @@ _STATIC_STREAM = 0
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
     """The counter-based generator of stream ``stream`` under ``seed``."""
+    import numpy as np
+
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -1,27 +1,33 @@
-"""Shared signal container and its CSV wire format.
+"""Shared signal container, its CSV wire format, and the grids of its x axes.
 
-A :class:`SignalTrace` is the common currency between the simulation modules,
-the fitting toolkit, and the command line: read-only float64 columns ``x``,
-``y`` and, from the pulse engine and nutation, ``y_stderr``.  On disk it is a
-plain CSV with ``#``-prefixed ``key=value`` metadata lines, one ``x,y`` header
-row, and data rows printed at full double precision (17 significant digits),
-so two runs with the same configuration and seed produce byte-identical data
-sections.  ``y_stderr`` is kept in memory only; the file holds ``x,y``.
+A :class:`SignalTrace` is the common currency between the pulse engine,
+nutation, the fitting toolkit and the trace reader: read-only float64
+columns ``x``, ``y`` and, from the pulse engine and nutation, ``y_stderr``.
+The closed-form spectrum and transient compute on Python floats and hand
+the writer lists, so this module imports numpy only where a trace is built.
+On disk a trace is a plain CSV with ``#``-prefixed ``key=value`` metadata
+lines, one ``x,y`` header row, and data rows printed at full double
+precision (17 significant digits), so two runs with the same configuration
+and seed produce byte-identical data sections.  ``y_stderr`` is kept in
+memory only; the file holds ``x,y``.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CsvFormatError, MixedConfigHashError, Value
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AXIS_KINDS",
     "SignalTrace",
     "CsvFormatError",
     "MixedConfigHashError",
+    "linspace",
     "require_finite",
     "write_trace_csv",
     "read_trace_csv",
@@ -29,8 +35,9 @@ __all__ = [
 
 AXIS_KINDS = ("time", "field", "tau", "pulse_duration")
 
-# Data rows the CSV writer formats at a time: the Python floats of one chunk
-# take about 0.26 MB, where two whole columns of 1e5 points would take 6.4 MB.
+# Data rows the CSV writer checks and formats at a time: an array column's
+# Python floats take about 0.26 MB a chunk, where two whole columns of 1e5
+# points would take 6.4 MB.
 _CHUNK_ROWS = 4096
 
 
@@ -63,6 +70,8 @@ class SignalTrace(Value):
     __hash__ = object.__hash__
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if self.axis_kind not in AXIS_KINDS:
             raise ValueError(f"axis_kind must be one of {AXIS_KINDS}, got {self.axis_kind!r}")
         object.__setattr__(self, "meta", dict(self.meta))
@@ -78,55 +87,72 @@ class SignalTrace(Value):
                 object.__setattr__(self, name, column)
             if len(column) != len(self.x):
                 raise ValueError(f"len({name})={len(column)} != len(x)={len(self.x)}")
-        if not np.all(np.diff(self.x) > 0):
+        if not np.all(self.x[1:] > self.x[:-1]):  # compares, so no overflow warning
             raise ValueError("x must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.x)
 
 
-def require_finite(trace: SignalTrace) -> None:
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num >= 1`` evenly spaced floats from ``start`` to ``stop``, both ends
+    included: ``np.linspace(start, stop, num)`` bit for bit, as Python floats."""
+    div = num - 1
+    delta = stop - start
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0.0:  # a subnormal span: scale each index first, as numpy does
+        grid = [i / div * delta + start for i in range(num)]
+    else:
+        grid = [i * step + start for i in range(num)]
+    grid[-1] = stop
+    return grid
+
+
+def _floats(column, start: int) -> list:
+    """Rows ``start`` to ``start + _CHUNK_ROWS`` of a list or array column, as Python floats."""
+    part = column[start:start + _CHUNK_ROWS]
+    return part if isinstance(part, list) else part.tolist()
+
+
+def require_finite(x, y) -> None:
     """Raise :class:`CsvFormatError` naming the first data row whose x or y
     is not finite."""
-    finite = np.isfinite(trace.x) & np.isfinite(trace.y)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise CsvFormatError(f"refusing to write non-finite data row {i + 1}: "
-                             f"x={float(trace.x[i])!r}, y={float(trace.y[i])!r}")
+    for start in range(0, len(x), _CHUNK_ROWS):
+        for row, (xv, yv) in enumerate(zip(_floats(x, start), _floats(y, start)), start + 1):
+            if not (math.isfinite(xv) and math.isfinite(yv)):
+                raise CsvFormatError(f"refusing to write non-finite data row {row}: x={xv!r}, y={yv!r}")
 
 
-def write_trace_csv(trace: SignalTrace, path: str) -> None:
-    """Write a trace in the canonical CSV layout.
+def write_trace_csv(path: str, x, y, meta: dict) -> None:
+    """Write the columns ``x`` and ``y`` (lists of floats, or a trace's
+    arrays) and the ``#`` metadata ``meta`` in the canonical CSV layout.
 
-    Metadata keys are emitted sorted so the data section is deterministic;
-    the volatile timestamp is confined to the single ``created=`` line.  A
-    trace with a non-finite x or y raises :class:`CsvFormatError` and no file
-    is written, as :func:`read_trace_csv` refuses one on input; so does a
-    metadata key or value with a line break, which would end its ``#`` line
-    and make the rest a data row.  ``y_stderr`` is not written.
+    ``meta`` holds every ``key=value`` line, ``axis_kind`` and ``units``
+    among them, as :func:`read_trace_csv` takes them back.  Keys are emitted
+    sorted so the data section is deterministic; the volatile timestamp is
+    confined to the single ``created=`` line, written first.  A non-finite
+    x or y raises :class:`CsvFormatError` and no file is written, as
+    :func:`read_trace_csv` refuses one on input; so does a metadata key or
+    value with a line break, which would end its ``#`` line and make the
+    rest a data row.
     """
-    require_finite(trace)
-    for key, value in trace.meta.items():
+    require_finite(x, y)
+    for key, value in meta.items():
         line = f"{key}={value}"
         if "\n" in line or "\r" in line:
             raise CsvFormatError(f"refusing to write metadata with a line break: {line!r}")
-    lines = []
-    meta = dict(trace.meta)
+    meta = dict(meta)
     created = meta.pop("created", None)
-    if created is not None:
-        lines.append(f"# created={created}")
-    meta.setdefault("axis_kind", trace.axis_kind)
-    meta.setdefault("units", trace.units)
-    for key in sorted(meta):
-        lines.append(f"# {key}={meta[key]}")
+    lines = [] if created is None else [f"# created={created}"]
+    lines += [f"# {key}={meta[key]}" for key in sorted(meta)]
     lines.append("x,y")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
         # rows are formatted a chunk at a time, never held all at once
-        for start in range(0, len(trace), _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            fh.writelines(map("{:.17g},{:.17g}\n".format, trace.x[start:stop].tolist(),
-                              trace.y[start:stop].tolist()))
+        for start in range(0, len(x), _CHUNK_ROWS):
+            fh.writelines(map("{:.17g},{:.17g}\n".format, _floats(x, start), _floats(y, start)))
 
 
 def read_trace_csv(path: str, allow_mixed_hash: bool = False) -> SignalTrace:
@@ -182,9 +208,9 @@ def read_trace_csv(path: str, allow_mixed_hash: bool = False) -> SignalTrace:
                                        "pass --force to fit anyway")
         # the sections name no single config, so the trace names none
         meta = {key: value for key, value in meta.items() if key not in ("config_hash", "config")}
-    diffs = np.diff(np.asarray(xs))
-    if np.any(diffs <= 0):
-        raise CsvFormatError("x values not strictly increasing", rows[int(np.argmax(diffs <= 0)) + 1])
+    repeat = next((i for i in range(1, len(xs)) if not xs[i - 1] < xs[i]), None)
+    if repeat is not None:
+        raise CsvFormatError("x values not strictly increasing", rows[repeat])
     axis_kind = meta.get("axis_kind", "time")
     if axis_kind not in AXIS_KINDS:
         axis_kind = "time"

@@ -19,17 +19,15 @@ fully polarized) conduction bath.  ``emission_rate_per_second`` is therefore
 the *net* release rate, which is what a fit to the current tail measures;
 with that convention the current transient and the donor spin recovery share
 the same time constant ``1/k_e``, which is the experimental signature this
-model is built to reproduce.
+model is built to reproduce.  Every formula here is a closed form on
+Python floats.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import Value
-from .trace import SignalTrace
 
 __all__ = [
     "TrapParams",
@@ -80,13 +78,13 @@ def _peak_trapped_fraction(k_c: float, k_e: float) -> float:
     return k_c / d * (math.exp(-k_e * t_star) * -math.expm1(-d * t_star))
 
 
-def _rise(d: float, t):
+def _rise(d: float, t: float) -> float:
     """``(1 - e^{-d t})/d`` for ``d >= 0`` without cancellation: ``t`` at ``d = 0``."""
-    return -np.expm1(-d * t) / d if d else t
+    return -math.expm1(-d * t) / d if d else t
 
 
-def trapped_fraction(flip_fraction: float, params: TrapParams, t) -> np.ndarray:
-    """D- population versus time after an instantaneous flip at t=0.
+def trapped_fraction(flip_fraction: float, params: TrapParams, t: float) -> float:
+    """D- population at time ``t`` after an instantaneous flip at t=0.
 
     Biexponential solution of the two-compartment rate equations,
     ``f k_c/(k_c - k_e) (e^{-k_e t} - e^{-k_c t})``, evaluated as
@@ -94,23 +92,22 @@ def trapped_fraction(flip_fraction: float, params: TrapParams, t) -> np.ndarray:
     ``d = |k_c - k_e|``: no two near-equal terms are subtracted, so it holds
     to rounding at and near ``k_c = k_e``, where it is ``f k t e^{-kt}``.
     """
-    t = np.asarray(t, dtype=float)
     k_c = params.capture_rate_per_second
     k_e = params.emission_rate_per_second
-    return flip_fraction * k_c * np.exp(-min(k_c, k_e) * t) * _rise(abs(k_c - k_e), t)
+    return flip_fraction * k_c * math.exp(-min(k_c, k_e) * t) * _rise(abs(k_c - k_e), t)
 
 
-def transient_response(flip_fraction: float, params: TrapParams, t_grid) -> SignalTrace:
-    """Photocurrent change ``dI(t) = -coupling * trapped_fraction(t)``.
+def transient_response(flip_fraction: float, params: TrapParams, t_grid) -> list[float]:
+    """Photocurrent change ``dI(t) = -coupling * trapped_fraction(t)`` in
+    amperes at each time of ``t_grid``.
 
     ``dI`` is zero at t=0, everywhere non-positive, and returns to zero once
     the trapped electrons have been reemitted.  ``flip_fraction`` lies in
     [0, 1] and ``t_grid`` increases strictly from 0 or above; the callers
     guarantee both.
     """
-    t = np.asarray(t_grid, dtype=float)
-    di = -params.coupling_amplitude_amperes * trapped_fraction(flip_fraction, params, t)
-    return SignalTrace("time", t, di, "A", {"flip_fraction": flip_fraction})
+    scale = -params.coupling_amplitude_amperes
+    return [scale * trapped_fraction(flip_fraction, params, t) for t in t_grid]
 
 
 def flip_fraction_from_state(final_mz: float, equilibrium_mz: float) -> float:
@@ -120,7 +117,22 @@ def flip_fraction_from_state(final_mz: float, equilibrium_mz: float) -> float:
     flipped, one for a perfect inversion of a fully polarized ensemble.  A
     NaN ``final_mz`` (a pulse program that overflowed) gives NaN.
     """
-    return float(np.clip((equilibrium_mz - final_mz) / 2.0, 0.0, 1.0))
+    return float(min(max((equilibrium_mz - final_mz) / 2.0, 0.0), 1.0))  # NaN first, so NaN is kept
+
+
+def _short_window_series(a: float, big_a: float) -> float:
+    """The bracket of :func:`boxcar_charge` over ``k K W^2``, for ``a = kW <=
+    big_a = KW < 1``, summed as its Taylor series
+    ``sum_m (-1)^m h_m/(m + 2)!`` with ``h_m = sum_j a^j big_a^(m-j)``, whose
+    terms shrink at least as fast as ``(m + 1)/(m + 2)!``: 20 of them leave
+    a remainder below 1e-17 of the sum."""
+    total, h, a_power, coeff = 0.0, 1.0, 1.0, 0.5
+    for m in range(20):
+        total += coeff * h
+        a_power *= a
+        h = big_a * h + a_power
+        coeff /= -(m + 3)
+    return total
 
 
 def boxcar_charge(params: TrapParams, window: float) -> float:
@@ -133,11 +145,18 @@ def boxcar_charge(params: TrapParams, window: float) -> float:
     ``-coupling k_c/(k_c - k_e) [(1 - e^{-k_e W})/k_e - (1 - e^{-k_c W})/k_c]``,
     evaluated as ``-coupling k_c [1 - e^{-kW} - k e^{-kW} (1 - e^{-dW})/d] / (k K)``
     with ``k = min(k_c, k_e)``, ``K = max(k_c, k_e)`` and ``d = K - k``, which
-    holds to rounding at and near ``k_c = k_e``.  The trapezoidal integral of a
-    transient sampled across the window is the numerical reference.
+    holds to rounding at and near ``k_c = k_e``.  For a window shorter than
+    ``1/K`` the two terms of that bracket agree to about ``K W/2`` of their
+    size, so there the bracket is its Taylor series in ``W``
+    (:func:`_short_window_series`), which holds to rounding too.  The
+    trapezoidal integral of a transient sampled across the window is the
+    numerical reference.
     """
     k_c = params.capture_rate_per_second
     k_e = params.emission_rate_per_second
     k, k_fast = min(k_c, k_e), max(k_c, k_e)
+    if k_fast * window < 1.0:
+        series = _short_window_series(k * window, k_fast * window)
+        return float(-params.coupling_amplitude_amperes * k_c * (window * window * series))
     bracket = -math.expm1(-k * window) - k * math.exp(-k * window) * _rise(k_fast - k, window)
     return float(-params.coupling_amplitude_amperes * k_c * bracket / (k * k_fast))

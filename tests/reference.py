@@ -2,6 +2,8 @@
 
 No command runs these; they are closed forms (and a scipy peak search) that
 give the numbers the engine, the fitter and the spectrum must reproduce.
+The spectrum, the transient and its pulse are also kept here as numpy
+computed them before the program moved them to Python floats.
 """
 
 from decimal import Context, Decimal, localcontext
@@ -9,8 +11,8 @@ from decimal import Context, Decimal, localcontext
 import numpy as np
 from scipy.signal import find_peaks
 
-from spintrap import fitkit
-from spintrap.spincore import RelaxationParams
+from spintrap import fitkit, rabi
+from spintrap.spincore import DANGLING_BOND, RelaxationParams, _ensemble_setup, gyromagnetic_ratio, resonance_lines
 from spintrap.trace import SignalTrace
 from spintrap.trapdyn import TrapParams, trapped_fraction
 
@@ -59,7 +61,7 @@ def spin_recovery_curve(params: TrapParams, t_grid, flip_fraction: float = 1.0) 
         raise ValueError("t_grid must be sorted, non-negative, strictly increasing")
     k_c = params.capture_rate_per_second
     flipped = flip_fraction * np.exp(-k_c * t)
-    trapped = trapped_fraction(flip_fraction, params, t)
+    trapped = np.array([trapped_fraction(flip_fraction, params, ti) for ti in t.tolist()])
     aligned = 1.0 - flipped - trapped
     mz = aligned - flipped  # trapped singlets contribute zero
     return SignalTrace(
@@ -141,3 +143,44 @@ def find_dips(trace: SignalTrace, min_prominence: float = 0.02) -> list[tuple[fl
     if span == 0.0:
         return []
     return [(trace.x[i], float(y[i])) for i in find_peaks(y, prominence=min_prominence * span)[0]]
+
+
+def _numpy_unit_peak_line(b, center, width, lineshape):
+    if lineshape == "gaussian":
+        return np.exp(-((b - center) ** 2) / (2.0 * np.square(width)))
+    return 1.0 / (1.0 + ((b - center) / width) ** 2)
+
+
+def numpy_field_sweep(species, env, sweep) -> tuple[np.ndarray, np.ndarray]:
+    """The fields and dI of :func:`spintrap.spectrum.simulate_field_sweep`,
+    computed on numpy arrays."""
+    b = np.linspace(sweep.b_start_tesla, sweep.b_stop_tesla, sweep.n_points)
+    di = np.zeros_like(b)
+    depth = sweep.phosphorus_amplitude_amperes
+    with np.errstate(all="ignore"):  # a vanishing width gives 0 (and NaN at a line center) quietly
+        for source, amplitude in ((species, depth), (DANGLING_BOND, depth * sweep.db_amplitude_ratio)):
+            for center, weight in resonance_lines(source, env.mw_frequency_hz):
+                di -= amplitude * weight * _numpy_unit_peak_line(b, center, source.linewidth_tesla, sweep.lineshape)
+    return b, di
+
+
+def numpy_pulse_flip_fraction(angle_deg, field_offset, env, species) -> float:
+    """:func:`spintrap.rabi.pulse_flip_fraction`, computed on numpy floats
+    by :func:`spintrap.rabi._rabi_flip`; NaN where the pulse has no finite flip."""
+    m0, w1, _, _ = _ensemble_setup(env, species)
+    w1 = np.float64(w1)
+    det = np.float64(gyromagnetic_ratio(species.g_factor)) * field_offset
+    with np.errstate(all="ignore"):
+        fraction = m0 * rabi._rabi_flip(w1, det, np.radians(angle_deg) / w1)
+    return float(np.clip(fraction, 0.0, 1.0))
+
+
+def numpy_transient(flip_fraction, params: TrapParams, t_max, n_points) -> tuple[np.ndarray, np.ndarray]:
+    """The times and dI of ``spintrap transient``: ``n_points`` times from 0
+    to ``t_max`` and the trapped fraction's biexponential, on numpy arrays."""
+    t = np.linspace(0.0, t_max, n_points)
+    k_c = params.capture_rate_per_second
+    k_e = params.emission_rate_per_second
+    d = abs(k_c - k_e)
+    rise = -np.expm1(-d * t) / d if d else t
+    return t, -params.coupling_amplitude_amperes * (flip_fraction * k_c * np.exp(-min(k_c, k_e) * t) * rise)

@@ -63,7 +63,7 @@ def test_criterion_01_spectrum_positions():
     step = 2e-5
     sweep = SweepSpec(8.560, 8.600, int(round((8.600 - 8.560) / step)) + 1,
                       phosphorus_amplitude_amperes=1.0, db_amplitude_ratio=0.05)
-    trace = simulate_field_sweep(PHOSPHORUS, Environment(), sweep)
+    trace = SignalTrace("field", *simulate_field_sweep(PHOSPHORUS, Environment(), sweep), "A")
     peaks = find_dips(trace, 0.02)
     assert len(peaks) == 3
     (db_field, db_depth), (lo_field, lo_depth), (hi_field, hi_depth) = peaks
@@ -195,7 +195,7 @@ def test_criterion_07_trap_transient():
     start = time.perf_counter()
     params = TrapParams()  # k_c = 1e4/s, k_e = 400/s presets
     grid = np.linspace(0.0, 15e-3, 30001)
-    trace = transient_response(1.0, params, grid)
+    trace = SignalTrace("time", grid, transient_response(1.0, params, grid.tolist()), "A")
     y = trace.y
     assert np.all(y <= 0)
     t_peak = grid[int(np.argmin(y))]

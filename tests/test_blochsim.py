@@ -16,6 +16,7 @@ from reference import echo_envelope_analytic, inversion_recovery_curve
 from spintrap import blochsim, rabi, spincore
 from spintrap.blochsim import run_program
 from spintrap.config import load_config
+from spintrap.errors import CsvFormatError
 from spintrap.rabi import nutation_curve
 from spintrap.seqlang import (AcquireStmt, DelayStmt, PulseStmt, SequenceError, parse, statement_duration, sweep_values,
                               unparse)
@@ -111,6 +112,27 @@ class TestPulseRotation:
             expected = m0 * math.sin(math.radians(angle_deg) / 2) ** 2
             fraction = rabi.pulse_flip_fraction(angle_deg, 0.0, env, PHOSPHORUS)
             assert fraction == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("angle_deg, field_offset", [
+        (180.0, 0.0), (90.0, 0.0), (1e-3, 0.0), (73.0, 2e-4), (180.0, -3e-5), (540.0, 1e-3), (0.0, 0.0),
+    ])
+    def test_scalar_flip_is_the_array_flip(self, angle_deg, field_offset):
+        # pulse_flip_fraction writes _rabi_flip out on one float, in its operation order
+        env = Environment()
+        m0, w1, _, _ = spincore._ensemble_setup(env, PHOSPHORUS)
+        w1 = np.float64(w1)
+        det = np.float64(spincore.gyromagnetic_ratio(PHOSPHORUS.g_factor)) * field_offset
+        expected = float(np.clip(m0 * rabi._rabi_flip(w1, det, np.radians(angle_deg) / w1), 0.0, 1.0))
+        fraction = rabi.pulse_flip_fraction(angle_deg, field_offset, env, PHOSPHORUS)
+        assert fraction == pytest.approx(expected, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("rabi_hz, field_offset", [(5e-324, 0.0), (1e6, 1e300)],
+                             ids=["vanishing-drive", "overflowing-detuning"])
+    def test_no_finite_flip_is_refused(self, rabi_hz, field_offset):
+        # where _rabi_flip gives NaN, the scalar flip raises CsvFormatError, not a Python arithmetic error
+        env = Environment(rabi_frequency_hz=rabi_hz)
+        with pytest.raises(CsvFormatError, match="no finite fraction"):
+            rabi.pulse_flip_fraction(180.0, field_offset, env, PHOSPHORUS)
 
     def test_against_matrix_exponential_on_random_inputs(self):
         rng = np.random.default_rng(1234)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as hs
 
 from reference import find_dips
-from spintrap import cli, config, fitkit
+from spintrap import blochsim, cli, config, fitkit
 from spintrap.cli import main
 from spintrap.trace import read_trace_csv
 from test_seqlang import EXTREME_ANGLES, EXTREME_STEPS, EXTREME_TIMES, source_programs
@@ -467,13 +467,14 @@ class TestRunCommand:
 
     def test_swept_and_unswept_files_carry_ensemble(self, tmp_path, monkeypatch):
         written = {}
-        write_output = cli._write_output
+        run_program = blochsim.run_program
 
-        def record(trace, config, path, extra_meta):
-            written[path] = trace
-            write_output(trace, config, path, extra_meta)
+        def record(*args):
+            traces = run_program(*args)
+            written[out] = traces["echo"]
+            return traces
 
-        monkeypatch.setattr(cli, "_write_output", record)
+        monkeypatch.setattr(blochsim, "run_program", record)
         once = tmp_path / "once.seq"
         once.write_text("pulse pi/2 +x\ndelay 40us\npulse pi +x\ndelay 40us\nacquire echo\n")
         for seq, swept in ((SEQ_DIR / "hahn_echo.seq", True), (once, False)):
@@ -786,40 +787,50 @@ def _run_python(script, cwd, env=None):
     return proc.stdout
 
 
-@pytest.mark.parametrize("argv, loaded, absent", [
+@pytest.mark.parametrize("argv, loaded, absent, numpy_loaded", [
     (["spectrum", "--n-points", "201", "--out", "spectrum.csv"],
-     {"spectrum", "config"}, {"seqlang", "blochsim", "fitkit"}),
+     {"spectrum", "config"}, {"seqlang", "blochsim", "fitkit"}, False),
     (["fit", str(SEQ_DIR / "golden_hahn_echo.csv"), "--model", "echo_cubic",
       "--compare-with", "exp_decay", "--out", "fit.json"],
-     {"fitkit"}, {"seqlang", "blochsim", "config", "spectrum", "trapdyn"}),
+     {"fitkit"}, {"seqlang", "blochsim", "config", "spectrum", "trapdyn"}, True),
     (["run", str(SEQ_DIR / "hahn_echo.seq"), *SMALL, "--out", "run.csv"],
-     {"seqlang", "blochsim"}, {"fitkit", "rabi"}),
+     {"seqlang", "blochsim"}, {"fitkit", "rabi"}, True),
     (["transient", "--n-points", "101", "--out", "transient.csv"],
-     {"config", "rabi", "trapdyn"}, {"fitkit", "blochsim", "seqlang"}),
+     {"config", "rabi", "trapdyn"}, {"fitkit", "blochsim", "seqlang"}, False),
     (["nutation", "--n-points", "21", "--out", "nutation.csv"],
-     {"config", "rabi"}, {"fitkit", "blochsim", "seqlang"}),
+     {"config", "rabi"}, {"fitkit", "blochsim", "seqlang"}, True),
 ], ids=["spectrum", "fit", "run", "transient", "nutation"])
-def test_command_imports_only_its_modules(tmp_path, argv, loaded, absent):
+def test_command_imports_only_its_modules(tmp_path, argv, loaded, absent, numpy_loaded):
     """A fresh process loads the modules its command runs and not the others,
-    imports neither ``dataclasses`` nor ``copy`` (the value types cost no
-    class-building time) nor OpenSSL's ``_hashlib`` (and, on Linux, maps no
-    libcrypto), and the heap its imports left is frozen out of the
-    collector."""
+    numpy only for a command that computes on arrays (``spectrum`` and
+    ``transient`` are closed forms on Python floats), imports neither
+    ``dataclasses`` nor ``copy`` (the value types cost no class-building
+    time) nor OpenSSL's ``_hashlib`` (and, on Linux, maps no libcrypto), and
+    the heap its imports left is frozen out of the collector, numpy's
+    included: its module dict is in no generation the collector walks."""
     script = f"""
 import gc, sys
 from spintrap.cli import main
 
-assert gc.get_freeze_count() > 0
+frozen = gc.get_freeze_count()
+assert frozen > 0
 assert main({argv!r}) == 0
 assert "dataclasses" not in sys.modules and "copy" not in sys.modules
 assert sys.modules.get("_hashlib") is None, sys.modules["_hashlib"]
 if sys.platform.startswith("linux"):
     with open("/proc/self/maps") as fh:
         assert "libcrypto" not in fh.read()
+numpy = sys.modules.get("numpy")
+if numpy is not None:
+    assert gc.get_freeze_count() > frozen
+    assert not any(o is numpy.__dict__ for o in gc.get_objects()), "numpy's module dict is not frozen"
+print("numpy" if numpy is not None else "no-numpy")
 print(" ".join(sorted(m.split(".")[1] for m in sys.modules if m.startswith("spintrap."))))
 """
-    modules = set(_run_python(script, tmp_path).splitlines()[-1].split())
+    *_, numpy_line, module_line = _run_python(script, tmp_path).splitlines()
+    modules = set(module_line.split())
     assert loaded <= modules and not absent & modules, modules
+    assert numpy_line == ("numpy" if numpy_loaded else "no-numpy")
 
 
 def test_openssl_loaded_first_is_kept_and_changes_no_output(tmp_path):
@@ -853,14 +864,16 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 @pytest.mark.parametrize("given", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"},
                                    {"OMP_NUM_THREADS": "2"}], ids=["unset", "openblas", "goto", "omp"])
 def test_cli_starts_no_blas_worker_unless_told(tmp_path, given):
-    """Importing the CLI keeps OpenBLAS to one thread, so a call starts no
-    BLAS worker; a thread count the user set is left as set.  The child's
+    """Importing the CLI keeps OpenBLAS to one thread, so a call that loads
+    numpy afterwards, as `run`, `nutation` and `fit` do, starts no BLAS
+    worker; a thread count the user set is left as set.  The child's
     environment is built here: this process has imported the CLI, so its own
     environment already holds the CLI's setting."""
     env = {key: value for key, value in os.environ.items() if key not in _THREAD_VARS}
     script = f"""
 import json, os, sys
 import spintrap.cli
+spintrap.cli._imported("numpy")
 
 threads = None
 if sys.platform.startswith("linux"):

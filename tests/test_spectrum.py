@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from reference import find_dips
-from spintrap.spectrum import SweepSpec, simulate_field_sweep
+from spintrap import spectrum
 from spintrap.spincore import PHOSPHORUS, Environment, SpinSpecies, resonance_lines
+from spintrap.spectrum import SweepSpec
+from spintrap.trace import SignalTrace
 
 ENV = Environment()
 SWEEP = SweepSpec(8.560, 8.600, 2001)  # 2e-5 T resolution
@@ -13,6 +15,11 @@ def _depths(sweep, amplitude, db_ratio=0.0):
     """``sweep`` with the species' line depth ``amplitude`` and the dangling-bond
     line at ``db_ratio`` of it (0 leaves the dangling bond out)."""
     return sweep.replace(phosphorus_amplitude_amperes=amplitude, db_amplitude_ratio=db_ratio)
+
+
+def simulate_field_sweep(species, env, sweep):
+    """:func:`spintrap.spectrum.simulate_field_sweep`'s columns as a trace."""
+    return SignalTrace("field", *spectrum.simulate_field_sweep(species, env, sweep), "A")
 
 
 def _phosphorus(pol):

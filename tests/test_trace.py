@@ -9,6 +9,11 @@ def _trace(**kwargs):
     return SignalTrace("tau", [1e-6, 2e-6, 3e-6], [0.5, 0.25, 0.125], **kwargs)
 
 
+def _write(trace, path):
+    """Write ``trace``'s columns with its meta, axis kind and units."""
+    write_trace_csv(path, trace.x, trace.y, {**trace.meta, "axis_kind": trace.axis_kind, "units": trace.units})
+
+
 class TestColumns:
     def test_columns_are_read_only_float64(self):
         trace = _trace(y_stderr=[1, 2, 3])
@@ -62,25 +67,28 @@ class TestCsvRoundTrip:
         x = np.array([5e-324, 0.1, 1 / 3, 1.0])
         y = np.array([-0.0, 1 / 3, 0.1, 5e-324])
         path = str(tmp_path / "t.csv")
-        write_trace_csv(SignalTrace("time", x, y), path)
+        _write(SignalTrace("time", x, y), path)
         back = read_trace_csv(path)
         assert back.x.tobytes() == x.tobytes()
         assert back.y.tobytes() == y.tobytes()  # keeps the sign of -0.0
 
     def test_rows_across_write_chunks(self, tmp_path):
         """The writer formats the rows in chunks; a trace that ends one row
-        past two full chunks is written row for row, each at 17 digits."""
+        past two full chunks is written row for row, each at 17 digits, and
+        columns of Python floats are written as the same values in arrays."""
         n = 2 * trace_module._CHUNK_ROWS + 1
         rng = np.random.default_rng(7)
         x, y = np.cumsum(rng.uniform(0.1, 1.0, n)), rng.standard_normal(n)
-        path = tmp_path / "long.csv"
-        write_trace_csv(SignalTrace("time", x, y), str(path))
+        path, from_lists = tmp_path / "long.csv", tmp_path / "lists.csv"
+        _write(SignalTrace("time", x, y), str(path))
         rows = path.read_text().split("x,y\n", 1)[1]
         assert rows == "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x.tolist(), y.tolist()))
+        write_trace_csv(str(from_lists), x.tolist(), y.tolist(), {"axis_kind": "time", "units": "dimensionless"})
+        assert from_lists.read_text() == path.read_text()
 
     def test_y_stderr_is_not_written(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_trace_csv(_trace(y_stderr=[0.01, 0.02, 0.03]), str(path))
+        _write(_trace(y_stderr=[0.01, 0.02, 0.03]), str(path))
         text = path.read_text()
         assert "y_stderr" not in text
         rows = [line for line in text.splitlines() if not line.startswith("#")]

@@ -9,15 +9,21 @@ from reference import (
     exact_trapped_fraction,
     spin_recovery_curve,
 )
-from spintrap.trapdyn import (
-    TrapParams,
-    boxcar_charge,
-    flip_fraction_from_state,
-    transient_response,
-    trapped_fraction,
-)
+from spintrap import trapdyn
+from spintrap.trace import SignalTrace
+from spintrap.trapdyn import TrapParams, boxcar_charge, flip_fraction_from_state
 
 PRESET = TrapParams()  # k0 = 1e4/s, k_e = 400/s
+
+
+def trapped_fraction(flip_fraction, params, t):
+    """:func:`spintrap.trapdyn.trapped_fraction` at each time of ``t``."""
+    return np.array([trapdyn.trapped_fraction(flip_fraction, params, ti) for ti in np.asarray(t).tolist()])
+
+
+def transient_response(flip_fraction, params, t_grid):
+    """:func:`spintrap.trapdyn.transient_response` as a trace over ``t_grid``."""
+    return SignalTrace("time", t_grid, trapdyn.transient_response(flip_fraction, params, t_grid.tolist()), "A")
 NEAR_CONFLUENT = 400.0 * (1 + 1e-11)  # one rate 1e-11 above the other: no longer equal
 
 
@@ -154,6 +160,18 @@ class TestBoxcarCharge:
         k_c, k_e = params.capture_rate_per_second, params.emission_rate_per_second
         expected = -params.coupling_amplitude_amperes * exact_trapped_charge(k_c, k_e, window)
         assert boxcar_charge(params, window) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+    @pytest.mark.parametrize("params", [PRESET, TrapParams(capture_rate_per_second=400.0,
+                                                           emission_rate_per_second=400.0)],
+                             ids=["preset", "confluent_kc_equals_ke"])
+    def test_short_and_long_windows_keep_their_digits(self, params):
+        # windows from 1 ps to 1 s; below 1/K the closed form's bracket
+        # cancels, and its Taylor series takes over
+        k_c, k_e = params.capture_rate_per_second, params.emission_rate_per_second
+        for window in np.logspace(-12, 0, 97).tolist():
+            expected = -params.coupling_amplitude_amperes * exact_trapped_charge(k_c, k_e, window)
+            assert boxcar_charge(params, window) == pytest.approx(expected, rel=1e-15, abs=0), window
 
 
 class TestFlipFraction:
